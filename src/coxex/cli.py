@@ -163,7 +163,7 @@ def _cmd_verify(args) -> int:
         if check.status == "pass":
             line += f" ({check.passes} checks)"
         elif check.status == "fail":
-            line += f" ({check.failures} counterexamples)"
+            line += f" ({check.failures} failures)"
         else:
             line += f" ({check.reason})"
         print(line, file=sys.stderr)

@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass, field
 
 from .descriptors import CoxeterDescriptor
-from .elements import (GuardExceeded, apply_table, bfs_tables, bits_of_table,
-                       compose_tables, effective_guard, identity_table,
-                       invert_table)
+from .elements import (GuardExceeded, bfs_tables, bits_of_table, compose_tables,
+                       effective_guard, identity_table, invert_table)
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
@@ -75,13 +74,10 @@ class CheckResult:
     descriptor: str
     status: str  # "pass" | "fail" | "skip"
     passes: int = 0
+    failures: int = 0  # every failed check, stored or not
     counterexamples: list[Counterexample] = field(default_factory=list)
     reason: str = ""
     notes: dict = field(default_factory=dict)
-
-    @property
-    def failures(self) -> int:
-        return len(self.counterexamples)
 
     def to_dict(self):
         out = {"theorem": self.theorem, "descriptor": self.descriptor,
@@ -129,18 +125,33 @@ class SuiteResult:
         return rows
 
 
+TRUNCATED = Counterexample("...", "-", "...", "truncated")
+
+
 class _Tally:
+    """Pass and failure counts of one check, with the first failures' text.
+
+    `check(ok, describe)` calls `describe()` -> (element, J, observed,
+    expected) only for a failure it stores, the first MAX_COUNTEREXAMPLES;
+    one TRUNCATED marker follows them.  The call is synchronous, so
+    `describe` may be a lambda over the caller's loop variables.
+    """
+
     def __init__(self):
         self.passes = 0
+        self.failures = 0
         self.bad: list[Counterexample] = []
 
-    def check(self, ok: bool, element: str, J: str, observed, expected):
+    def check(self, ok: bool, describe):
         if ok:
             self.passes += 1
-        elif len(self.bad) < MAX_COUNTEREXAMPLES:
+            return
+        self.failures += 1
+        if self.failures <= MAX_COUNTEREXAMPLES:
+            element, J, observed, expected = describe()
             self.bad.append(Counterexample(element, J, str(observed), str(expected)))
-        else:
-            self.bad.append(Counterexample(element, J, "...", "truncated"))
+        elif self.failures == MAX_COUNTEREXAMPLES + 1:
+            self.bad.append(TRUNCATED)
 
 
 def _subsets_for(gd: GroupData, config: SuiteConfig):
@@ -165,7 +176,7 @@ def _run_parabolic_reflection_excess(gd, config, notes):
         for wi in _members(gd, ctx.mask):
             ej = gd.refl_excess_in(wi, J, ctx.mask)
             e = gd.refl_excess_of(wi)
-            t.check(ej == e, gd.display(wi), jd, f"E_J={ej}", f"E={e}")
+            t.check(ej == e, lambda: (gd.display(wi), jd, f"E_J={ej}", f"E={e}"))
     return t
 
 
@@ -177,7 +188,7 @@ def _run_parabolic_excess_direct(gd, config, notes):
         for wi in _members(gd, ctx.mask):
             ej = gd.excess_in(wi, ctx.mask)
             e = gd.excess_of(wi)
-            t.check(ej == e, gd.display(wi), jd, f"e_J={ej}", f"e={e}")
+            t.check(ej == e, lambda: (gd.display(wi), jd, f"e_J={ej}", f"e={e}"))
     return t
 
 
@@ -196,8 +207,8 @@ def _run_parabolic_excess_dn(gd, config, notes):
                 gaps += 1
             if cond is DnCondition.NONE:
                 continue
-            t.check(ej == e, gd.display(wi), f"m={m}",
-                    f"e_J={ej} ({cond.value})", f"e={e}")
+            t.check(ej == e, lambda: (gd.display(wi), f"m={m}",
+                                      f"e_J={ej} ({cond.value})", f"e={e}"))
     notes["unconditional_gaps_observed"] = gaps
     return t
 
@@ -218,14 +229,15 @@ def _run_parabolic_excess_reduction(gd, config, notes):
                     continue
                 ek = sub.excess_in(si, maskK)
                 ej = sub.excess_of(si)
-                t.check(ek == ej, sub.display(si),
-                        f"K={' '.join(str(k + 1) for k in K) or '-'} in J={jd}",
-                        f"e_K={ek}", f"e_J={ej}")
+                t.check(ek == ej, lambda: (
+                    sub.display(si),
+                    f"K={' '.join(str(k + 1) for k in K) or '-'} in J={jd}",
+                    f"e_K={ek}", f"e_J={ej}"))
         for si in range(len(sub)):
             wi = gd.index[sub.perms[si]]
             ej = sub.excess_of(si)
             e = gd.excess_of(wi)
-            t.check(ej == e, sub.display(si), f"J={jd}", f"e_J={ej}", f"e={e}")
+            t.check(ej == e, lambda: (sub.display(si), f"J={jd}", f"e_J={ej}", f"e={e}"))
     return t
 
 
@@ -242,8 +254,9 @@ def _run_nw_subset_niw(gd, config, notes):
     for wi in range(len(gd)):
         niw = gd.niw_bits(wi)
         missing = gd.bits[wi] & ~niw
-        t.check(missing == 0, gd.display(wi), "-",
-                f"N(w) \\ N(I_w) has {missing.bit_count()} roots", "empty")
+        t.check(missing == 0, lambda: (
+            gd.display(wi), "-",
+            f"N(w) \\ N(I_w) has {missing.bit_count()} roots", "empty"))
     return t
 
 
@@ -255,9 +268,9 @@ def _run_cuspidal_full(gd, config, notes):
         if gd.kernel(wi):
             continue
         cuspidal += 1
-        t.check(gd.niw_bits(wi) == full, gd.display(wi), "-",
-                f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
-                f"all {gd.rs.num_positive}")
+        t.check(gd.niw_bits(wi) == full, lambda: (
+            gd.display(wi), "-", f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
+            f"all {gd.rs.num_positive}"))
     notes["cuspidal_elements"] = cuspidal
     return t
 
@@ -269,9 +282,9 @@ def _run_centre_full(gd, config, notes):
     full = gd.rs.full_mask()
     t = _Tally()
     for wi in range(len(gd)):
-        t.check(gd.niw_bits(wi) == full, gd.display(wi), "-",
-                f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
-                f"all {gd.rs.num_positive}")
+        t.check(gd.niw_bits(wi) == full, lambda: (
+            gd.display(wi), "-", f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
+            f"all {gd.rs.num_positive}"))
     return t
 
 
@@ -283,9 +296,9 @@ def _run_spartan_support(gd, config, notes):
         for xi, yi in gd.spartan_of(wi):
             ok = spartan_support_check(gd.signed_perm(xi), gd.signed_perm(yi),
                                        w_sp, fam)
-            t.check(ok, gd.display(wi), "-",
-                    f"pair ({gd.display(xi)}, {gd.display(yi)})",
-                    "support rule holds")
+            t.check(ok, lambda: (gd.display(wi), "-",
+                                 f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                 "support rule holds"))
     return t
 
 
@@ -296,9 +309,9 @@ def _run_spartan_overlap(gd, config, notes):
         for wi in _members(gd, ctx.mask):
             for xi, yi in gd.spartan_of(wi):
                 ok = overlap_check(gd.signed_perm(xi), gd.signed_perm(yi), m)
-                t.check(ok, gd.display(wi), f"m={m}",
-                        f"pair ({gd.display(xi)}, {gd.display(yi)})",
-                        "2-cycles respect the split")
+                t.check(ok, lambda: (gd.display(wi), f"m={m}",
+                                     f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                     "2-cycles respect the split"))
     return t
 
 
@@ -308,9 +321,9 @@ def _run_spartan_swapcycle(gd, config, notes):
         w_sp = gd.signed_perm(wi)
         for xi, yi in gd.spartan_of(wi):
             ok = swapcycle_check(gd.signed_perm(xi), gd.signed_perm(yi), w_sp)
-            t.check(ok, gd.display(wi), "-",
-                    f"pair ({gd.display(xi)}, {gd.display(yi)})",
-                    "swapped cycles overlap")
+            t.check(ok, lambda: (gd.display(wi), "-",
+                                 f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                 "swapped cycles overlap"))
     return t
 
 
@@ -321,8 +334,8 @@ def _run_excess_even_symmetric(gd, config, notes):
         einv = gd.excess_of(gd.inverse[wi])
         E = gd.refl_excess_of(wi)
         ok = e >= 0 and e % 2 == 0 and einv == e and E >= e
-        t.check(ok, gd.display(wi), "-",
-                f"e={e} e(w^-1)={einv} E={E}", "e even, symmetric, E >= e")
+        t.check(ok, lambda: (gd.display(wi), "-", f"e={e} e(w^-1)={einv} E={E}",
+                             "e even, symmetric, E >= e"))
     return t
 
 
@@ -347,9 +360,10 @@ def _run_excess_additivity(gd, config, notes):
             e_sum += gd.excess_in(pi, ctx.mask)
             E_sum += gd.refl_excess_in(pi, ctx.J, ctx.mask)
         ok = gd.excess_of(wi) == e_sum and gd.refl_excess_of(wi) == E_sum
-        t.check(ok, gd.display(wi), "-",
-                f"e={gd.excess_of(wi)} sum={e_sum}; E={gd.refl_excess_of(wi)} sum={E_sum}",
-                "additive over direct factors")
+        t.check(ok, lambda: (
+            gd.display(wi), "-",
+            f"e={gd.excess_of(wi)} sum={e_sum}; E={gd.refl_excess_of(wi)} sum={E_sum}",
+            "additive over direct factors"))
     return t
 
 
@@ -360,9 +374,9 @@ def _run_jset_equivalence(gd, config, notes):
         Lw = gd.reflection_length(wi)
         via_len = {x for x, y in gd.pairs[wi]
                    if Lw == gd.reflection_length(x) + gd.reflection_length(y)}
-        t.check(via_fix == via_len, gd.display(wi), "-",
-                f"|fixed-space filter|={len(via_fix)}",
-                f"|length-additive filter|={len(via_len)}")
+        t.check(via_fix == via_len, lambda: (
+            gd.display(wi), "-", f"|fixed-space filter|={len(via_fix)}",
+            f"|length-additive filter|={len(via_len)}"))
     return t
 
 
@@ -373,8 +387,9 @@ def _run_structured_iw(gd, config, notes):
         exhaustive = {gd.signed_perm(xi).images for xi, _ in gd.pairs[wi]}
         structured = {x.images for x in
                       inverting_signed_involutions(gd.signed_perm(wi), fam)}
-        t.check(exhaustive == structured, gd.display(wi), "-",
-                f"|structured|={len(structured)}", f"|exhaustive|={len(exhaustive)}")
+        t.check(exhaustive == structured, lambda: (
+            gd.display(wi), "-", f"|structured|={len(structured)}",
+            f"|exhaustive|={len(exhaustive)}"))
     return t
 
 
@@ -396,56 +411,63 @@ def _run_reflection_length_oracle(gd, config, notes):
     for wi in range(len(gd)):
         bfs = dist[gd.perms[wi]]
         carter = gd.reflection_length(wi)
-        t.check(bfs == carter, gd.display(wi), "-",
-                f"rank-fix={carter}", f"bfs={bfs}")
+        t.check(bfs == carter, lambda: (gd.display(wi), "-", f"rank-fix={carter}",
+                                        f"bfs={bfs}"))
     return t
 
 
-def _lemma22_holds(g, h) -> bool:
-    gh = compose_tables(g, h)
-    g_inv = invert_table(g)
-    bg, bh, bgh = bits_of_table(g), bits_of_table(h), bits_of_table(gh)
-    bginv = bits_of_table(g_inv)
+def _lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
+    """Lemma 2.2 on N(gh) from the table of g^-1 and the inversion bitsets
+    of g, g^-1, h and gh.  Bit i stands for positive root i + 1, whose image
+    under g^-1 is g_inv[i]."""
     removed = 0
-    i = 0
     b = bh
     while b:
-        if b & 1:
-            s = apply_table(g_inv, -(i + 1))
-            if s > 0:
-                removed |= 1 << (s - 1)
-        b >>= 1
-        i += 1
+        low = b & -b
+        s = -g_inv[low.bit_length() - 1]
+        if s > 0:
+            removed |= 1 << (s - 1)
+        b ^= low
     added = 0
-    i = 0
     b = bh & ~bginv
     while b:
-        if b & 1:
-            s = apply_table(g_inv, i + 1)
-            if s < 0:
-                return False  # image must stay positive here
-            added |= 1 << (s - 1)
-        b >>= 1
-        i += 1
+        low = b & -b
+        s = g_inv[low.bit_length() - 1]
+        if s < 0:
+            return False  # image must stay positive here
+        added |= 1 << (s - 1)
+        b ^= low
     if bgh != (bg & ~removed) | added:
         return False
     lg, lh, lgh = bg.bit_count(), bh.bit_count(), bgh.bit_count()
     return lgh == lg + lh - 2 * (bginv & bh).bit_count()
 
 
+def _lemma22_holds(g, h) -> bool:
+    g_inv = invert_table(g)
+    return _lemma22_core(g_inv, bits_of_table(g), bits_of_table(g_inv),
+                         bits_of_table(h), bits_of_table(compose_tables(g, h)))
+
+
+def _lemma22_holds_in(gd: GroupData, gi: int, h, bh: int) -> bool:
+    """_lemma22_holds(gd.perms[gi], h) on the bitsets and inverse that gd
+    holds for g; bh is the inversion bitset of h."""
+    gii = gd.inverse[gi]
+    return _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii], bh,
+                         bits_of_table(compose_tables(gd.perms[gi], h)))
+
+
 def _involution_reversal_holds(p) -> bool:
     bits = bits_of_table(p)
     image = 0
-    i = 0
     b = bits
     while b:
-        if b & 1:
-            s = apply_table(p, -(i + 1))
-            if s < 0:
-                return False
-            image |= 1 << (s - 1)
-        b >>= 1
-        i += 1
+        low = b & -b
+        s = -p[low.bit_length() - 1]
+        if s < 0:
+            return False
+        image |= 1 << (s - 1)
+        b ^= low
     return image == bits
 
 
@@ -456,12 +478,12 @@ def _run_inversion_identity(gd, config, notes):
     for _ in range(config.sample_pairs):
         gi = rng.randrange(n)
         hi = rng.randrange(n)
-        ok = _lemma22_holds(gd.perms[gi], gd.perms[hi])
-        t.check(ok, f"({gd.display(gi)}, {gd.display(hi)})", "-",
-                "set identity violated", "N(gh) decomposition")
+        ok = _lemma22_holds_in(gd, gi, gd.perms[hi], gd.bits[hi])
+        t.check(ok, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                             "set identity violated", "N(gh) decomposition"))
     for xi in gd.involutions:
-        t.check(_involution_reversal_holds(gd.perms[xi]), gd.display(xi), "-",
-                "N(x) != -N(x)x", "N(x) = -N(x)x")
+        t.check(_involution_reversal_holds(gd.perms[xi]), lambda: (
+            gd.display(xi), "-", "N(x) != -N(x)x", "N(x) = -N(x)x"))
     notes["sampled_pairs"] = config.sample_pairs
     return t
 
@@ -473,8 +495,8 @@ def _run_zero_excess_classes(gd, config, notes):
     for cls in classes:
         best = min(gd.excess_of(gd.index[w.perm]) for w in cls)
         rep = gd.index[cls[0].perm]
-        t.check(best == 0, gd.display(rep), "-",
-                f"class min excess = {best}", "0")
+        t.check(best == 0, lambda: (gd.display(rep), "-",
+                                    f"class min excess = {best}", "0"))
     notes["classes"] = len(classes)
     return t
 
@@ -482,8 +504,9 @@ def _run_zero_excess_classes(gd, config, notes):
 def _run_length_reduced_word(gd, config, notes):
     t = _Tally()
     for wi in range(len(gd)):
-        t.check(gd.lengths[wi] == len(gd.words[wi]), gd.display(wi), "-",
-                f"|N(w)|={gd.lengths[wi]}", f"word length {len(gd.words[wi])}")
+        t.check(gd.lengths[wi] == len(gd.words[wi]), lambda: (
+            gd.display(wi), "-", f"|N(w)|={gd.lengths[wi]}",
+            f"word length {len(gd.words[wi])}"))
     return t
 
 
@@ -498,9 +521,8 @@ def _run_parabolic_length(gd, config, notes):
         for p, wrd in zip(perms, words):
             wi = gd.index[p]
             ok = ctx.contains_table(gd.bits[wi]) and gd.lengths[wi] == len(wrd)
-            t.check(ok, gd.display(wi), jd,
-                    f"ambient length {gd.lengths[wi]}",
-                    f"subgroup word length {len(wrd)}")
+            t.check(ok, lambda: (gd.display(wi), jd, f"ambient length {gd.lengths[wi]}",
+                                 f"subgroup word length {len(wrd)}"))
     return t
 
 
@@ -620,9 +642,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
                 gd = GroupData(rs, guard=limit, workers=config.workers)
             notes: dict = {}
             tally = thm.runner(gd, config, notes)
-            status = "pass" if not tally.bad else "fail"
+            status = "pass" if not tally.failures else "fail"
             checks.append(CheckResult(name, rs.name, status, tally.passes,
-                                      tally.bad, "", notes))
+                                      tally.failures, tally.bad, "", notes))
     cfg_payload = {
         "descriptors": ["x".join(d.name for d in comps) for comps in config.descriptors],
         "theorems": list(selected),

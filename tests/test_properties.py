@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import data
 from coxex.elements import (apply_table, bits_of_table, compose_tables,
                             invert_table)
-from coxex.verify import _involution_reversal_holds, _lemma22_holds
+from coxex.verify import (_involution_reversal_holds, _lemma22_core,
+                          _lemma22_holds, _lemma22_holds_in)
 
 
 def element_indices(token, count=2):
@@ -28,6 +29,35 @@ def test_inversion_identity_b3(idx):
 def test_inversion_identity_h3(idx):
     gd = data("H3")
     assert _lemma22_holds(gd.perms[idx[0]], gd.perms[idx[1]])
+
+
+def test_lemma22_cached_inputs_match_tables_exhaustive():
+    for token in ["A3", "B3", "I2(5)", "H3", "A2xA1"]:
+        gd = data(token)
+        for gi, g in enumerate(gd.perms):
+            for hi, h in enumerate(gd.perms):
+                assert _lemma22_holds_in(gd, gi, h, gd.bits[hi]) \
+                    == _lemma22_holds(g, h), (token, gi, hi)
+
+
+@settings(max_examples=300)
+@given(element_indices("H3"), st.integers(min_value=0))
+def test_lemma22_cached_inputs_match_tables_perturbed(idx, pos):
+    gd = data("H3")
+    gi, gii = idx[0], gd.inverse[idx[0]]
+    g = gd.perms[gi]
+    h = list(gd.perms[idx[1]])
+    h[pos % len(h)] *= -1  # h is no longer a group element
+    h = tuple(h)
+    holds = _lemma22_holds(g, h)
+    assert _lemma22_holds_in(gd, gi, h, bits_of_table(h)) == holds
+    # negating an entry leaves a signed permutation of the roots, for which
+    # the identity is a statement about signs and still holds; a wrong N(gh)
+    # must make the core fail
+    assert holds
+    bgh = bits_of_table(compose_tables(g, h)) ^ (1 << pos % len(h))
+    assert not _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii],
+                             bits_of_table(h), bgh)
 
 
 @settings(max_examples=200)

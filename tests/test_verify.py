@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
-from conftest import descriptor
-from coxex import GuardExceeded, make_config, run_suite, theorem_names
+from conftest import descriptor, system
+from coxex import GroupData, GuardExceeded, make_config, run_suite, theorem_names
 from coxex.descriptors import CoxeterDescriptor
-from coxex.verify import THEOREMS
+from coxex.elements import bfs_tables
+from coxex.parabolic import all_generator_subsets
+from coxex.verify import MAX_COUNTEREXAMPLES, THEOREMS, TRUNCATED
 
 
 def _suite(tokens, **kw):
@@ -129,3 +132,41 @@ def test_jset_equivalence_on_a4_b3_d4():
     res = _suite(["A4", "B3", "D4"], theorems=("jset-equivalence",))
     assert res.failures_total == 0
     assert all(c.status == "pass" for c in res.checks)
+
+
+def test_counterexample_cap_counts_every_failure(monkeypatch):
+    # every e_J = e check fails; B4 over all parabolics makes 525 of them
+    monkeypatch.setattr(GroupData, "excess_in",
+                        lambda self, wi, mask: self.excess_of(wi) + 2)
+    res = _suite(["B4"], theorems=("parabolic-excess",), parabolic="all")
+    check = res.checks[0]
+    rs = system("B4")
+    attempted = sum(len(bfs_tables(rs, gens=J)[0])
+                    for J in all_generator_subsets(rs))
+    assert check.status == "fail" and check.passes == 0
+    assert check.failures == attempted > MAX_COUNTEREXAMPLES
+    assert res.failures_total == attempted
+    assert len(check.counterexamples) == MAX_COUNTEREXAMPLES + 1
+    assert check.counterexamples[-1] == TRUNCATED
+    assert TRUNCATED not in check.counterexamples[:-1]
+    assert check.to_dict()["failures"] == attempted
+    rows = res.csv_rows()
+    assert len(rows) == 1 + MAX_COUNTEREXAMPLES + 1
+    assert {r[4] for r in rows[1:]} == {str(attempted)}
+    # the stored records, hashed at the commit that formatted them eagerly
+    records = [c.to_dict() for c in check.counterexamples[:MAX_COUNTEREXAMPLES]]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "df8627800800c5a301e4da592d8c18b26fe99a00dc6bf3e8bafda403cbbf6671"
+
+
+def test_passing_checks_format_nothing(monkeypatch):
+    def display(self, i):
+        raise AssertionError("display called for a passing check")
+    monkeypatch.setattr(GroupData, "display", display)
+    res = run_suite(make_config(
+        [descriptor(t) for t in ["A3", "B3", "D4", "H3"]]
+        + [(CoxeterDescriptor("A", 2), CoxeterDescriptor("A", 1))],
+        theorems=("all",), parabolic="all"))
+    assert res.failures_total == 0
+    assert all(c.status in ("pass", "skip") for c in res.checks)
+    assert sum(c.passes for c in res.checks) > 0
