@@ -1,15 +1,14 @@
 """Small exact/float linear algebra helpers for fixed-space computations.
 
 Matrices act on row vectors: the image of v is v @ M.  Exact matrices are
-tuples of int rows; inexact ones are numpy arrays.
+tuples of int rows; inexact ones are numpy arrays.  numpy is imported only
+inside the float branches, so it is loaded only for the H and I2 families.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 FLOAT_RANK_TOL = 1e-7
 FLOAT_FIX_TOL = 1e-6
@@ -72,6 +71,7 @@ def fixed_vector_basis(mat, exact: bool):
         n = len(mat)
         a = [[mat[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
         return exact_nullspace(a)
+    import numpy as np
     m = np.asarray(mat, dtype=float)
     a = m.T - np.eye(m.shape[0])
     _, s, vt = np.linalg.svd(a)
@@ -86,6 +86,7 @@ def apply_row(vec, mat, exact: bool):
     if exact:
         n = len(mat[0])
         return tuple(sum(vec[r] * mat[r][c] for r in range(len(mat))) for c in range(n))
+    import numpy as np
     return tuple(np.asarray(vec, dtype=float) @ np.asarray(mat, dtype=float))
 
 

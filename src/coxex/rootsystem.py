@@ -1,11 +1,15 @@
 """Root systems for the finite Coxeter types.
 
-Crystallographic families (A, B, D, F4, E6-E8) are realized with exact
-rational coordinates in the standard models; the roots of A_n live in n+1
-dimensions (e_i - e_j), those of B_n/D_n in n dimensions.  The dihedral and
-H families are realized over floats in the basis of simple roots, with the
-bilinear form -cos(pi/m_rs); floats are only touched while the tables are
-built.  Everything downstream works on integer root indices.
+Crystallographic families (A, B, D, F4, E6-E8) are realized exactly in the
+standard models, whose coordinates all lie in (1/2)Z; the roots of A_n live
+in n+1 dimensions (e_i - e_j), those of B_n/D_n in n dimensions.  The closure,
+the generator tables, the bilinear-form check and `reflection_table` run on
+doubled integer coordinates 2v, with Cartan integers from exact integer
+division.  `positive_roots` still holds the coordinates as `Fraction`s,
+converted once when the system is built.  The dihedral and H families are
+realized over floats in the basis of simple roots, with the bilinear form
+-cos(pi/m_rs); floats are only touched while the tables are built.
+Everything downstream works on integer root indices.
 
 A group element is stored as a signed permutation of positive-root indices:
 ``perm[i] == +-(j+1)`` means the i-th positive root maps to +-(the j-th).
@@ -21,29 +25,83 @@ from .descriptors import CoxeterDescriptor, from_spec
 
 FLOAT_KEY_DIGITS = 9
 SCHEMA = "coxex.rootsystem/1"
+# exact systems store 2v: every coordinate of a standard model is in (1/2)Z
+_SCALE = 2
 
 
-def _key(vec, exact):
-    if exact:
-        return vec
+def _float_key(vec):
     return tuple(round(x, FLOAT_KEY_DIGITS) + 0.0 for x in vec)
 
 
-class RootSystem:
-    """Indexed positive roots plus per-generator root permutation tables."""
+def _key(vec, exact):
+    return vec if exact else _float_key(vec)
 
-    def __init__(self, components, positive_roots, coeffs, simple_indices,
-                 gen_tables, bilinear_form, exact):
+
+def _doubled(vec):
+    """The integer coordinates _SCALE * v of a vector v, or None when some
+    coordinate of v is not in (1/2)Z."""
+    out = []
+    for x in vec:
+        y = _SCALE * x
+        n = int(y)
+        if n != y:
+            return None
+        out.append(n)
+    return tuple(out)
+
+
+def _idot(v, w):
+    return sum(a * b for a, b in zip(v, w))
+
+
+def _cartan(dot, norm):
+    """The Cartan integer 2 (a, v) / (a, a) from dot = (a, v), norm = (a, a)."""
+    k, rem = divmod(2 * dot, norm)
+    if rem:
+        raise RuntimeError("non-integral Cartan coefficient in exact system")
+    return k
+
+
+def _reflect(alpha, beta, norm):
+    """s_alpha(beta) in integer coordinates; norm = (alpha, alpha)."""
+    k = _cartan(_idot(alpha, beta), norm)
+    return tuple(b - k * a for a, b in zip(alpha, beta)) if k else beta
+
+
+class RootSystem:
+    """Indexed positive roots plus per-generator root permutation tables.
+
+    `roots` are given as index keys: doubled integer coordinates when
+    `exact`, float coordinates in the simple-root basis otherwise.
+    """
+
+    def __init__(self, components, roots, coeffs, simple_indices, gen_tables, exact):
         self.components = tuple(components)
-        self.positive_roots = tuple(tuple(v) for v in positive_roots)
+        self.exact = exact
+        if exact:
+            # keys[i] is _SCALE times positive root i, in integers
+            self.keys = tuple(tuple(v) for v in roots)
+            half = {x: Fraction(x, _SCALE) for x in {x for v in self.keys for x in v}}
+            self.positive_roots = tuple(tuple(half[x] for x in v) for v in self.keys)
+            negatives = [tuple(-x for x in v) for v in self.keys]
+        else:
+            self.positive_roots = tuple(tuple(v) for v in roots)
+            self.keys = tuple(_float_key(v) for v in self.positive_roots)
+            negatives = [_float_key(tuple(-x for x in v)) for v in self.positive_roots]
+        # key of +-(root i) -> +-(i+1)
+        self.key_index = {k: i + 1 for i, k in enumerate(self.keys)}
+        self.key_index.update((k, -(i + 1)) for i, k in enumerate(negatives))
         self.coeffs = tuple(tuple(c) for c in coeffs)
         self.simple_indices = tuple(simple_indices)
         self.gen_tables = tuple(tuple(t) for t in gen_tables)
-        self.bilinear_form = bilinear_form
-        self.exact = exact
+        if exact:
+            simple = [self.keys[i] for i in self.simple_indices]
+            self.bilinear_form = tuple(
+                tuple(Fraction(_idot(a, b), _SCALE * _SCALE) for b in simple) for a in simple)
+        else:
+            self.bilinear_form = _form_matrix(self.components)
         self.rank = len(simple_indices)
         self.num_positive = len(self.positive_roots)
-        self._index = {_key(v, exact): i for i, v in enumerate(self.positive_roots)}
         self._reflections: list | None = None
         self._bfs = None  # filled by elements.bfs_tables
 
@@ -69,17 +127,21 @@ class RootSystem:
     def full_mask(self) -> int:
         return (1 << self.num_positive) - 1
 
+    def _lookup(self, vec) -> int | None:
+        """Signed index of a coordinate vector (ints, Fractions or floats)."""
+        return self.key_index.get(_doubled(vec) if self.exact else _float_key(vec))
+
     def index_of(self, vec) -> int:
         """Index of a positive root given by its coordinate vector."""
-        return self._index[_key(vec, self.exact)]
+        s = self._lookup(vec)
+        if s is None or s < 0:
+            raise KeyError(f"vector {vec} is not a positive root")
+        return s - 1
 
     def signed_index_of(self, vec) -> int:
-        k = _key(vec, self.exact)
-        if k in self._index:
-            return self._index[k] + 1
-        neg = _key(tuple(-x for x in vec), self.exact)
-        if neg in self._index:
-            return -(self._index[neg] + 1)
+        s = self._lookup(vec)
+        if s is not None:
+            return s
         if not self.exact:
             # rounded keys can flip their last digit when a vector was reached
             # along a different float path; fall back to a tolerance scan
@@ -104,13 +166,19 @@ class RootSystem:
         if self._reflections is None:
             self._reflections = [None] * self.num_positive
         if self._reflections[i] is None:
-            alpha = self.positive_roots[i]
-            nn = _dot(self, alpha, alpha)
-            table = []
-            for beta in self.positive_roots:
-                k = 2 * _dot(self, alpha, beta) / nn
-                img = tuple(b - k * a for a, b in zip(alpha, beta))
-                table.append(self.signed_index_of(img))
+            if self.exact:
+                alpha = self.keys[i]
+                norm = _idot(alpha, alpha)
+                index = self.key_index
+                table = [index[_reflect(alpha, beta, norm)] for beta in self.keys]
+            else:
+                alpha = self.positive_roots[i]
+                nn = _dot(self.bilinear_form, alpha, alpha)
+                table = []
+                for beta in self.positive_roots:
+                    k = 2 * _dot(self.bilinear_form, alpha, beta) / nn
+                    img = tuple(b - k * a for a, b in zip(alpha, beta))
+                    table.append(self.signed_index_of(img))
             self._reflections[i] = tuple(table)
         return self._reflections[i]
 
@@ -180,7 +248,7 @@ def root_label(vec) -> str:
 
 
 def _vector_of_label(label: str, dim: int):
-    vec = [Fraction(0)] * dim
+    vec = [0] * dim
     tok = label.replace("-", " -").replace("+", " +").split()
     for t in tok:
         sign = 1
@@ -189,21 +257,18 @@ def _vector_of_label(label: str, dim: int):
             t = t[1:]
         if not t.startswith("e"):
             raise ValueError(f"bad root label {label!r}")
-        vec[int(t[1:]) - 1] = Fraction(sign)
+        vec[int(t[1:]) - 1] = sign
     return tuple(vec)
 
 
-def _dot(rs_or_form, v, w):
-    if isinstance(rs_or_form, RootSystem):
-        if rs_or_form.exact:
-            return sum(a * b for a, b in zip(v, w))
-        form = rs_or_form.bilinear_form
-        return sum(v[i] * form[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
-    raise TypeError
+def _dot(form, v, w):
+    return sum(v[i] * form[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
 
 
 def _simple_vectors_exact(components):
-    """Block-diagonal standard simple roots, exact families only."""
+    """Block-diagonal standard simple roots, exact families only, as doubled
+    integer coordinates."""
+    u = _SCALE  # a unit coordinate; a half is 1
     blocks = []
     for d in components:
         fam, n = d.family, d.rank
@@ -211,45 +276,43 @@ def _simple_vectors_exact(components):
             dim = n + 1
             vecs = []
             for i in range(n):
-                v = [Fraction(0)] * dim
-                v[i] = Fraction(1)
-                v[i + 1] = Fraction(-1)
+                v = [0] * dim
+                v[i] = u
+                v[i + 1] = -u
                 vecs.append(v)
         elif fam in ("B", "D"):
             dim = n
             vecs = []
             for i in range(n - 1):
-                v = [Fraction(0)] * dim
-                v[i] = Fraction(1)
-                v[i + 1] = Fraction(-1)
+                v = [0] * dim
+                v[i] = u
+                v[i + 1] = -u
                 vecs.append(v)
-            last = [Fraction(0)] * dim
+            last = [0] * dim
             if fam == "B":
-                last[n - 1] = Fraction(1)
+                last[n - 1] = u
             else:
-                last[n - 2] = Fraction(1)
-                last[n - 1] = Fraction(1)
+                last[n - 2] = u
+                last[n - 1] = u
             vecs.append(last)
         elif fam == "F4":
             dim = 4
-            h = Fraction(1, 2)
             vecs = [
-                [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)],
-                [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
-                [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-                [h, -h, -h, -h],
+                [0, u, -u, 0],
+                [0, 0, u, -u],
+                [0, 0, 0, u],
+                [1, -1, -1, -1],
             ]
         elif fam in ("E6", "E7", "E8"):
             dim = 8
-            h = Fraction(1, 2)
             full = [
-                [h, -h, -h, -h, -h, -h, -h, h],
-                [Fraction(1), Fraction(1)] + [Fraction(0)] * 6,
+                [1, -1, -1, -1, -1, -1, -1, 1],
+                [u, u] + [0] * 6,
             ]
             for k in range(6):
-                v = [Fraction(0)] * 8
-                v[k] = Fraction(-1)
-                v[k + 1] = Fraction(1)
+                v = [0] * 8
+                v[k] = -u
+                v[k + 1] = u
                 full.append(v)
             vecs = full[: n]
         else:
@@ -260,7 +323,7 @@ def _simple_vectors_exact(components):
     offset = 0
     for dim, vecs in blocks:
         for v in vecs:
-            out.append(tuple([Fraction(0)] * offset + v + [Fraction(0)] * (total - offset - dim)))
+            out.append(tuple([0] * offset + v + [0] * (total - offset - dim)))
         offset += dim
     return out
 
@@ -278,6 +341,20 @@ def _form_matrix(components):
                 form[offset + i][offset + j] = -math.cos(math.pi / cm[i][j])
         offset += n
     return tuple(tuple(row) for row in form)
+
+
+def _coxeter_matrix(components):
+    """Orders m_ij over all generators of the product; 2 across components."""
+    total = sum(d.rank for d in components)
+    mat = [[2] * total for _ in range(total)]
+    offset = 0
+    for d in components:
+        cm = d.coxeter_matrix()
+        for i in range(d.rank):
+            for j in range(d.rank):
+                mat[offset + i][offset + j] = cm[i][j]
+        offset += d.rank
+    return mat
 
 
 def build_root_system(descriptor) -> RootSystem:
@@ -299,27 +376,24 @@ def build_root_system(descriptor) -> RootSystem:
     if exact:
         simple = _simple_vectors_exact(components)
         simple_coeffs = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        form = None
-
-        def dot(v, w):
-            return sum(a * b for a, b in zip(v, w))
+        dot = _idot
     else:
         form = _form_matrix(components)
         simple = [tuple(1.0 if j == i else 0.0 for j in range(rank)) for i in range(rank)]
         simple_coeffs = [tuple(v) for v in simple]
 
         def dot(v, w):
-            return sum(v[i] * form[i][j] * w[j] for i in range(rank) for j in range(rank))
+            return _dot(form, v, w)
 
     norms = [dot(a, a) for a in simple]
 
     def reflect(vec, coeff, r):
-        k = 2 * dot(simple[r], vec) / norms[r]
         if exact:
-            ik = int(k)
-            if ik != k:
-                raise RuntimeError("non-integral Cartan coefficient in exact system")
-            k = ik
+            k = _cartan(dot(simple[r], vec), norms[r])
+            if not k:
+                return vec, coeff
+        else:
+            k = 2 * dot(simple[r], vec) / norms[r]
         new_vec = tuple(b - k * a for a, b in zip(simple[r], vec))
         new_coeff = tuple(b - k * a for a, b in zip(simple_coeffs[r], coeff))
         return new_vec, new_coeff
@@ -356,15 +430,11 @@ def build_root_system(descriptor) -> RootSystem:
     positives.sort(key=lambda vc: _key(vc[0], exact))
     pos_vecs = [v for v, _ in positives]
     pos_coeffs = [c for _, c in positives]
-    if exact:
-        pos_coeffs = [tuple(int(x) for x in c) for c in pos_coeffs]
-    index = {_key(v, exact): i for i, v in enumerate(pos_vecs)}
-
-    def signed(vec):
-        k = _key(vec, exact)
-        if k in index:
-            return index[k] + 1
-        return -(index[_key(tuple(-x for x in vec), exact)] + 1)
+    # key of +-(positive root i) -> +-(i+1)
+    index = {}
+    for i, v in enumerate(pos_vecs):
+        index[_key(v, exact)] = i + 1
+        index[_key(tuple(-x for x in v), exact)] = -(i + 1)
 
     tables = []
     for r in range(rank):
@@ -372,7 +442,7 @@ def build_root_system(descriptor) -> RootSystem:
         negated = 0
         for v, c in positives:
             nv, _ = reflect(v, c, r)
-            s = signed(nv)
+            s = index[_key(nv, exact)]
             if s < 0:
                 negated += 1
             table.append(s)
@@ -380,7 +450,7 @@ def build_root_system(descriptor) -> RootSystem:
             raise RuntimeError(f"generator {r} negates {negated} positive roots")
         tables.append(tuple(table))
 
-    simple_indices = [index[_key(tuple(v), exact)] for v in simple]
+    simple_indices = [index[_key(tuple(v), exact)] - 1 for v in simple]
     for r, si in enumerate(simple_indices):
         if tables[r][si] != -(si + 1):
             raise RuntimeError("generator does not negate its own simple root")
@@ -397,8 +467,7 @@ def build_root_system(descriptor) -> RootSystem:
                 if not ok:
                     raise RuntimeError("generator action does not respect the bilinear form")
 
-    return RootSystem(components, pos_vecs, pos_coeffs, simple_indices, tables,
-                      bilinear, exact)
+    return RootSystem(components, pos_vecs, pos_coeffs, simple_indices, tables, exact)
 
 
 def save_root_system(rs: RootSystem, path) -> None:
@@ -412,25 +481,89 @@ def load_root_system(path) -> RootSystem:
     return root_system_from_json(doc)
 
 
+_FIELDS = {"descriptor", "exact", "roots", "coeffs", "simple_indices", "generator_tables"}
+
+
 def root_system_from_json(doc: dict) -> RootSystem:
+    """Load a saved root system, refusing with ValueError one whose roots or
+    generator tables do not describe the group its descriptor names."""
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
+    missing = sorted(_FIELDS - doc.keys())
+    if missing:
+        raise ValueError(f"root-system file lacks {missing}")
     components = [from_spec((d["family"], d["rank"], d["m"])) for d in doc["descriptor"]]
     exact = doc["exact"]
     if exact:
-        roots = [tuple(Fraction(x) for x in v) for v in doc["roots"]]
+        roots = []
+        for v in doc["roots"]:
+            key = _doubled(Fraction(x) for x in v)
+            if key is None:
+                raise ValueError(f"root {v} has a coordinate outside (1/2)Z")
+            roots.append(key)
         coeffs = [tuple(int(x) for x in c) for c in doc["coeffs"]]
-        form = None
     else:
         roots = [tuple(float(x) for x in v) for v in doc["roots"]]
         coeffs = [tuple(float(x) for x in c) for c in doc["coeffs"]]
-        form = _form_matrix(components)
-    rs = RootSystem(components, roots, coeffs, doc["simple_indices"],
-                    doc["generator_tables"],
-                    form if form is not None else None, exact)
-    if rs.bilinear_form is None:
-        simple = [rs.positive_roots[i] for i in rs.simple_indices]
-        rs.bilinear_form = tuple(
-            tuple(sum(a * b for a, b in zip(u, v)) for v in simple) for u in simple
-        )
+    simple_indices = doc["simple_indices"]
+    tables = [tuple(t) for t in doc["generator_tables"]]
+    n = len(roots)
+    rank = sum(d.rank for d in components)
+    expected = sum(d.num_positive_roots() for d in components)
+    if n != expected or len(coeffs) != n:
+        raise ValueError(f"expected {expected} positive roots and coefficient rows, "
+                         f"found {n} and {len(coeffs)}")
+    if len(simple_indices) != rank or len(tables) != rank:
+        raise ValueError(f"expected {rank} simple roots and generator tables")
+    if len(set(simple_indices)) != rank or not all(0 <= i < n for i in simple_indices):
+        raise ValueError(f"bad simple root indices {simple_indices}")
+    for r, t in enumerate(tables):
+        if sorted(abs(v) for v in t) != list(range(1, n + 1)):
+            raise ValueError(f"generator table {r} is not a signed permutation of the roots")
+    rs = RootSystem(components, roots, coeffs, simple_indices, tables, exact)
+    if len(rs.key_index) != 2 * n:
+        raise ValueError("roots repeat up to sign")
+    if exact:
+        simple = [rs.keys[i] for i in rs.simple_indices]
+        for i, (key, c) in enumerate(zip(rs.keys, rs.coeffs)):
+            if len(c) != rank or key != tuple(
+                    sum(cj * s[a] for cj, s in zip(c, simple)) for a in range(len(key))):
+                raise ValueError(f"coefficients {list(c)} do not express root {i} "
+                                 "in the simple roots")
+    _check_tables(rs)
     return rs
+
+
+def _check_tables(rs: RootSystem) -> None:
+    """Each generator table must be an involution negating exactly its own
+    simple root, equal (when exact) to the reflection recomputed from the
+    roots, and the tables must satisfy the Coxeter relations."""
+    # imported here because elements imports this module
+    from .elements import compose_tables, identity_table, is_involution_table
+
+    for r, (t, si) in enumerate(zip(rs.gen_tables, rs.simple_indices)):
+        if not is_involution_table(t):
+            raise ValueError(f"generator table {r} is not an involution")
+        negated = [i for i, v in enumerate(t) if v < 0]
+        if negated != [si]:
+            raise ValueError(f"generator table {r} negates roots {negated}, "
+                             f"not exactly its simple root {si}")
+        if rs.exact:
+            try:
+                recomputed = rs.reflection_table(si)
+            except (KeyError, RuntimeError) as exc:
+                raise ValueError(f"simple root {si} does not reflect the roots "
+                                 f"onto roots: {exc}") from None
+            if recomputed != t:
+                raise ValueError(f"generator table {r} differs from the reflection "
+                                 "in its simple root")
+    ident = identity_table(rs.num_positive)
+    m = _coxeter_matrix(rs.components)
+    for i in range(rs.rank):
+        for j in range(i + 1, rs.rank):
+            st = compose_tables(rs.gen_tables[i], rs.gen_tables[j])
+            p = ident
+            for _ in range(m[i][j]):
+                p = compose_tables(p, st)
+            if p != ident:
+                raise ValueError(f"(s{i + 1} s{j + 1})^{m[i][j]} is not the identity")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .elements import GroupElement, GuardExceeded
 from .rootsystem import RootSystem
@@ -214,19 +213,13 @@ def _check_model(rs: RootSystem, sp: SignedPermutation) -> str:
 def to_root_perm(sp: SignedPermutation, rs: RootSystem) -> GroupElement:
     """Action on the roots e_i +- e_j (and e_i for B) as a table element."""
     _check_model(rs, sp)
-    imgs = sp.images
+    # coordinate j of the image of v is sign * v[i] for the point i sent to +-j
+    pull = sp.inverse().images
+    index = rs.key_index
     table = []
-    for vec in rs.positive_roots:
-        out = [Fraction(0)] * len(vec)
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            v = imgs[i]
-            if v > 0:
-                out[v - 1] += c
-            else:
-                out[-v - 1] -= c
-        table.append(rs.signed_index_of(tuple(out)))
+    for key in rs.keys:
+        img = tuple(key[v - 1] if v > 0 else -key[-v - 1] for v in pull)
+        table.append(index[img])
     return GroupElement(rs, tuple(table))
 
 
@@ -241,15 +234,21 @@ def from_root_perm(w: GroupElement, rs: RootSystem | None = None) -> SignedPermu
     n = rs.components[0].degree
     images = [0] * n
 
-    def image_vector(i):
-        v = w.perm[i]
-        vec = rs.positive_roots[abs(v) - 1]
-        return vec if v > 0 else tuple(-x for x in vec)
+    def image_key(vec):
+        # coordinates of w(vec) up to a positive factor: only signs are read
+        v = w.perm[rs.index_of(vec)]
+        key = rs.keys[abs(v) - 1]
+        return key if v > 0 else tuple(-x for x in key)
+
+    def unit(*signed_points):
+        vec = [0] * n
+        for p in signed_points:
+            vec[abs(p) - 1] = 1 if p > 0 else -1
+        return tuple(vec)
 
     if fam == "B":
         for p in range(1, n + 1):
-            unit = tuple(Fraction(1 if q == p else 0) for q in range(1, n + 1))
-            img = image_vector(rs.index_of(unit))
+            img = image_key(unit(p))
             for q, c in enumerate(img, start=1):
                 if c != 0:
                     images[p - 1] = q if c > 0 else -q
@@ -257,22 +256,19 @@ def from_root_perm(w: GroupElement, rs: RootSystem | None = None) -> SignedPermu
         for p in range(1, n + 1):
             q = p + 1 if p < n else p - 1
             lo, hi = min(p, q), max(p, q)
-            diff = [Fraction(0)] * n
-            diff[lo - 1], diff[hi - 1] = Fraction(1), Fraction(-1)
-            img_diff = image_vector(rs.index_of(tuple(diff)))
+            img_diff = image_key(unit(lo, -hi))
             if fam == "A":
-                # e_p - e_q maps to e_{p'} - e_{q'}; read the +1 slot
+                # e_p - e_q maps to e_{p'} - e_{q'}; read the positive slot
                 vec = img_diff if p < q else tuple(-x for x in img_diff)
                 for r, c in enumerate(vec, start=1):
-                    if c == 1:
+                    if c > 0:
                         images[p - 1] = r
             else:
-                summ = [Fraction(0)] * n
-                summ[lo - 1] = summ[hi - 1] = Fraction(1)
-                img_sum = image_vector(rs.index_of(tuple(summ)))
+                # e_p is half the sum of e_lo + e_hi and +-(e_lo - e_hi)
+                img_sum = image_key(unit(lo, hi))
                 sign = 1 if p < q else -1
                 for r in range(n):
-                    c = (sign * img_diff[r] + img_sum[r]) / 2
+                    c = sign * img_diff[r] + img_sum[r]
                     if c != 0:
                         images[p - 1] = (r + 1) if c > 0 else -(r + 1)
     return SignedPermutation(images)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import data, system
+import coxex
 from coxex import (DnCondition, dn_condition_check, excess,
                    excess_report, group_elements, identity_element,
                    inverting_involutions, inverting_involutions_structured,
@@ -269,3 +275,26 @@ def test_excess_report_d12():
     assert doc["element"].startswith("(+2 +4")
     rows = report.csv_rows()
     assert rows[0][2] == "28"
+
+
+def test_exact_reports_do_not_load_numpy():
+    # numpy serves only the float path of the H and I2 families
+    script = """
+import sys
+from coxex import (build_root_system, excess_report, parabolic_context,
+                   parse, parse_descriptor, to_root_perm)
+for token, text in (("A4", "(+2 +3 +5)"), ("B3", "(+1 -2)(-3)")):
+    rs = build_root_system(parse_descriptor(token))
+    w = to_root_perm(parse(text, rs.components[0].degree), rs)
+    ctx = parabolic_context(rs, tuple(range(1, rs.rank)))
+    report = excess_report(rs, w, (ctx,))
+    assert report.reflection_length >= 1, report
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(coxex.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +8,40 @@ import pytest
 from conftest import system
 from coxex import build_root_system, load_root_system, parse_descriptor, save_root_system
 from coxex.rootsystem import root_label, root_system_from_json
+
+# sha256 of json.dumps(rs.to_json_dict(), sort_keys=True), recorded with the
+# closure that computed in Fraction coordinates; the integer closure must
+# reproduce every system exactly
+CLOSURE_DIGESTS = {
+    "A1": "c8e404e100bcef374597537c39c4c4dcf7815e72a9ec334f9ec5f5ceb1144480",
+    "A2": "b5aa1f0fabc2a9d911bc23efb5dccf5a55c9c333e3185ff1619a4de086f3fb2b",
+    "A3": "6e80cc2955414d8a17d9d7cc9637e1bc4840511949422773f9ef9f6ba7c79d74",
+    "A4": "7884acdb0bd0e89d07faea771f9c60140cc7cfd1b78b6cfab403864fedc09806",
+    "A5": "9831df742f652e1d8875407bd02db76b5a82d0332577276a3580434cf0245f03",
+    "A6": "69890e692e45ec5af063763b28b5c022c96fea6b1e2b8b93b036f2ad1a2564b5",
+    "A7": "7a12653fdae91c43c914d398a46935e505440fda3a955b9bf70daf58121db191",
+    "A8": "ca374c5872df121c8289018e49e7278c1c0fda555605b5180928878cd1d525d3",
+    "B2": "c874eb3c17d115914c7f7f4c5f9d0ac791e0ad15faa7bc3f7632b9a0e249013c",
+    "B3": "90edf2a7e228d649edd5023529c795a4b896087005d7e4d5bda1c59cf32e953f",
+    "B4": "55472166260dbcb45e96afa59fa7bd301752c1914b8a51f0282fe9f6d5b3c98c",
+    "B5": "a654c8f63497681b6b6feabe16f058c435a46b0221be97403728972defa92b29",
+    "B6": "40e1579a097f84f65ead8ecf8b49bb8663aeba3b43e8775314d1bd1a21b93ec4",
+    "B7": "266e3c1c22fa8255d39dcbf7e83ed185825182f3f96a623c31c3bc06b88c1fb8",
+    "B8": "23d58e9920e3746b4f2dcc9eac7d410f4eafdfc3685acaa75e44dadfdd716fb5",
+    "D4": "cb5fb7dd31af17b063a575aabf7e9a9c4475b8ee2a7aff1b8e56930e3a0970ac",
+    "D5": "81f9ac4ad00aff37133a79b5fc4f6e8de375da3bac622bc86d8641ed481af572",
+    "D6": "5e39933133b810f9cd97b456ee091cde32bdd05d2e062769d9d61119bf106202",
+    "D7": "34e9e9c40460c52c182bda2ca0f601a96006c2471e69bbdbee69697e92c9586b",
+    "D8": "607c6535559f7caa767733aaf87141bbff5d0f45968c5b50a900e626061f9079",
+    "D12": "9f7634722e7fdf6cbce726466f1073b1052a3e1644c0ec45205880bf5bd56fb2",
+    "F4": "0442a13b742e7dade67b02598a4b9998f59adbca73a51baba94c9340c354efec",
+    "E6": "f0a69caaf59aace0b2c24ccd5a46e0db1512e517c541b26e0e276a51e97492f5",
+    "E7": "1578941110f5af3949fba2a806e81efe08e2b18237f74f0d513f366c6940558a",
+    "E8": "7e2f3d4f65fb17ba3922de6ce9f5f85723efdbc62c3876c2072417d7930f7862",
+    "A2xA1": "51cf10975a297e241298967324cab896d4d247fba7f2a69d8f7c2b50404684c6",
+    "A1xA1xA1": "32386f10d22985edd5f51739b10041a564bb89c14f10e255c85244bcfaf02d03",
+    "B3xA2": "cd6e63e43e1e525693287eb786d8fbec52a1873694b3177736261ee1959a0483",
+}
 
 
 def _frac_vec(*xs):
@@ -130,3 +166,123 @@ def test_product_root_system():
     assert rs.order() == 12
     with pytest.raises(ValueError):
         build_root_system([parse_descriptor("A2"), parse_descriptor("H3")])
+
+
+@pytest.mark.parametrize("token", sorted(CLOSURE_DIGESTS))
+def test_closure_reproduces_fraction_digests(token):
+    rs = system(token)
+    text = json.dumps(rs.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_DIGESTS[token]
+    assert all(type(x) is Fraction for v in rs.positive_roots for x in v)
+
+
+def _saved(token, tmp_path):
+    path = tmp_path / f"{token}.json"
+    save_root_system(system(token), path)
+    return json.loads(path.read_text())
+
+
+def _two_cycle(table):
+    """Indices a < b with table[a] = b+1 and table[b] = a+1."""
+    for a, v in enumerate(table):
+        if v > a + 1 and table[v - 1] == a + 1:
+            return a, v - 1
+    raise AssertionError("no 2-cycle")
+
+
+def _tamper_half_integer(doc):
+    doc["roots"][0][0] = "1/3"
+
+
+def _tamper_not_involution(doc):
+    t = doc["generator_tables"]
+    # s1 s2 has order 3 or more
+    t[0] = [t[1][v - 1] if v > 0 else -t[1][-v - 1] for v in t[0]]
+
+
+def _tamper_wrong_simple_root(doc):
+    t = doc["generator_tables"]
+    t[0] = list(t[1])
+
+
+def _tamper_not_the_reflection(doc):
+    # still an involution negating exactly its simple root, but a 2-cycle
+    # of the reflection is replaced by two fixed roots
+    t = doc["generator_tables"][0]
+    a, b = _two_cycle(t)
+    t[a], t[b] = a + 1, b + 1
+
+
+def _tamper_coefficients(doc):
+    row = doc["coeffs"][-1]
+    row[0] += 1
+
+
+def _tamper_swapped_generators(doc):
+    # relabel generators 1 and 3 consistently in tables, simple roots and
+    # coefficients: each table is still the reflection in its simple root,
+    # but the Coxeter matrix of the descriptor no longer holds
+    t, si = doc["generator_tables"], doc["simple_indices"]
+    t[0], t[2] = t[2], t[0]
+    si[0], si[2] = si[2], si[0]
+    for c in doc["coeffs"]:
+        c[0], c[2] = c[2], c[0]
+
+
+@pytest.mark.parametrize("token", ["B3", "F4"])
+@pytest.mark.parametrize("tamper,message", [
+    (_tamper_half_integer, "outside"),
+    (_tamper_not_involution, "not an involution"),
+    (_tamper_wrong_simple_root, "not exactly its simple root"),
+    (_tamper_not_the_reflection, "differs from the reflection"),
+    (_tamper_coefficients, "do not express"),
+    (_tamper_swapped_generators, "is not the identity"),
+])
+def test_load_refuses_tampered_file(token, tamper, message, tmp_path):
+    doc = _saved(token, tmp_path)
+    assert root_system_from_json(copy.deepcopy(doc)).gen_tables == system(token).gen_tables
+    tamper(doc)
+    with pytest.raises(ValueError, match=message):
+        root_system_from_json(doc)
+
+
+def test_load_refuses_malformed_structure(tmp_path):
+    def refused(edit, message):
+        doc = _saved("B3", tmp_path)
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            root_system_from_json(doc)
+
+    refused(lambda d: d.pop("coeffs"), "lacks")
+    refused(lambda d: d["descriptor"][0].update(family="A"), "positive roots")
+    refused(lambda d: d["generator_tables"][1].pop(), "signed permutation")
+    refused(lambda d: d["simple_indices"].pop(), "simple roots and generator tables")
+    refused(lambda d: d["simple_indices"].__setitem__(0, 99), "simple root indices")
+    refused(lambda d: d["roots"].__setitem__(1, [str(-Fraction(x)) for x in d["roots"][0]]),
+            "repeat up to sign")
+
+
+def test_load_refuses_broken_relation_in_float_file(tmp_path):
+    # float files are not recomputed from their roots; relabelling H3's
+    # generators 1 and 2 keeps every table a reflection negating its simple
+    # root, but breaks (s2 s3)^3 = 1
+    doc = _saved("H3", tmp_path)
+    t, si = doc["generator_tables"], doc["simple_indices"]
+    t[0], t[1] = t[1], t[0]
+    si[0], si[1] = si[1], si[0]
+    with pytest.raises(ValueError, match="is not the identity"):
+        root_system_from_json(doc)
+
+
+def test_lookups_accept_ints_and_fractions():
+    rs = system("F4")
+    for i, v in enumerate(rs.positive_roots):
+        neg = tuple(-x for x in v)
+        assert rs.index_of(v) == i
+        assert rs.signed_index_of(neg) == -(i + 1)
+        if all(x.denominator == 1 for x in v):
+            assert rs.index_of(tuple(int(x) for x in v)) == i
+    with pytest.raises(KeyError):
+        rs.index_of(tuple(-x for x in rs.positive_roots[0]))
+    with pytest.raises(KeyError):
+        rs.signed_index_of((Fraction(1, 3), 0, 0, 0))

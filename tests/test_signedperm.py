@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,84 @@ def test_homomorphism_b4_exhaustive_by_generators():
         assert from_root_perm(w.inverse()) == sp.inverse()
         for g, gsp in zip(simple, gens):
             assert from_root_perm(w * g) == sp * gsp
+
+
+MODEL_GROUPS = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 8)]
+                + [f"D{n}" for n in range(4, 8)])
+
+
+@st.composite
+def model_elements(draw, count=2):
+    """A group of type A, B or D of rank <= 7 and random elements of it."""
+    token = draw(st.sampled_from(MODEL_GROUPS))
+    n = system(token).components[0].degree
+    out = []
+    for _ in range(count):
+        perm = draw(st.permutations(range(1, n + 1)))
+        signs = [1] * n if token[0] == "A" else draw(
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        if token[0] == "D" and signs.count(-1) % 2:
+            signs[0] = -signs[0]
+        out.append(SignedPermutation(tuple(p * s for p, s in zip(perm, signs))))
+    return (token, *out)
+
+
+def _simple_generator(token, r):
+    """Signed permutation of the r-th simple reflection (0-based)."""
+    n = system(token).components[0].degree
+    images = list(range(1, n + 1))
+    fam = token[0]
+    if fam == "B" and r == n - 1:
+        images[n - 1] = -n                            # s_n = e_n -> -e_n
+    elif fam == "D" and r == n - 1:
+        images[n - 2], images[n - 1] = -n, -(n - 1)   # e_{n-1} + e_n
+    else:
+        images[r], images[r + 1] = r + 2, r + 1       # e_{r+1} - e_{r+2}
+    return SignedPermutation(images)
+
+
+@pytest.mark.parametrize("token", MODEL_GROUPS + ["D12"])
+def test_simple_generators_map_to_generator_tables(token):
+    rs = system(token)
+    for r in range(rs.rank):
+        sp = _simple_generator(token, r)
+        assert to_root_perm(sp, rs).perm == rs.gen_tables[r]
+        assert from_root_perm(to_root_perm(sp, rs)) == sp
+
+
+@settings(max_examples=300)
+@given(model_elements())
+def test_to_root_perm_is_a_homomorphism(drawn):
+    token, a, b = drawn
+    rs = system(token)
+    ta, tb = to_root_perm(a, rs), to_root_perm(b, rs)
+    assert to_root_perm(a * b, rs) == ta * tb
+    assert from_root_perm(ta) == a
+    assert from_root_perm(to_root_perm(a * b, rs)) == a * b
+
+
+@settings(max_examples=300)
+@given(model_elements(count=0), st.integers(min_value=0), st.booleans())
+def test_root_lookups_agree_on_fractions_and_ints(drawn, pick, negate):
+    rs = system(drawn[0])
+    i = pick % rs.num_positive
+    root = rs.positive_roots[i]
+    if negate:
+        root = tuple(-x for x in root)
+    as_ints = tuple(int(x) for x in root)
+    as_fractions = tuple(Fraction(x) for x in as_ints)
+    assert rs.signed_index_of(as_ints) == rs.signed_index_of(as_fractions) \
+        == (-(i + 1) if negate else i + 1)
+    if negate:
+        for vec in (as_ints, as_fractions):
+            with pytest.raises(KeyError):
+                rs.index_of(vec)
+    else:
+        assert rs.index_of(as_ints) == rs.index_of(as_fractions) == i
+    # twice a root is not a root, in either form
+    for vec in (tuple(2 * x for x in as_ints), tuple(2 * x for x in as_fractions)):
+        with pytest.raises(KeyError):
+            rs.signed_index_of(vec)
 
 
 def _brute_centralizer(sp, ambient_sps):
