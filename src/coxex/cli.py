@@ -118,7 +118,10 @@ def _cmd_excess(args) -> int:
             subsets = maximal_generator_subsets(rs)
         else:
             subsets = [sel]
-        contexts = [parabolic_context(rs, J) for J in subsets]
+        try:
+            contexts = [parabolic_context(rs, J) for J in subsets]
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
         if len(contexts) == 1 and not contexts[0].contains(w):
             raise SystemExit("error: element is not in the requested parabolic subgroup")
     try:

@@ -8,7 +8,14 @@ w = xy into involutions has x in I_w and y = xw, so the excess
 
 is a minimum over I_w, and the defect of a pair equals 2|N(x) & N(y)|.
 The reflection excess E(w) restricts the minimum to reflection-length
-additive factorizations, i.e. to the x whose fixed space contains that of w.
+additive factorizations, i.e. to the J-set J_w of the x whose fixed space
+contains that of w.
+
+Parabolic variants need no second fixed-space computation.  V is the
+orthogonal sum V_J + V_J^perp, and W_J fixes V_J^perp pointwise, so for u in
+W_J the fixed space Fix_V(u) is Fix_{V_J}(u) + V_J^perp.  For w and x in W_J,
+Fix(w) lies in Fix(x) in V exactly when it does in V_J: the J-set of w taken
+inside W_J is J_w intersected with W_J.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .descriptors import from_spec
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        compose_tables, effective_guard, invert_table,
                        is_involution_table)
-from .linalg import fixed_vector_basis, fixes_all, restrict
+from .linalg import fixed_vector_basis, fixes_all
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem, build_root_system
 from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
@@ -114,12 +121,14 @@ def involutions_inverting(rs: RootSystem, w: GroupElement,
         f"|W({rs.name})| = {rs.order()} exceeds guard {limit} and no structured path applies")
 
 
-def j_set(w: GroupElement, iw: InvolutionSet) -> InvolutionSet:
-    """Members whose fixed space contains the fixed space of w."""
-    exact = w.system.exact
-    basis = w.fixed_space_basis()
+def _fixing(iw: InvolutionSet, basis, exact: bool) -> InvolutionSet:
     kept = tuple(x for x in iw.elements if fixes_all(x.matrix(), basis, exact))
     return InvolutionSet(kept, iw.source)
+
+
+def j_set(w: GroupElement, iw: InvolutionSet) -> InvolutionSet:
+    """Members whose fixed space contains the fixed space of w."""
+    return _fixing(iw, w.fixed_space_basis(), w.system.exact)
 
 
 def excess(w: GroupElement, iw: InvolutionSet) -> int:
@@ -159,19 +168,13 @@ def parabolic_excess(w: GroupElement, ctx: ParabolicContext,
 
 def parabolic_reflection_excess(w: GroupElement, ctx: ParabolicContext,
                                 iw: InvolutionSet) -> int:
-    """Reflection excess of w taken inside W_J, via J-restricted fixed spaces."""
-    if not ctx.contains(w):
-        raise ValueError("element is not in the parabolic subgroup")
-    exact = w.system.exact
-    J = ctx.J
-    basis = () if not J else fixed_vector_basis(restrict(w.matrix(), J), exact)
-    kept = []
-    for x in iw.elements:
-        if not ctx.contains(x):
-            continue
-        if not J or fixes_all(restrict(x.matrix(), J), basis, exact):
-            kept.append(x)
-    return excess(w, InvolutionSet(tuple(kept), iw.source))
+    """Reflection excess of w taken inside W_J.
+
+    W_J fixes V_J^perp pointwise, so a fixed space of an element of W_J is
+    its fixed space in V_J plus V_J^perp; the J-set inside W_J is therefore
+    J_w intersected with W_J, and no J-restricted fixed space is needed.
+    """
+    return parabolic_excess(w, ctx, j_set(w, iw))
 
 
 def n_of_inverting_set(iw: InvolutionSet) -> int:
@@ -282,8 +285,6 @@ class GroupData:
     def __init__(self, rs: RootSystem, guard: int | None = None,
                  workers: int = 1, gens: tuple[int, ...] | None = None):
         self.rs = rs
-        self.gens = tuple(range(rs.rank)) if gens is None else tuple(gens)
-        self.is_subgroup = gens is not None
         perms, words, index = bfs_tables(rs, guard, gens)
         self.perms = perms
         self.words = words
@@ -293,7 +294,7 @@ class GroupData:
         self.inverse = [index[invert_table(p)] for p in perms]
         self.involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
         self.pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(perms))}
-        if workers > 1 and not self.is_subgroup:
+        if workers > 1 and gens is None:
             specs = [d.spec() for d in rs.components]
             chunks = []
             k = len(self.involutions)
@@ -316,8 +317,9 @@ class GroupData:
             lst.sort()
         self._mats: list = [None] * len(perms)
         self._kernels: dict = {}
+        self._jsets: dict[int, list[tuple[int, int]]] = {}
         self._exc: dict[int, int] = {}
-        self._rexc: dict = {}
+        self._rexc: dict[int, int] = {}
         self._niw: dict[int, int] = {}
         self._sps: list = [None] * len(perms)
 
@@ -343,17 +345,10 @@ class GroupData:
             self._mats[i] = self.element(i).matrix()
         return self._mats[i]
 
-    def kernel(self, i: int, J: tuple[int, ...] | None = None):
-        key = (i, J)
-        if key not in self._kernels:
-            if J is not None and not J:
-                self._kernels[key] = ()
-            else:
-                mat = self.matrix(i)
-                if J is not None:
-                    mat = restrict(mat, J)
-                self._kernels[key] = fixed_vector_basis(mat, self.rs.exact)
-        return self._kernels[key]
+    def kernel(self, i: int):
+        if i not in self._kernels:
+            self._kernels[i] = fixed_vector_basis(self.matrix(i), self.rs.exact)
+        return self._kernels[i]
 
     def reflection_length(self, i: int) -> int:
         return self.rs.rank - len(self.kernel(i))
@@ -370,38 +365,27 @@ class GroupData:
         return min(self.defect(x, y) for x, y in self.pairs[wi]
                    if self.bits[x] & ~mask == 0)
 
-    def _fixes(self, xi: int, basis, J) -> bool:
-        mat = self.matrix(xi)
-        if J is not None:
-            if not J:
-                return True
-            mat = restrict(mat, J)
-        return fixes_all(mat, basis, self.rs.exact)
+    def jset_of(self, wi: int) -> list[tuple[int, int]]:
+        """The pairs (x, y) of I_w whose x fixes the fixed space of w.
 
-    def jset_of(self, wi: int, J: tuple[int, ...] | None = None,
-                mask: int | None = None) -> list[tuple[int, int]]:
-        basis = self.kernel(wi, J)
-        out = []
-        for x, y in self.pairs[wi]:
-            if mask is not None and self.bits[x] & ~mask:
-                continue
-            if self._fixes(x, basis, J):
-                out.append((x, y))
-        return out
+        For w in a parabolic W_J, those with x in W_J form the J-set of w
+        taken inside W_J (see the module docstring).
+        """
+        if wi not in self._jsets:
+            basis = self.kernel(wi)
+            exact = self.rs.exact
+            self._jsets[wi] = [(x, y) for x, y in self.pairs[wi]
+                               if fixes_all(self.matrix(x), basis, exact)]
+        return self._jsets[wi]
 
     def refl_excess_of(self, wi: int) -> int:
-        key = (wi, None)
-        if key not in self._rexc:
-            J = self.gens if self.is_subgroup else None
-            mask = None
-            self._rexc[key] = min(self.defect(x, y) for x, y in self.jset_of(wi, J, mask))
-        return self._rexc[key]
+        if wi not in self._rexc:
+            self._rexc[wi] = min(self.defect(x, y) for x, y in self.jset_of(wi))
+        return self._rexc[wi]
 
-    def refl_excess_in(self, wi: int, J: tuple[int, ...], mask: int) -> int:
-        key = (wi, J)
-        if key not in self._rexc:
-            self._rexc[key] = min(self.defect(x, y) for x, y in self.jset_of(wi, J, mask))
-        return self._rexc[key]
+    def refl_excess_in(self, wi: int, mask: int) -> int:
+        return min(self.defect(x, y) for x, y in self.jset_of(wi)
+                   if self.bits[x] & ~mask == 0)
 
     def spartan_of(self, wi: int) -> list[tuple[int, int]]:
         best = self.excess_of(wi)
@@ -474,7 +458,8 @@ def excess_report(rs: RootSystem, w: GroupElement,
     if iw is None:
         iw = involutions_inverting(rs, w, guard)
     e = excess(w, iw)
-    jw = j_set(w, iw)
+    basis = w.fixed_space_basis()
+    jw = _fixing(iw, basis, rs.exact)
     E = reflection_excess(w, jw)
     if E < e or e % 2:
         raise RuntimeError("inconsistent excess values")  # defensive
@@ -484,8 +469,8 @@ def excess_report(rs: RootSystem, w: GroupElement,
             continue
         rows.append((ctx.J_display,
                      parabolic_excess(w, ctx, iw),
-                     parabolic_reflection_excess(w, ctx, iw)))
+                     parabolic_excess(w, ctx, jw)))
     pairs = spartan_pairs(w, iw)
     witnesses = tuple((_element_text(p.x), _element_text(p.y)) for p in pairs)
     return ExcessReport(rs.name, _element_text(w), w.length(),
-                        w.reflection_length(), e, E, tuple(rows), witnesses)
+                        rs.rank - len(basis), e, E, tuple(rows), witnesses)

@@ -174,7 +174,7 @@ def _run_parabolic_reflection_excess(gd, config, notes):
         ctx = parabolic_context(gd.rs, J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
         for wi in _members(gd, ctx.mask):
-            ej = gd.refl_excess_in(wi, J, ctx.mask)
+            ej = gd.refl_excess_in(wi, ctx.mask)
             e = gd.refl_excess_of(wi)
             t.check(ej == e, lambda: (gd.display(wi), jd, f"E_J={ej}", f"E={e}"))
     return t
@@ -358,7 +358,7 @@ def _run_excess_additivity(gd, config, notes):
                 proj[i] = p[i]
             pi = gd.index[tuple(proj)]
             e_sum += gd.excess_in(pi, ctx.mask)
-            E_sum += gd.refl_excess_in(pi, ctx.J, ctx.mask)
+            E_sum += gd.refl_excess_in(pi, ctx.mask)
         ok = gd.excess_of(wi) == e_sum and gd.refl_excess_of(wi) == E_sum
         t.check(ok, lambda: (
             gd.display(wi), "-",

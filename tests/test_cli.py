@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from coxex.cli import main
 
 
@@ -93,6 +95,12 @@ def test_excess_membership_failure(capsys):
     code, _, _ = run_cli(capsys, "excess", "--type", "A", "--rank", "4",
                          "--element", "(+1 +5)", "--parabolic", "1 2 3")
     assert code != 0
+
+
+def test_excess_parabolic_out_of_range():
+    with pytest.raises(SystemExit,
+                       match=r"^error: generator subset \[6\] out of range for rank 3$"):
+        main(["excess", "--type", "B3", "--element", "(+1 -2)", "--parabolic", "7"])
 
 
 def test_excess_parse_error(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import data, system
 import coxex
-from coxex import (DnCondition, dn_condition_check, excess,
+from coxex import (DnCondition, GroupData, dn_condition_check, excess,
                    excess_report, group_elements, identity_element,
                    inverting_involutions, inverting_involutions_structured,
                    involutions_inverting, j_set, n_of_inverting_set,
@@ -15,6 +15,8 @@ from coxex import (DnCondition, dn_condition_check, excess,
                    parabolic_reflection_excess, reflection_excess,
                    spartan_pairs, spartan_support_check, swapcycle_check)
 from coxex.elements import reflection
+from coxex.linalg import fixed_vector_basis, fixes_all, restrict
+from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
 
 
@@ -256,8 +258,37 @@ def test_group_data_parabolic_matches_function_level():
         w = gd.element(wi)
         iw = inverting_involutions(rs, w)
         assert gd.excess_in(wi, ctx.mask) == parabolic_excess(w, ctx, iw)
-        assert (gd.refl_excess_in(wi, ctx.J, ctx.mask)
+        assert (gd.refl_excess_in(wi, ctx.mask)
                 == parabolic_reflection_excess(w, ctx, iw))
+
+
+@pytest.mark.parametrize("token", ["A4", "B4", "D4", "F4", "H3", "I2(7)", "A2xA1"])
+def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
+    # the reference is the J-set computed inside W_J from fixed spaces of
+    # the J x J blocks of the matrices, the path GroupData used to take
+    gd = data(token)
+    rs = gd.rs
+    for J in all_generator_subsets(rs):
+        mask = parabolic_context(rs, J).mask
+        for wi in range(len(gd)):
+            if gd.bits[wi] & ~mask:
+                continue
+            basis = fixed_vector_basis(restrict(gd.matrix(wi), J), rs.exact) if J else ()
+            inside = {x for x, _ in gd.pairs[wi] if gd.bits[x] & ~mask == 0
+                      and fixes_all(restrict(gd.matrix(x), J), basis, rs.exact)}
+            assert inside == {x for x, _ in gd.jset_of(wi) if gd.bits[x] & ~mask == 0}
+            assert len(J) - len(basis) == gd.reflection_length(wi)
+
+
+@pytest.mark.parametrize("token", ["B4", "D4", "F4", "A2xA1"])
+def test_subgroup_data_reflection_excess_matches_ambient(token):
+    gd = data(token)
+    for J in maximal_generator_subsets(gd.rs):
+        sub = GroupData(gd.rs, gens=J)
+        mask = parabolic_context(gd.rs, J).mask
+        for si in range(len(sub)):
+            assert (sub.refl_excess_of(si)
+                    == gd.refl_excess_in(gd.index[sub.perms[si]], mask))
 
 
 def test_excess_report_d12():
@@ -270,6 +301,8 @@ def test_excess_report_d12():
     assert report.length == 28
     assert report.excess == 46
     assert report.parabolic[0][1] == 60
+    assert report.parabolic[0][2] == parabolic_reflection_excess(w, ctx, iw)
+    assert report.reflection_length == w.reflection_length()
     doc = report.to_json_dict()
     assert doc["parabolic"][0]["e_J"] == 60
     assert doc["element"].startswith("(+2 +4")
