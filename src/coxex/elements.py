@@ -196,19 +196,25 @@ def length(w: GroupElement) -> int:
     return w.length()
 
 
+def _check_order(rs: RootSystem, limit: int) -> None:
+    if rs.order() > limit:
+        raise GuardExceeded(f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
+
+
 def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] | None = None):
     """Enumerate by breadth-first closure under right multiplication.
 
     Returns (perms, words, index) with perms in discovery order and one
     reduced word (0-based generator indices) per element.  Results for the
-    full generating set are cached on the root system.
+    full generating set are cached on the root system; the guard is checked
+    against |W| first, whether or not they are cached.
     """
     full = gens is None
-    if full and rs._bfs is not None:
-        return rs._bfs
     limit = effective_guard(guard)
-    if full and rs.order() > limit:
-        raise GuardExceeded(f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
+    if full:
+        _check_order(rs, limit)
+        if rs._bfs is not None:
+            return rs._bfs
     tables = rs.gen_tables if full else [rs.gen_tables[r] for r in gens]
     names = range(rs.rank) if full else gens
     ident = identity_table(rs.num_positive)
@@ -232,6 +238,36 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     if full:
         rs._bfs = result
     return result
+
+
+def involution_tables(rs: RootSystem, guard: int | None = None):
+    """The involutions of W (the identity included), without enumerating W.
+
+    Returns (tables, keys): the involution tables, sorted, and the frozenset
+    of their simple-root images.  An element is determined by where it sends
+    the simple roots, so a table is an involution exactly when its key is in
+    `keys`.  The involutions are the orbit of the identity under x -> sx when
+    s and x commute and x -> sxs otherwise (Richardson-Springer 1990), found
+    by one depth-first search.  Cached on the root system; the guard is
+    checked against |W| first, as in `bfs_tables`.
+    """
+    _check_order(rs, effective_guard(guard))
+    if rs._involutions is None:
+        ident = identity_table(rs.num_positive)
+        seen = {ident}
+        stack = [ident]
+        while stack:
+            x = stack.pop()
+            for g in rs.gen_tables:
+                gx = compose_tables(g, x)
+                y = gx if gx == compose_tables(x, g) else compose_tables(gx, g)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        simple = rs.simple_indices
+        rs._involutions = (sorted(seen),
+                           frozenset(tuple(p[i] for i in simple) for p in seen))
+    return rs._involutions
 
 
 def enumerate_group(rs: RootSystem, guard: int | None = None):

@@ -11,6 +11,15 @@ The reflection excess E(w) restricts the minimum to reflection-length
 additive factorizations, i.e. to the J-set J_w of the x whose fixed space
 contains that of w.
 
+For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so exhaustive I_w
+filters the involutions of W and never enumerates W itself.  The involutions
+come from `elements.involution_tables`, the orbit of the identity under
+x -> sx (s, x commuting) or x -> sxs (Richardson-Springer 1990), with their
+simple-root images as keys.  An element is determined by those images, so
+xw is an involution exactly when its rank images of the simple roots form a
+key.  The sweep engine `GroupData` keeps its own filter of the enumerated
+group, and the two are differential-tested against each other.
+
 Parabolic variants need no second fixed-space computation.  V is the
 orthogonal sum V_J + V_J^perp, and W_J fixes V_J^perp pointwise, so for u in
 W_J the fixed space Fix_V(u) is Fix_{V_J}(u) + V_J^perp.  For w and x in W_J,
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 from .descriptors import from_spec
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        compose_tables, effective_guard, invert_table,
-                       is_involution_table)
+                       involution_tables, is_involution_table)
 from .linalg import fixed_vector_basis, fixes_all
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem, build_root_system
@@ -66,17 +75,19 @@ def _defect(bits_x: int, bits_y: int) -> int:
 
 def inverting_involutions(rs: RootSystem, w: GroupElement,
                           guard: int | None = None) -> InvolutionSet:
-    """Exhaustive filter of the ambient group; needs the group enumerable."""
-    perms, _, _ = bfs_tables(rs, guard)
-    w_inv = invert_table(w.perm)
-    out = []
-    for p in perms:
-        if not is_involution_table(p):
-            continue
-        if compose_tables(w.perm, p) == compose_tables(p, w_inv):
-            out.append(p)
-    out.sort()
-    return InvolutionSet(tuple(GroupElement(rs, p) for p in out), "exhaustive")
+    """Exhaustive filter of the involutions; needs |W| under the guard.
+
+    For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so x is kept
+    when the simple-root images of xw are those of an involution.
+    """
+    tables, keys = involution_tables(rs, guard)
+    wp = w.perm
+    simple = rs.simple_indices
+    # the simple-root images of xw are those of x carried on by w
+    out = tuple(GroupElement(rs, p) for p in tables
+                if tuple(wp[v - 1] if v > 0 else -wp[-v - 1]
+                         for v in (p[i] for i in simple)) in keys)
+    return InvolutionSet(out, "exhaustive")
 
 
 def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",

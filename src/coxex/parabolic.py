@@ -39,7 +39,9 @@ class ParabolicContext:
 def parabolic_context(rs: RootSystem, J) -> ParabolicContext:
     Jset = frozenset(J)
     if not all(0 <= j < rs.rank for j in Jset):
-        raise ValueError(f"generator subset {sorted(Jset)} out of range for rank {rs.rank}")
+        # named by 1-based generator numbers, as in J_display and the CLI
+        raise ValueError(f"generator subset {sorted(j + 1 for j in Jset)} "
+                         f"out of range for rank {rs.rank}")
     idxs = []
     mask = 0
     for i in range(rs.num_positive):

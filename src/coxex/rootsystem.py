@@ -104,6 +104,7 @@ class RootSystem:
         self.num_positive = len(self.positive_roots)
         self._reflections: list | None = None
         self._bfs = None  # filled by elements.bfs_tables
+        self._involutions = None  # filled by elements.involution_tables
 
     @property
     def name(self) -> str:

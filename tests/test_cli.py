@@ -99,8 +99,14 @@ def test_excess_membership_failure(capsys):
 
 def test_excess_parabolic_out_of_range():
     with pytest.raises(SystemExit,
-                       match=r"^error: generator subset \[6\] out of range for rank 3$"):
+                       match=r"^error: generator subset \[7\] out of range for rank 3$"):
         main(["excess", "--type", "B3", "--element", "(+1 -2)", "--parabolic", "7"])
+
+
+def test_verify_parabolic_out_of_range():
+    with pytest.raises(SystemExit,
+                       match=r"^error: generator subset \[7\] out of range for rank 3$"):
+        main(["verify", "--type", "B3", "--parabolic", "7"])
 
 
 def test_excess_parse_error(capsys):

@@ -2,10 +2,11 @@ import pytest
 
 from conftest import system
 from coxex import (GuardExceeded, build_root_system, group_elements,
-                   identity_element, inversion_set_of_set, parse_descriptor,
-                   reduced_words)
+                   identity_element, inversion_set_of_set, inverting_involutions,
+                   parse_descriptor, reduced_words)
 from coxex.elements import (bfs_tables, compose_tables, element_from_word,
-                            enumerate_group, generator, reflection)
+                            enumerate_group, generator, involution_tables,
+                            is_involution_table, reflection)
 from coxex.signedperm import parse, to_root_perm
 
 
@@ -92,6 +93,53 @@ def test_guard_env_override(monkeypatch):
     rs = build_root_system(parse_descriptor("A3"))
     with pytest.raises(GuardExceeded):
         list(enumerate_group(rs))
+
+
+def _fresh(token):
+    return build_root_system([parse_descriptor(t) for t in token.split("x")])
+
+
+# I2(3) and I2(4) are A2 and B2: the descriptors admit I2(m) from m = 5
+@pytest.mark.parametrize("token", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
+    "F4", "H3", "H4", "E6", *(f"I2({m})" for m in range(5, 13)),
+    "A2xA1", "A1xA1xA1", "B3xA2"])
+def test_involution_closure_matches_bfs_filter(token):
+    rs = _fresh(token)
+    tables, keys = involution_tables(rs)
+    assert rs._bfs is None
+    assert tables == sorted(p for p in bfs_tables(rs)[0] if is_involution_table(p))
+    assert keys == frozenset(tuple(p[i] for i in rs.simple_indices) for p in tables)
+    assert len(keys) == len(tables)
+    assert involution_tables(rs) is rs._involutions
+
+
+@pytest.mark.parametrize("cached_first", [True, False])
+def test_guard_is_checked_before_the_caches(cached_first):
+    rs = _fresh("A4")
+    w = identity_element(rs)
+    message = r"^\|W\(A4\)\| = 120 exceeds guard 10$"
+    if cached_first:
+        bfs_tables(rs)
+        involution_tables(rs)
+    for call in (lambda: bfs_tables(rs, 10), lambda: involution_tables(rs, 10),
+                 lambda: inverting_involutions(rs, w, 10)):
+        with pytest.raises(GuardExceeded, match=message):
+            call()
+    assert len(bfs_tables(rs, 120)[0]) == 120
+    assert len(inverting_involutions(rs, w, 120).elements) == 26
+    assert len(involution_tables(rs, 120)[0]) == 26
+
+
+def test_guard_env_override_of_involution_tables(monkeypatch):
+    rs = _fresh("A3")
+    involution_tables(rs)
+    monkeypatch.setenv("COXEX_GUARD", "5")
+    with pytest.raises(GuardExceeded, match=r"exceeds guard 5$"):
+        involution_tables(rs)
+    with pytest.raises(GuardExceeded, match=r"exceeds guard 5$"):
+        involution_tables(_fresh("A3"))
+    assert len(involution_tables(rs, guard=24)[0]) == 10
 
 
 def test_fixed_space_dims():

@@ -1,20 +1,25 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import data, system
 import coxex
-from coxex import (DnCondition, GroupData, dn_condition_check, excess,
-                   excess_report, group_elements, identity_element,
-                   inverting_involutions, inverting_involutions_structured,
-                   involutions_inverting, j_set, n_of_inverting_set,
-                   overlap_check, parabolic_context, parabolic_excess,
-                   parabolic_reflection_excess, reflection_excess,
-                   spartan_pairs, spartan_support_check, swapcycle_check)
-from coxex.elements import reflection
+from coxex import (DnCondition, GroupData, build_root_system,
+                   dn_condition_check, excess, excess_report, group_elements,
+                   identity_element, inverting_involutions,
+                   inverting_involutions_structured, involutions_inverting,
+                   j_set, n_of_inverting_set, overlap_check, parabolic_context,
+                   parabolic_excess, parabolic_reflection_excess,
+                   parse_descriptor, reflection_excess, spartan_pairs,
+                   spartan_support_check, swapcycle_check)
+from coxex.elements import (bfs_tables, compose_tables, element_from_word,
+                            invert_table, is_involution_table, reflection)
 from coxex.linalg import fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
@@ -57,6 +62,53 @@ def test_iw_always_non_empty():
         rs = system(token)
         for w in group_elements(rs):
             assert inverting_involutions(rs, w).elements
+
+
+@lru_cache(maxsize=None)
+def _bfs_involutions(token):
+    """Involutions by the BFS filter.  The enumeration runs on a root system
+    of its own, so only the involutions outlive the call."""
+    fresh = build_root_system([parse_descriptor(t) for t in token.split("x")])
+    return [p for p in bfs_tables(fresh)[0] if is_involution_table(p)]
+
+
+def _two_composition_iw(token, w):
+    """Reference I_w: the BFS involutions x with wx == xw^-1, sorted, by two
+    full table compositions per involution."""
+    w_inv = invert_table(w.perm)
+    return sorted(p for p in _bfs_involutions(token)
+                  if compose_tables(w.perm, p) == compose_tables(p, w_inv))
+
+
+@pytest.mark.parametrize("token", ["A4", "B3", "B4", "D4", "F4", "H3", "I2(7)",
+                                   "A2xA1"])
+def test_iw_matches_two_composition_filter_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        iw = inverting_involutions(rs, w)
+        assert [x.perm for x in iw.elements] == _two_composition_iw(token, w)
+
+
+def _words(token):
+    rs = system(token)
+    return st.lists(st.integers(0, rs.rank - 1), max_size=rs.num_positive)
+
+
+@pytest.mark.parametrize("token", ["A6", "B5", "D5", "E6"])
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.data())
+def test_iw_matches_two_composition_filter_on_random_elements(token, drawn):
+    rs = system(token)
+    w = element_from_word(rs, drawn.draw(_words(token)))
+    iw = inverting_involutions(rs, w)
+    assert [x.perm for x in iw.elements] == _two_composition_iw(token, w)
+
+
+def test_exhaustive_iw_does_not_enumerate_the_group():
+    rs = build_root_system(parse_descriptor("A6"))
+    w = element_from_word(rs, [0, 1, 2, 3, 4, 5])
+    assert len(inverting_involutions(rs, w).elements) > 0
+    assert rs._bfs is None
 
 
 def test_j_set_golden_sym5():
