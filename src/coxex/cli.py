@@ -13,7 +13,7 @@ import json
 import sys
 
 from .descriptors import CoxeterDescriptor, parse_descriptor
-from .elements import GuardExceeded, effective_guard
+from .elements import GuardExceeded, effective_guard, element_from_word
 from .excess import CSV_HEADER, excess_report, involutions_inverting
 from .parabolic import (all_generator_subsets, maximal_generator_subsets,
                         parabolic_context)
@@ -96,18 +96,33 @@ def _cmd_group_info(args) -> int:
     return 0
 
 
+def _parse_word(value: str, rank: int) -> tuple[int, ...]:
+    """1-based generator numbers, space or comma separated, to 0-based."""
+    try:
+        word = tuple(int(tok) - 1 for tok in value.replace(",", " ").split())
+    except ValueError:
+        raise SystemExit(f"error: cannot parse word {value!r}")
+    bad = sorted({r + 1 for r in word if not 0 <= r < rank})
+    if bad:
+        raise SystemExit(f"error: generators {bad} out of range 1..{rank}")
+    return word
+
+
 def _cmd_excess(args) -> int:
     desc = _descriptor_from_args(args)
-    if desc.family not in ("A", "B", "D"):
+    if args.element is None and args.word is None:
+        raise SystemExit("error: --element or --word is required")
+    if args.element is not None and desc.family not in ("A", "B", "D"):
         raise SystemExit("error: cycle-notation elements need family A, B or D")
     rs = build_root_system(desc)
-    if not args.element:
-        raise SystemExit("error: --element is required")
-    try:
-        sp = parse_cycles(args.element, desc.degree)
-        w = to_root_perm(sp, rs)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    if args.word is not None:
+        w = element_from_word(rs, _parse_word(args.word, rs.rank))
+    else:
+        try:
+            sp = parse_cycles(args.element, desc.degree)
+            w = to_root_perm(sp, rs)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
     guard = effective_guard(args.guard)
     contexts = []
     if args.parabolic is not None:
@@ -216,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exc = sub.add_parser("excess", help="excess report for one element")
     common(exc)
-    exc.add_argument("--element", help='cycle notation, e.g. "(+2 +3 +5)"')
+    which = exc.add_mutually_exclusive_group()
+    which.add_argument("--element", help='cycle notation, e.g. "(+2 +3 +5)" (A, B, D)')
+    which.add_argument("--word",
+                       help='product of 1-based generators, e.g. "1 2 3" (any family)')
     exc.add_argument("--parabolic", help='"all", "maximal" or 1-based indices "1 2 3"')
     exc.add_argument("--format", choices=["json", "csv"], default="json")
     exc.set_defaults(func=_cmd_excess)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-from .linalg import fixed_vector_basis
+from .linalg import FLOAT_FIX_TOL, fixed_vector_basis
 from .rootsystem import RootSystem
 
 DEFAULT_GUARD = 10_000_000
@@ -142,6 +142,29 @@ class GroupElement:
         return f"GroupElement({self.system.name}, len={self.length()})"
 
 
+def involution_reflection_length(rs: RootSystem, table) -> int:
+    """Reflection length of an involution, (rank - tr)/2, from its trace.
+
+    An involution has eigenvalues +-1, so its fixed space has dimension
+    (rank + tr)/2.  The trace sums the coefficient of alpha_i in the image
+    of alpha_i over the simple roots; for H and I2 it is a float sum of an
+    integer and is rounded.
+    """
+    tr = 0
+    for k, si in enumerate(rs.simple_indices):
+        v = table[si]
+        c = rs.coeffs[abs(v) - 1][k]
+        tr += c if v > 0 else -c
+    if not rs.exact:
+        t = round(tr)
+        if abs(tr - t) > FLOAT_FIX_TOL:
+            raise ValueError(f"trace {tr} of an involution is not an integer")
+        tr = t
+    if (rs.rank - tr) % 2:
+        raise ValueError(f"trace {tr} is not that of an involution in rank {rs.rank}")
+    return (rs.rank - tr) // 2
+
+
 def identity_element(rs: RootSystem) -> GroupElement:
     return GroupElement(rs, identity_table(rs.num_positive))
 
@@ -160,6 +183,29 @@ def element_from_word(rs: RootSystem, word) -> GroupElement:
     for r in word:
         p = compose_tables(p, rs.gen_tables[r])
     return GroupElement(rs, p)
+
+
+def reduced_word(w: GroupElement) -> tuple[int, ...]:
+    """A reduced word of w (0-based generators), found by peeling right
+    descents: if l(ws) < l(w) then a word of ws followed by s is one of w."""
+    rs = w.system
+    p = w.perm
+    n = bits_of_table(p).bit_count()
+    out = []
+    while n:
+        for r, g in enumerate(rs.gen_tables):
+            q = compose_tables(p, g)
+            m = bits_of_table(q).bit_count()
+            if m < n:
+                out.append(r)
+                p, n = q, m
+                break
+    return tuple(reversed(out))
+
+
+def word_text(word) -> str:
+    """1-based generators joined as r1.r2...; the empty word is "1"."""
+    return "r" + ".r".join(str(r + 1) for r in word) if word else "1"
 
 
 # spec-style functional mirrors of the element methods

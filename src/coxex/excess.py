@@ -7,9 +7,21 @@ w = xy into involutions has x in I_w and y = xw, so the excess
     e(w) = min { l(x) + l(y) - l(w) : w = xy, x^2 = y^2 = 1 }
 
 is a minimum over I_w, and the defect of a pair equals 2|N(x) & N(y)|.
-The reflection excess E(w) restricts the minimum to reflection-length
-additive factorizations, i.e. to the J-set J_w of the x whose fixed space
-contains that of w.
+The reflection excess E(w) restricts the minimum to the J-set J_w, the x
+whose factorization w = x(xw) is additive for reflection length l_R.
+
+No fixed space is computed for that.  An involution x has eigenvalues +-1,
+so l_R(x) = (rank - tr x)/2 (`elements.involution_reflection_length`).
+Every w has an l_R-additive factorization into two involutions (Carter
+1972), and l_R is subadditive, so
+
+    l_R(w) = min { l_R(x) + l_R(xw) : x in I_w }
+
+and J_w is the set of x reaching that minimum.  One scoring pass over I_w
+gives, per x, y = xw, the defect and l_R(x) + l_R(y); every statistic of a
+report is read from it.  J_w needs the whole of I_w: a subset of I_w may
+miss the minimum.  The fixed-space description (Fix(w) inside Fix(x)) is
+kept as the oracle of the `jset-equivalence` theorem.
 
 For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so exhaustive I_w
 filters the involutions of W and never enumerates W itself.  The involutions
@@ -20,24 +32,23 @@ xw is an involution exactly when its rank images of the simple roots form a
 key.  The sweep engine `GroupData` keeps its own filter of the enumerated
 group, and the two are differential-tested against each other.
 
-Parabolic variants need no second fixed-space computation.  V is the
-orthogonal sum V_J + V_J^perp, and W_J fixes V_J^perp pointwise, so for u in
-W_J the fixed space Fix_V(u) is Fix_{V_J}(u) + V_J^perp.  For w and x in W_J,
-Fix(w) lies in Fix(x) in V exactly when it does in V_J: the J-set of w taken
-inside W_J is J_w intersected with W_J.
+Parabolic variants need no second pass.  Reflection length in W_J is that
+in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
+pointwise), so the J-set of w taken inside W_J is J_w intersected with W_J:
+the members x with N(x) inside Phi_J.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .descriptors import from_spec
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        compose_tables, effective_guard, invert_table,
-                       involution_tables, is_involution_table)
-from .linalg import fixed_vector_basis, fixes_all
+                       involution_reflection_length, involution_tables,
+                       is_involution_table, reduced_word, word_text)
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem, build_root_system
 from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
@@ -132,37 +143,68 @@ def involutions_inverting(rs: RootSystem, w: GroupElement,
         f"|W({rs.name})| = {rs.order()} exceeds guard {limit} and no structured path applies")
 
 
-def _fixing(iw: InvolutionSet, basis, exact: bool) -> InvolutionSet:
-    kept = tuple(x for x in iw.elements if fixes_all(x.matrix(), basis, exact))
-    return InvolutionSet(kept, iw.source)
+class _Scored(NamedTuple):
+    """One member x of I_w in the scoring pass, with y = xw."""
+
+    defect: int
+    lr_sum: int      # l_R(x) + l_R(y)
+    bits_x: int
+    x: GroupElement
+    y: GroupElement
+
+
+def _score(w: GroupElement, iw: InvolutionSet) -> list[_Scored]:
+    """The scoring pass: one composition x*w per member of I_w."""
+    rs = w.system
+    rows = []
+    for x in iw.elements:
+        y = x * w
+        bx = x.inversions()
+        rows.append(_Scored(_defect(bx, y.inversions()),
+                            involution_reflection_length(rs, x.perm)
+                            + involution_reflection_length(rs, y.perm),
+                            bx, x, y))
+    if not rows:
+        raise ValueError("empty inverting set")
+    return rows
+
+
+def _j_rows(rows: list[_Scored]) -> list[_Scored]:
+    """The rows reaching l_R(w), the minimum length sum (Carter 1972)."""
+    lw = min(r.lr_sum for r in rows)
+    return [r for r in rows if r.lr_sum == lw]
+
+
+def _min_defect(rows: list[_Scored], mask: int | None = None) -> int:
+    """Least defect, over the x inside Phi_J when a parabolic mask is given."""
+    if mask is None:
+        return min(r.defect for r in rows)
+    return min(r.defect for r in rows if r.bits_x & ~mask == 0)
+
+
+def _spartan(rows: list[_Scored]) -> list[SpartanPair]:
+    best = _min_defect(rows)
+    out = [SpartanPair(r.x, r.y, r.defect) for r in rows if r.defect == best]
+    out.sort(key=lambda p: (p.x.length(), p.x.perm))
+    return out
 
 
 def j_set(w: GroupElement, iw: InvolutionSet) -> InvolutionSet:
-    """Members whose fixed space contains the fixed space of w."""
-    return _fixing(iw, w.fixed_space_basis(), w.system.exact)
+    """Members x with l_R(x) + l_R(xw) = l_R(w).
+
+    l_R(w) is taken as the least such sum over iw, so iw must be the whole
+    of I_w.
+    """
+    return InvolutionSet(tuple(r.x for r in _j_rows(_score(w, iw))), iw.source)
 
 
 def excess(w: GroupElement, iw: InvolutionSet) -> int:
-    best = None
-    for x in iw.elements:
-        d = _defect(x.inversions(), (x * w).inversions())
-        if best is None or d < best:
-            best = d
-    if best is None:
-        raise ValueError("empty inverting set")
-    return best
+    return _min_defect(_score(w, iw))
 
 
 def spartan_pairs(w: GroupElement, iw: InvolutionSet) -> list[SpartanPair]:
     """All minimizing factorizations, sorted by (l(x), table of x)."""
-    scored = []
-    for x in iw.elements:
-        y = x * w
-        scored.append((_defect(x.inversions(), y.inversions()), x, y))
-    best = min(s for s, _, _ in scored)
-    out = [SpartanPair(x, y, d) for d, x, y in scored if d == best]
-    out.sort(key=lambda p: (p.x.length(), p.x.perm))
-    return out
+    return _spartan(_score(w, iw))
 
 
 def reflection_excess(w: GroupElement, jw: InvolutionSet) -> int:
@@ -173,19 +215,19 @@ def parabolic_excess(w: GroupElement, ctx: ParabolicContext,
                      iw: InvolutionSet) -> int:
     if not ctx.contains(w):
         raise ValueError("element is not in the parabolic subgroup")
-    kept = tuple(x for x in iw.elements if ctx.contains(x))
-    return excess(w, InvolutionSet(kept, iw.source))
+    return _min_defect(_score(w, iw), ctx.mask)
 
 
 def parabolic_reflection_excess(w: GroupElement, ctx: ParabolicContext,
                                 iw: InvolutionSet) -> int:
-    """Reflection excess of w taken inside W_J.
+    """Reflection excess of w taken inside W_J, from the whole of I_w.
 
-    W_J fixes V_J^perp pointwise, so a fixed space of an element of W_J is
-    its fixed space in V_J plus V_J^perp; the J-set inside W_J is therefore
-    J_w intersected with W_J, and no J-restricted fixed space is needed.
+    Reflection length in W_J is that in W, so the J-set inside W_J is J_w
+    intersected with W_J (see the module docstring).
     """
-    return parabolic_excess(w, ctx, j_set(w, iw))
+    if not ctx.contains(w):
+        raise ValueError("element is not in the parabolic subgroup")
+    return _min_defect(_j_rows(_score(w, iw)), ctx.mask)
 
 
 def n_of_inverting_set(iw: InvolutionSet) -> int:
@@ -306,6 +348,8 @@ class GroupData:
         self.involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
         self.pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(perms))}
         if workers > 1 and gens is None:
+            # imported here: the pool modules cost import time and memory
+            from concurrent.futures import ProcessPoolExecutor
             specs = [d.spec() for d in rs.components]
             chunks = []
             k = len(self.involutions)
@@ -326,8 +370,11 @@ class GroupData:
                     self.pairs[index[compose_tables(px, perms[yi])]].append((xi, yi))
         for lst in self.pairs.values():
             lst.sort()
-        self._mats: list = [None] * len(perms)
-        self._kernels: dict = {}
+        # l_R of each involution from its trace; None elsewhere
+        self.lr: list = [None] * len(perms)
+        for xi in self.involutions:
+            self.lr[xi] = involution_reflection_length(rs, perms[xi])
+        self._rlen: dict[int, int] = {}
         self._jsets: dict[int, list[tuple[int, int]]] = {}
         self._exc: dict[int, int] = {}
         self._rexc: dict[int, int] = {}
@@ -348,21 +395,14 @@ class GroupData:
     def display(self, i: int) -> str:
         if self.rs.family in ("A", "B", "D"):
             return self.signed_perm(i).format()
-        word = self.words[i]
-        return "r" + ".r".join(str(r + 1) for r in word) if word else "1"
-
-    def matrix(self, i: int):
-        if self._mats[i] is None:
-            self._mats[i] = self.element(i).matrix()
-        return self._mats[i]
-
-    def kernel(self, i: int):
-        if i not in self._kernels:
-            self._kernels[i] = fixed_vector_basis(self.matrix(i), self.rs.exact)
-        return self._kernels[i]
+        return word_text(self.words[i])
 
     def reflection_length(self, i: int) -> int:
-        return self.rs.rank - len(self.kernel(i))
+        """l_R(w) as the least l_R(x) + l_R(y) over the pairs of I_w."""
+        if i not in self._rlen:
+            lr = self.lr
+            self._rlen[i] = min(lr[x] + lr[y] for x, y in self.pairs[i])
+        return self._rlen[i]
 
     def defect(self, xi: int, yi: int) -> int:
         return _defect(self.bits[xi], self.bits[yi])
@@ -377,16 +417,16 @@ class GroupData:
                    if self.bits[x] & ~mask == 0)
 
     def jset_of(self, wi: int) -> list[tuple[int, int]]:
-        """The pairs (x, y) of I_w whose x fixes the fixed space of w.
+        """The pairs (x, y) of I_w with l_R(x) + l_R(y) = l_R(w).
 
         For w in a parabolic W_J, those with x in W_J form the J-set of w
         taken inside W_J (see the module docstring).
         """
         if wi not in self._jsets:
-            basis = self.kernel(wi)
-            exact = self.rs.exact
+            lw = self.reflection_length(wi)
+            lr = self.lr
             self._jsets[wi] = [(x, y) for x, y in self.pairs[wi]
-                               if fixes_all(self.matrix(x), basis, exact)]
+                               if lr[x] + lr[y] == lw]
         return self._jsets[wi]
 
     def refl_excess_of(self, wi: int) -> int:
@@ -459,29 +499,29 @@ def _element_text(w: GroupElement) -> str:
     rs = w.system
     if rs.family in ("A", "B", "D"):
         return from_root_perm(w).format()
-    return f"element of {rs.name}"
+    return word_text(reduced_word(w))
 
 
 def excess_report(rs: RootSystem, w: GroupElement,
                   parabolics: tuple[ParabolicContext, ...] = (),
                   iw: InvolutionSet | None = None,
                   guard: int | None = None) -> ExcessReport:
+    """Every statistic from one scoring pass over I_w, which must be whole."""
     if iw is None:
         iw = involutions_inverting(rs, w, guard)
-    e = excess(w, iw)
-    basis = w.fixed_space_basis()
-    jw = _fixing(iw, basis, rs.exact)
-    E = reflection_excess(w, jw)
+    rows = _score(w, iw)
+    jrows = _j_rows(rows)
+    e = _min_defect(rows)
+    E = _min_defect(jrows)
     if E < e or e % 2:
         raise RuntimeError("inconsistent excess values")  # defensive
-    rows = []
+    par = []
     for ctx in parabolics:
         if not ctx.contains(w):
             continue
-        rows.append((ctx.J_display,
-                     parabolic_excess(w, ctx, iw),
-                     parabolic_excess(w, ctx, jw)))
-    pairs = spartan_pairs(w, iw)
-    witnesses = tuple((_element_text(p.x), _element_text(p.y)) for p in pairs)
+        par.append((ctx.J_display,
+                    _min_defect(rows, ctx.mask),
+                    _min_defect(jrows, ctx.mask)))
+    witnesses = tuple((_element_text(p.x), _element_text(p.y)) for p in _spartan(rows))
     return ExcessReport(rs.name, _element_text(w), w.length(),
-                        rs.rank - len(basis), e, E, tuple(rows), witnesses)
+                        jrows[0].lr_sum, e, E, tuple(par), witnesses)

@@ -77,6 +77,8 @@ class RootSystem:
 
     def __init__(self, components, roots, coeffs, simple_indices, gen_tables, exact):
         self.components = tuple(components)
+        # built once: every report and check of this system shares the string
+        self.name = "x".join(d.name for d in self.components)
         self.exact = exact
         if exact:
             # keys[i] is _SCALE times positive root i, in integers
@@ -105,10 +107,6 @@ class RootSystem:
         self._reflections: list | None = None
         self._bfs = None  # filled by elements.bfs_tables
         self._involutions = None  # filled by elements.involution_tables
-
-    @property
-    def name(self) -> str:
-        return "x".join(d.name for d in self.components)
 
     @property
     def is_irreducible(self) -> bool:

@@ -18,6 +18,7 @@ from .elements import (GuardExceeded, bfs_tables, bits_of_table, compose_tables,
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
+from .linalg import fixed_vector_basis, fixes_all
 from .parabolic import (all_generator_subsets, maximal_generator_subsets,
                         parabolic_context, split_context, split_values)
 from .rootsystem import RootSystem, build_root_system
@@ -262,10 +263,11 @@ def _run_nw_subset_niw(gd, config, notes):
 
 def _run_cuspidal_full(gd, config, notes):
     full = gd.rs.full_mask()
+    rank = gd.rs.rank
     t = _Tally()
     cuspidal = 0
     for wi in range(len(gd)):
-        if gd.kernel(wi):
+        if gd.reflection_length(wi) != rank:
             continue
         cuspidal += 1
         t.check(gd.niw_bits(wi) == full, lambda: (
@@ -368,12 +370,15 @@ def _run_excess_additivity(gd, config, notes):
 
 
 def _run_jset_equivalence(gd, config, notes):
+    """The oracle computes its own fixed spaces: J_w is the x in I_w whose
+    fixed space contains that of w."""
+    exact = gd.rs.exact
+    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
     t = _Tally()
     for wi in range(len(gd)):
-        via_fix = {x for x, _ in gd.jset_of(wi)}
-        Lw = gd.reflection_length(wi)
-        via_len = {x for x, y in gd.pairs[wi]
-                   if Lw == gd.reflection_length(x) + gd.reflection_length(y)}
+        basis = fixed_vector_basis(gd.element(wi).matrix(), exact)
+        via_fix = {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, exact)}
+        via_len = {x for x, _ in gd.jset_of(wi)}
         t.check(via_fix == via_len, lambda: (
             gd.display(wi), "-", f"|fixed-space filter|={len(via_fix)}",
             f"|length-additive filter|={len(via_len)}"))
@@ -411,7 +416,7 @@ def _run_reflection_length_oracle(gd, config, notes):
     for wi in range(len(gd)):
         bfs = dist[gd.perms[wi]]
         carter = gd.reflection_length(wi)
-        t.check(bfs == carter, lambda: (gd.display(wi), "-", f"rank-fix={carter}",
+        t.check(bfs == carter, lambda: (gd.display(wi), "-", f"carter={carter}",
                                         f"bfs={bfs}"))
     return t
 
@@ -597,7 +602,8 @@ _register("structured-iw-oracle",
           "centralizer-coset enumeration of I_w matches the exhaustive filter",
           _run_structured_iw, _needs_bd)
 _register("reflection-length-oracle",
-          "rank minus fixed-space dimension matches BFS reflection factorization",
+          "least l_R(x) + l_R(xw) over I_w, from traces, matches BFS reflection "
+          "factorization",
           _run_reflection_length_oracle)
 _register("inversion-set-identity",
           "inversion sets compose correctly on random pairs; involutions reverse",

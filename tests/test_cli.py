@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from coxex import build_root_system, parse_descriptor
 from coxex.cli import main
+from coxex.elements import element_from_word
+from coxex.signedperm import from_root_perm
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +110,51 @@ def test_verify_parabolic_out_of_range():
     with pytest.raises(SystemExit,
                        match=r"^error: generator subset \[7\] out of range for rank 3$"):
         main(["verify", "--type", "B3", "--parabolic", "7"])
+
+
+def _word_of(text):
+    return [int(r) - 1 for r in text[1:].split(".r")] if text != "1" else []
+
+
+def test_excess_word_e6(capsys):
+    code, out, _ = run_cli(capsys, "excess", "--type", "E6",
+                           "--word", "1 2 3 4 5 6 3 4", "--parabolic", "maximal")
+    assert code == 0
+    doc = json.loads(out)
+    rs = build_root_system(parse_descriptor("E6"))
+    w = element_from_word(rs, [0, 1, 2, 3, 4, 5, 2, 3])
+    assert doc["descriptor"] == "E6" and doc["length"] == w.length()
+    assert element_from_word(rs, _word_of(doc["element"])) == w
+    assert doc["reflection_length"] == w.reflection_length()
+    assert doc["witnesses"]
+    for x, y in doc["witnesses"]:
+        assert (element_from_word(rs, _word_of(x))
+                * element_from_word(rs, _word_of(y))) == w
+
+
+def test_excess_word_matches_element_in_type_b(capsys):
+    _, by_word, _ = run_cli(capsys, "excess", "--type", "B3", "--word", "3 2 1")
+    rs = build_root_system(parse_descriptor("B3"))
+    text = from_root_perm(element_from_word(rs, [2, 1, 0])).format()
+    _, by_cycles, _ = run_cli(capsys, "excess", "--type", "B3", "--element", text)
+    assert json.loads(by_word) == json.loads(by_cycles)
+
+
+def test_excess_word_out_of_range():
+    with pytest.raises(SystemExit, match=r"^error: generators \[7\] out of range 1\.\.6$"):
+        main(["excess", "--type", "E6", "--word", "1 7"])
+    with pytest.raises(SystemExit, match=r"^error: generators \[0\] out of range 1\.\.3$"):
+        main(["excess", "--type", "B3", "--word", "0 1"])
+    with pytest.raises(SystemExit, match=r"^error: cannot parse word"):
+        main(["excess", "--type", "B3", "--word", "1 x"])
+
+
+def test_excess_word_excludes_element(capsys):
+    code, _, err = run_cli(capsys, "excess", "--type", "B3", "--word", "1",
+                           "--element", "(+1 -2)")
+    assert code != 0 and "not allowed with" in err
+    code, _, _ = run_cli(capsys, "excess", "--type", "B3")
+    assert code != 0
 
 
 def test_excess_parse_error(capsys):

@@ -4,9 +4,10 @@ from conftest import system
 from coxex import (GuardExceeded, build_root_system, group_elements,
                    identity_element, inversion_set_of_set, inverting_involutions,
                    parse_descriptor, reduced_words)
-from coxex.elements import (bfs_tables, compose_tables, element_from_word,
-                            enumerate_group, generator, involution_tables,
-                            is_involution_table, reflection)
+from coxex.elements import (GroupElement, bfs_tables, compose_tables,
+                            element_from_word, enumerate_group, generator,
+                            involution_reflection_length, involution_tables,
+                            is_involution_table, reduced_word, reflection)
 from coxex.signedperm import parse, to_root_perm
 
 
@@ -201,3 +202,36 @@ def test_fixed_space_plus_reflection_length_is_rank():
         rs = system(token)
         for w in group_elements(rs):
             assert w.fixed_space_dim() + w.reflection_length() == rs.rank
+
+
+@pytest.mark.parametrize("token", ["A5", "B5", "D5", "F4", "E6", "H3", "H4", "I2(5)",
+                                   "I2(6)", "I2(7)", "I2(8)", "A2xA1"])
+def test_involution_reflection_length_is_rank_minus_fixed_dimension(token):
+    rs = system(token)
+    for p in involution_tables(rs)[0]:
+        assert (involution_reflection_length(rs, p)
+                == rs.rank - GroupElement(rs, p).fixed_space_dim())
+
+
+def test_involution_reflection_length_rejects_odd_parity():
+    rs = system("A2")
+    rotation = element_from_word(rs, [0, 1])  # trace -1 in rank 2
+    with pytest.raises(ValueError):
+        involution_reflection_length(rs, rotation.perm)
+
+
+@pytest.mark.parametrize("token", ["H3", "F4", "I2(7)", "A2xA1"])
+def test_reduced_word_round_trips(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        word = reduced_word(w)
+        assert len(word) == w.length()
+        assert element_from_word(rs, word) == w
+
+
+def test_reduced_word_round_trips_on_e6():
+    rs = system("E6")
+    for word in ([], [0, 1, 2, 3, 4, 5, 2, 3], [5, 4, 3, 2, 1, 0] * 3, [1, 1, 2]):
+        w = element_from_word(rs, word)
+        assert len(reduced_word(w)) == w.length()
+        assert element_from_word(rs, reduced_word(w)) == w

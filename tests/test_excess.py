@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -109,6 +110,47 @@ def test_exhaustive_iw_does_not_enumerate_the_group():
     w = element_from_word(rs, [0, 1, 2, 3, 4, 5])
     assert len(inverting_involutions(rs, w).elements) > 0
     assert rs._bfs is None
+
+
+def _fixed_space_jset(w, iw):
+    """Reference J_w: the members whose fixed space contains that of w."""
+    basis = w.fixed_space_basis()
+    return tuple(x for x in iw.elements if fixes_all(x.matrix(), basis, w.system.exact))
+
+
+JSET_GROUPS = ["A4", "B4", "D4", "F4", "H3", "I2(7)", "A2xA1"]
+
+
+@pytest.mark.parametrize("token", JSET_GROUPS)
+def test_j_set_matches_fixed_space_filter_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        iw = inverting_involutions(rs, w)
+        assert j_set(w, iw).elements == _fixed_space_jset(w, iw)
+
+
+@pytest.mark.parametrize("token", ["A6", "B5", "D5", "E6"])
+@settings(max_examples=25, deadline=None)
+@given(drawn=st.data())
+def test_j_set_matches_fixed_space_filter_on_random_elements(token, drawn):
+    rs = system(token)
+    w = element_from_word(rs, drawn.draw(_words(token)))
+    iw = inverting_involutions(rs, w)
+    assert j_set(w, iw).elements == _fixed_space_jset(w, iw)
+
+
+@pytest.mark.parametrize("token", JSET_GROUPS)
+def test_group_data_reflection_data_matches_fixed_spaces(token):
+    gd = data(token)
+    rs = gd.rs
+    for wi in range(len(gd)):
+        w = gd.element(wi)
+        basis = w.fixed_space_basis()
+        via_fix = [(x, y) for x, y in gd.pairs[wi]
+                   if fixes_all(gd.element(x).matrix(), basis, rs.exact)]
+        assert gd.reflection_length(wi) == rs.rank - len(basis)
+        assert gd.jset_of(wi) == via_fix
+        assert gd.refl_excess_of(wi) == min(gd.defect(x, y) for x, y in via_fix)
 
 
 def test_j_set_golden_sym5():
@@ -325,9 +367,9 @@ def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
         for wi in range(len(gd)):
             if gd.bits[wi] & ~mask:
                 continue
-            basis = fixed_vector_basis(restrict(gd.matrix(wi), J), rs.exact) if J else ()
+            basis = fixed_vector_basis(restrict(gd.element(wi).matrix(), J), rs.exact) if J else ()
             inside = {x for x, _ in gd.pairs[wi] if gd.bits[x] & ~mask == 0
-                      and fixes_all(restrict(gd.matrix(x), J), basis, rs.exact)}
+                      and fixes_all(restrict(gd.element(x).matrix(), J), basis, rs.exact)}
             assert inside == {x for x, _ in gd.jset_of(wi) if gd.bits[x] & ~mask == 0}
             assert len(J) - len(basis) == gd.reflection_length(wi)
 
@@ -362,15 +404,91 @@ def test_excess_report_d12():
     assert rows[0][2] == "28"
 
 
+def _fixed_space_report(rs, w, parabolics, iw):
+    """Reference report of a B/D element: J_w from fixed spaces, and every
+    statistic by its own compositions."""
+    basis = w.fixed_space_basis()
+    jw = [x for x in iw.elements if fixes_all(x.matrix(), basis, rs.exact)]
+
+    def least(xs):
+        return min(2 * (x.inversions() & (x * w).inversions()).bit_count() for x in xs)
+
+    def text(g):
+        return from_root_perm(g).format()
+
+    e = least(iw.elements)
+    spartan = sorted((x for x in iw.elements if least([x]) == e),
+                     key=lambda x: (x.length(), x.perm))
+    return {
+        "descriptor": rs.name, "element": text(w), "length": w.length(),
+        "reflection_length": rs.rank - len(basis), "excess": e,
+        "reflection_excess": least(jw),
+        "parabolic": [{"J": list(ctx.J_display),
+                       "e_J": least([x for x in iw.elements if ctx.contains(x)]),
+                       "E_J": least([x for x in jw if ctx.contains(x)])}
+                      for ctx in parabolics if ctx.contains(w)],
+        "witnesses": [[text(x), text(x * w)] for x in spartan],
+    }
+
+
+def test_excess_report_matches_fixed_space_reference_d12():
+    rs = system("D12")
+    sp = parse("(+2 +4 +6 +8 +10 -12 +11 +9 +7 +5 -3)", 12)
+    w = to_root_perm(sp, rs)
+    iw = inverting_involutions_structured(rs, sp)
+    ctxs = tuple(parabolic_context(rs, J) for J in maximal_generator_subsets(rs))
+    assert (excess_report(rs, w, ctxs, iw).to_json_dict()
+            == _fixed_space_report(rs, w, ctxs, iw))
+
+
+def test_excess_report_matches_fixed_space_reference_guarded_b7():
+    rs = system("B7")
+    ctxs = tuple(parabolic_context(rs, J) for J in maximal_generator_subsets(rs))
+    rng = random.Random(7)
+    for _ in range(6):
+        w = element_from_word(rs, [rng.randrange(rs.rank) for _ in range(30)])
+        iw = involutions_inverting(rs, w, guard=40000)
+        assert iw.source == "structured-coset"
+        assert (excess_report(rs, w, ctxs, guard=40000).to_json_dict()
+                == _fixed_space_report(rs, w, ctxs, iw))
+
+
+def test_reports_do_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query computed a fixed space")
+
+    for name in ("fixed_vector_basis", "fixes_all"):
+        for mod in ("linalg", "elements", "excess", "verify"):
+            module = sys.modules[f"coxex.{mod}"]
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(11)
+    for token, guard in (("A6", None), ("H3", None), ("B7", 40000)):
+        rs = system(token)
+        ctxs = tuple(parabolic_context(rs, J) for J in maximal_generator_subsets(rs))
+        for _ in range(4):
+            w = element_from_word(rs, [rng.randrange(rs.rank) for _ in range(20)])
+            report = excess_report(rs, w, ctxs, guard=guard)
+            assert report.reflection_excess >= report.excess
+
+
 def test_exact_reports_do_not_load_numpy():
-    # numpy serves only the float path of the H and I2 families
+    # numpy serves only float fixed spaces, which reports never compute,
+    # so H and I2 reports do not load it either
     script = """
 import sys
 from coxex import (build_root_system, excess_report, parabolic_context,
                    parse, parse_descriptor, to_root_perm)
+from coxex.elements import element_from_word
 for token, text in (("A4", "(+2 +3 +5)"), ("B3", "(+1 -2)(-3)")):
     rs = build_root_system(parse_descriptor(token))
     w = to_root_perm(parse(text, rs.components[0].degree), rs)
+    ctx = parabolic_context(rs, tuple(range(1, rs.rank)))
+    report = excess_report(rs, w, (ctx,))
+    assert report.reflection_length >= 1, report
+for token, word in (("H3", [0, 1, 2, 1]), ("I2(7)", [0, 1, 0])):
+    rs = build_root_system(parse_descriptor(token))
+    w = element_from_word(rs, word)
     ctx = parabolic_context(rs, tuple(range(1, rs.rank)))
     report = excess_report(rs, w, (ctx,))
     assert report.reflection_length >= 1, report
