@@ -38,6 +38,13 @@ def compose_tables(p, q):
     return tuple(q[v - 1] if v > 0 else -q[-v - 1] for v in p)
 
 
+def signed_lookup(p) -> tuple[int, ...]:
+    """A signed permutation read at signed arguments: ext[v] is the image of
+    v for v in +-1..len(p), a negative v indexing from the end, and
+    ext[0] = 0.  One lookup per entry then composes p after another table."""
+    return (0,) + tuple(p) + tuple([-v for v in reversed(p)])
+
+
 def invert_table(p):
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -261,8 +268,11 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
         _check_order(rs, limit)
         if rs._bfs is not None:
             return rs._bfs
-    tables = rs.gen_tables if full else [rs.gen_tables[r] for r in gens]
     names = range(rs.rank) if full else gens
+    # p * s reads ext_s at the entries of p, so every table holds the ints of
+    # these lookups; a negation would make a new int object per entry below
+    # -5, the end of CPython's small-int cache
+    lookups = [signed_lookup(rs.gen_tables[r]) for r in names]
     ident = identity_table(rs.num_positive)
     perms = [ident]
     words = [()]
@@ -271,8 +281,8 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     while i < len(perms):
         p = perms[i]
         w = words[i]
-        for r, t in zip(names, tables):
-            q = compose_tables(p, t)
+        for r, ext in zip(names, lookups):
+            q = tuple([ext[v] for v in p])
             if q not in index:
                 index[q] = len(perms)
                 perms.append(q)
@@ -289,8 +299,9 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
 def involution_tables(rs: RootSystem, guard: int | None = None):
     """The involutions of W (the identity included), without enumerating W.
 
-    Returns (tables, keys): the involution tables, sorted, and the frozenset
-    of their simple-root images.  An element is determined by where it sends
+    Returns (tables, keys, simple_images): the involution tables, sorted,
+    the frozenset of their simple-root images, and those images per table,
+    in the order of `tables`.  An element is determined by where it sends
     the simple roots, so a table is an involution exactly when its key is in
     `keys`.  The involutions are the orbit of the identity under x -> sx when
     s and x commute and x -> sxs otherwise (Richardson-Springer 1990), found
@@ -311,8 +322,9 @@ def involution_tables(rs: RootSystem, guard: int | None = None):
                     seen.add(y)
                     stack.append(y)
         simple = rs.simple_indices
-        rs._involutions = (sorted(seen),
-                           frozenset(tuple(p[i] for i in simple) for p in seen))
+        tables = sorted(seen)
+        images = [tuple([p[i] for i in simple]) for p in tables]
+        rs._involutions = (tables, frozenset(images), images)
     return rs._involutions
 
 

@@ -29,8 +29,11 @@ come from `elements.involution_tables`, the orbit of the identity under
 x -> sx (s, x commuting) or x -> sxs (Richardson-Springer 1990), with their
 simple-root images as keys.  An element is determined by those images, so
 xw is an involution exactly when its rank images of the simple roots form a
-key.  The sweep engine `GroupData` keeps its own filter of the enumerated
-group, and the two are differential-tested against each other.
+key.  The cache stores each involution's simple-root images beside its
+table, and a query carries them through w by one lookup tuple, so the
+filter makes rank lookups per involution and no table composition.  The
+sweep engine `GroupData` keeps its own filter of the enumerated group, and
+the two are differential-tested against each other.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -41,6 +44,7 @@ the members x with N(x) inside Phi_J.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +52,8 @@ from .descriptors import from_spec
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        compose_tables, effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
-                       is_involution_table, reduced_word, word_text)
+                       is_involution_table, reduced_word, signed_lookup,
+                       word_text)
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem, build_root_system
 from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
@@ -91,13 +96,11 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
     For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so x is kept
     when the simple-root images of xw are those of an involution.
     """
-    tables, keys = involution_tables(rs, guard)
-    wp = w.perm
-    simple = rs.simple_indices
+    tables, keys, simple_images = involution_tables(rs, guard)
+    ext = signed_lookup(w.perm)
     # the simple-root images of xw are those of x carried on by w
-    out = tuple(GroupElement(rs, p) for p in tables
-                if tuple(wp[v - 1] if v > 0 else -wp[-v - 1]
-                         for v in (p[i] for i in simple)) in keys)
+    out = tuple(GroupElement(rs, p) for p, sx in zip(tables, simple_images)
+                if tuple([ext[v] for v in sx]) in keys)
     return InvolutionSet(out, "exhaustive")
 
 
@@ -456,7 +459,7 @@ class GroupData:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExcessReport:
     descriptor: str
     element: str
@@ -496,10 +499,12 @@ CSV_HEADER = ["descriptor", "element", "length", "reflection_length",
 
 
 def _element_text(w: GroupElement) -> str:
+    """Cycle text for A/B/D, else a reduced word; interned, so reports that
+    repeat an element or a witness share its text."""
     rs = w.system
     if rs.family in ("A", "B", "D"):
-        return from_root_perm(w).format()
-    return word_text(reduced_word(w))
+        return sys.intern(from_root_perm(w).format())
+    return sys.intern(word_text(reduced_word(w)))
 
 
 def excess_report(rs: RootSystem, w: GroupElement,

@@ -82,25 +82,22 @@ def fixed_vector_basis(mat, exact: bool):
     return tuple(null)
 
 
-def apply_row(vec, mat, exact: bool):
-    if exact:
-        n = len(mat[0])
-        return tuple(sum(vec[r] * mat[r][c] for r in range(len(mat))) for c in range(n))
-    import numpy as np
-    return tuple(np.asarray(vec, dtype=float) @ np.asarray(mat, dtype=float))
+def apply_row(vec, mat):
+    """v @ M for an exact matrix."""
+    n = len(mat[0])
+    return tuple(sum(vec[r] * mat[r][c] for r in range(len(mat))) for c in range(n))
 
 
 def fixes_all(mat, basis, exact: bool) -> bool:
     """Whether v @ M = v for every basis vector v."""
-    for v in basis:
-        img = apply_row(v, mat, exact)
-        if exact:
-            if tuple(img) != tuple(v):
-                return False
-        else:
-            if max(abs(a - b) for a, b in zip(img, v)) > FLOAT_FIX_TOL:
-                return False
-    return True
+    if exact:
+        return all(apply_row(v, mat) == tuple(v) for v in basis)
+    if not basis:
+        return True
+    import numpy as np
+    b = np.asarray(basis, dtype=float)
+    diff = (b @ np.asarray(mat, dtype=float) - b).tolist()
+    return all(abs(d) <= FLOAT_FIX_TOL for row in diff for d in row)
 
 
 def restrict(mat, idxs):

@@ -6,7 +6,7 @@ Phi_J, the positive roots supported on the simple roots indexed by J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .elements import GroupElement
 from .rootsystem import RootSystem
@@ -20,17 +20,17 @@ class ParabolicContext:
     J: tuple[int, ...]          # 0-based generator indices, sorted
     indices: tuple[int, ...]    # positive-root indices lying in Phi_J
     mask: int                   # the same indices as a bitset
+    # 1-based generator numbers, as used in reports; derived from J
+    J_display: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "J_display", tuple(j + 1 for j in self.J))
 
     def contains(self, w: GroupElement) -> bool:
         return (w.inversions() & ~self.mask) == 0
 
     def contains_table(self, bits: int) -> bool:
         return (bits & ~self.mask) == 0
-
-    @property
-    def J_display(self) -> tuple[int, ...]:
-        """1-based generator numbers, as used in reports."""
-        return tuple(j + 1 for j in self.J)
 
     def __repr__(self):
         return f"ParabolicContext({self.system.name}, J={list(self.J_display)})"

@@ -107,6 +107,7 @@ class RootSystem:
         self._reflections: list | None = None
         self._bfs = None  # filled by elements.bfs_tables
         self._involutions = None  # filled by elements.involution_tables
+        self._point_tables = None  # filled by signedperm.point_tables
 
     @property
     def is_irreducible(self) -> bool:

@@ -6,6 +6,18 @@ applied when mapping that point forward: ``(+2 +4 -3)`` sends 2 to 4, 4 to
 number of minus signs, and an element is positive when the product of its
 cycle sign types is; W(D_n) consists of the positive elements of W(B_n).
 
+Every root of A, B and D is e_a + e_b for signed points a, b (e_{-p} = -e_p),
+or e_a for the short roots of B, so a signed permutation maps a root by
+mapping two points.  `to_root_perm` and `from_root_perm` read two tables
+built once per root system (`point_tables`): each positive root's pair
+(a, b), with b = 0 for e_a, and the signed root index of every ordered
+signed pair.  Both conversions cost one lookup per root.
+
+Only the public constructor checks that its images form a signed
+permutation; it takes parsed and user input.  Products, inverses and the
+centralizer and coset closures are signed permutations by construction and
+skip that check.
+
 >>> sp = parse("(+2 +3 +5)", 5)
 >>> format_cycles(sp)
 '(+2 +3 +5)'
@@ -18,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .elements import GroupElement, GuardExceeded
+from .elements import GroupElement, GuardExceeded, signed_lookup
 from .rootsystem import RootSystem
 
 
@@ -76,21 +88,27 @@ class SignedPermutation:
             raise ValueError("images do not describe a signed permutation")
         self.images = imgs
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "SignedPermutation":
+        """Wrap images already known to form a signed permutation, unchecked."""
+        sp = object.__new__(cls)
+        sp.images = images
+        return sp
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
         oi = other.images
-        return SignedPermutation(
-            tuple(oi[v - 1] if v > 0 else -oi[-v - 1] for v in self.images)
-        )
+        if len(self.images) != len(oi):
+            raise ValueError("degree mismatch")
+        return SignedPermutation._trusted(
+            tuple([oi[v - 1] if v > 0 else -oi[-v - 1] for v in self.images]))
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.degree
@@ -99,7 +117,7 @@ class SignedPermutation:
                 out[v - 1] = i + 1
             else:
                 out[-v - 1] = -(i + 1)
-        return SignedPermutation(out)
+        return SignedPermutation._trusted(tuple(out))
 
     def conjugated_by(self, x: "SignedPermutation") -> "SignedPermutation":
         return x.inverse() * self * x
@@ -108,7 +126,12 @@ class SignedPermutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
     def is_involution(self) -> bool:
-        return (self * self).is_identity()
+        """x^2 == 1, which admits the identity; read from the images in place."""
+        im = self.images
+        for i, v in enumerate(im, start=1):
+            if (im[v - 1] if v > 0 else -im[-v - 1]) != i:
+                return False
+        return True
 
     def is_positive(self) -> bool:
         """Even number of sign changes; the sign-type product rule."""
@@ -210,17 +233,38 @@ def _check_model(rs: RootSystem, sp: SignedPermutation) -> str:
     return fam
 
 
+def point_tables(rs: RootSystem):
+    """(pairs, grid) of an A/B/D system, built once and cached on it.
+
+    pairs[k] is positive root k as signed points (a, b), the root e_a + e_b
+    with e_{-p} = -e_p, and b = 0 for a short root e_a of B.  grid[x][y] is
+    the signed index of the root e_x + e_y, in both orders and both signs;
+    as in `elements.signed_lookup`, the row or column of a negative point
+    is read from the end.  Entries that name no root are 0.
+    """
+    if rs._point_tables is None:
+        n = len(rs.keys[0])
+        pairs = []
+        for key in rs.keys:
+            pts = [i + 1 if c > 0 else -(i + 1) for i, c in enumerate(key) if c]
+            if len(pts) not in (1, 2):
+                raise ValueError(f"{rs.name} roots are not e_a +- e_b or e_a")
+            pairs.append((pts[0], pts[1] if len(pts) == 2 else 0))
+        grid = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
+        for k, (a, b) in enumerate(pairs, start=1):
+            grid[a][b] = grid[b][a] = k
+            grid[-a][-b] = grid[-b][-a] = -k
+        rs._point_tables = (tuple(pairs), grid)
+    return rs._point_tables
+
+
 def to_root_perm(sp: SignedPermutation, rs: RootSystem) -> GroupElement:
-    """Action on the roots e_i +- e_j (and e_i for B) as a table element."""
+    """Action on the roots e_i +- e_j (and e_i for B) as a table element:
+    the root e_a + e_b goes to e_sp(a) + e_sp(b)."""
     _check_model(rs, sp)
-    # coordinate j of the image of v is sign * v[i] for the point i sent to +-j
-    pull = sp.inverse().images
-    index = rs.key_index
-    table = []
-    for key in rs.keys:
-        img = tuple(key[v - 1] if v > 0 else -key[-v - 1] for v in pull)
-        table.append(index[img])
-    return GroupElement(rs, tuple(table))
+    pairs, grid = point_tables(rs)
+    ext = signed_lookup(sp.images)
+    return GroupElement(rs, tuple([grid[ext[a]][ext[b]] for a, b in pairs]))
 
 
 def from_root_perm(w: GroupElement, rs: RootSystem | None = None) -> SignedPermutation:
@@ -231,46 +275,32 @@ def from_root_perm(w: GroupElement, rs: RootSystem | None = None) -> SignedPermu
     fam = rs.family
     if fam not in ("A", "B", "D"):
         raise ValueError(f"{rs.name} has no signed-permutation model")
+    pairs, grid = point_tables(rs)
+    perm = w.perm
     n = rs.components[0].degree
-    images = [0] * n
 
-    def image_key(vec):
-        # coordinates of w(vec) up to a positive factor: only signs are read
-        v = w.perm[rs.index_of(vec)]
-        key = rs.keys[abs(v) - 1]
-        return key if v > 0 else tuple(-x for x in key)
-
-    def unit(*signed_points):
-        vec = [0] * n
-        for p in signed_points:
-            vec[abs(p) - 1] = 1 if p > 0 else -1
-        return tuple(vec)
+    def image(a, b):
+        # the signed points of w(e_a + e_b)
+        s = grid[a][b]
+        v = perm[s - 1] if s > 0 else -perm[-s - 1]
+        x, y = pairs[abs(v) - 1]
+        return (x, y) if v > 0 else (-x, -y)
 
     if fam == "B":
-        for p in range(1, n + 1):
-            img = image_key(unit(p))
-            for q, c in enumerate(img, start=1):
-                if c != 0:
-                    images[p - 1] = q if c > 0 else -q
+        # w(e_p) = e_w(p)
+        images = [image(p, 0)[0] for p in range(1, n + 1)]
     else:
+        images = []
         for p in range(1, n + 1):
             q = p + 1 if p < n else p - 1
-            lo, hi = min(p, q), max(p, q)
-            img_diff = image_key(unit(lo, -hi))
+            diff = image(p, -q)  # {w(p), -w(q)}
             if fam == "A":
-                # e_p - e_q maps to e_{p'} - e_{q'}; read the positive slot
-                vec = img_diff if p < q else tuple(-x for x in img_diff)
-                for r, c in enumerate(vec, start=1):
-                    if c > 0:
-                        images[p - 1] = r
+                # points stay positive in type A, so w(p) is the larger one
+                images.append(max(diff))
             else:
-                # e_p is half the sum of e_lo + e_hi and +-(e_lo - e_hi)
-                img_sum = image_key(unit(lo, hi))
-                sign = 1 if p < q else -1
-                for r in range(n):
-                    c = sign * img_diff[r] + img_sum[r]
-                    if c != 0:
-                        images[p - 1] = (r + 1) if c > 0 else -(r + 1)
+                # w(p) is the point shared with w(e_p + e_q) = {w(p), w(q)}
+                total = image(p, q)
+                images.append(diff[0] if diff[0] in total else diff[1])
     return SignedPermutation(images)
 
 
@@ -286,7 +316,7 @@ def _flip(points, n: int) -> SignedPermutation:
     images = list(range(1, n + 1))
     for p in points:
         images[p - 1] = -p
-    return SignedPermutation(images)
+    return SignedPermutation._trusted(tuple(images))
 
 
 def _block_swap(c: SignedCycle, d: SignedCycle, n: int) -> SignedPermutation:
@@ -299,7 +329,7 @@ def _block_swap(c: SignedCycle, d: SignedCycle, n: int) -> SignedPermutation:
     for i in range(m):
         images[c.points[i] - 1] = delta[i] * d.points[i]
         images[d.points[i] - 1] = delta[i] * c.points[i]
-    return SignedPermutation(images)
+    return SignedPermutation._trusted(tuple(images))
 
 
 def centralizer_generators(sp: SignedPermutation, ambient: str = "B") -> list[SignedPermutation]:
@@ -362,25 +392,23 @@ def _positive_kernel_generators(gens: list[SignedPermutation]) -> list[SignedPer
 def centralizer_elements(sp: SignedPermutation, ambient: str = "B",
                          guard: int = 10 ** 6) -> list[SignedPermutation]:
     """Full centralizer by closure of the generating set, guarded."""
-    gens = centralizer_generators(sp, ambient)
-    ident = SignedPermutation.identity(sp.degree)
-    seen = {ident.images}
+    gens = [signed_lookup(g.images) for g in centralizer_generators(sp, ambient)]
+    ident = tuple(range(1, sp.degree + 1))
+    seen = {ident}
     frontier = [ident]
-    out = [ident]
     while frontier:
         nxt = []
         for h in frontier:
-            for g in gens:
-                prod = h * g
-                if prod.images not in seen:
-                    seen.add(prod.images)
-                    out.append(prod)
+            for ext in gens:
+                prod = tuple([ext[v] for v in h])  # h * g
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
-                    if len(out) > guard:
+                    if len(seen) > guard:
                         raise GuardExceeded(f"centralizer closure exceeded guard {guard}")
         frontier = nxt
-    out.sort(key=lambda g: g.images)
-    return out
+    trusted = SignedPermutation._trusted
+    return [trusted(images) for images in sorted(seen)]
 
 
 def constructive_inverter(sp: SignedPermutation) -> SignedPermutation:
@@ -400,4 +428,4 @@ def constructive_inverter(sp: SignedPermutation) -> SignedPermutation:
             t[i + 1] = t[i] * sgn[i] * sgn[(m - 1 - i) % m]
         for i in range(m):
             images[pts[i] - 1] = t[i] * pts[(-i) % m]
-    return SignedPermutation(images)
+    return SignedPermutation._trusted(tuple(images))

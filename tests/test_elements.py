@@ -107,10 +107,11 @@ def _fresh(token):
     "A2xA1", "A1xA1xA1", "B3xA2"])
 def test_involution_closure_matches_bfs_filter(token):
     rs = _fresh(token)
-    tables, keys = involution_tables(rs)
+    tables, keys, simple_images = involution_tables(rs)
     assert rs._bfs is None
     assert tables == sorted(p for p in bfs_tables(rs)[0] if is_involution_table(p))
-    assert keys == frozenset(tuple(p[i] for i in rs.simple_indices) for p in tables)
+    assert simple_images == [tuple(p[i] for i in rs.simple_indices) for p in tables]
+    assert keys == frozenset(simple_images)
     assert len(keys) == len(tables)
     assert involution_tables(rs) is rs._involutions
 

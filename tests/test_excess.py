@@ -6,22 +6,24 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import data, system
 import coxex
-from coxex import (DnCondition, GroupData, build_root_system,
+from coxex import (DnCondition, GroupData, GuardExceeded, build_root_system,
+                   centralizer_elements, constructive_inverter,
                    dn_condition_check, excess, excess_report, group_elements,
                    identity_element, inverting_involutions,
-                   inverting_involutions_structured, involutions_inverting,
+                   inverting_involutions_structured,
+                   inverting_signed_involutions, involutions_inverting,
                    j_set, n_of_inverting_set, overlap_check, parabolic_context,
                    parabolic_excess, parabolic_reflection_excess,
                    parse_descriptor, reflection_excess, spartan_pairs,
                    spartan_support_check, swapcycle_check)
 from coxex.elements import (bfs_tables, compose_tables, element_from_word,
                             invert_table, is_involution_table, reflection)
-from coxex.linalg import fixed_vector_basis, fixes_all, restrict
+from coxex.linalg import FLOAT_FIX_TOL, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
 
@@ -247,6 +249,55 @@ def test_structured_matches_exhaustive_b3():
         st = inverting_involutions_structured(rs, from_root_perm(w))
         assert st.source == "structured-coset"
         assert set(st.elements) == set(ex.elements)
+
+
+def _plain_product_coset_iw(sp, ambient):
+    """Reference structured I_w: every product c * x0 built and squared."""
+    x0 = constructive_inverter(sp)
+    return sorted(g.images for g in (c * x0 for c in centralizer_elements(sp, "B"))
+                  if (g * g).is_identity() and (ambient == "B" or g.is_positive()))
+
+
+@pytest.mark.parametrize("token", ["B4", "D4"])
+def test_structured_matches_exhaustive_and_plain_products_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        sp = from_root_perm(w)
+        st = inverting_involutions_structured(rs, sp)
+        assert set(st.elements) == set(inverting_involutions(rs, w).elements)
+        assert ([x.images for x in inverting_signed_involutions(sp, token[0])]
+                == _plain_product_coset_iw(sp, token[0]))
+
+
+@pytest.mark.parametrize("token", ["B7", "D7"])
+@settings(max_examples=25, deadline=None)
+@given(drawn=st.data())
+def test_structured_iw_matches_plain_products_on_random_elements(token, drawn):
+    rs = system(token)
+    sp = from_root_perm(element_from_word(rs, drawn.draw(_words(token))))
+    try:
+        members = inverting_signed_involutions(sp, token[0], guard=5000)
+    except GuardExceeded:
+        assume(False)  # a centralizer too large to square member by member
+    assert [x.images for x in members] == _plain_product_coset_iw(sp, token[0])
+    assert ([x.perm for x in inverting_involutions_structured(rs, sp).elements]
+            == [to_root_perm(x, rs).perm for x in members])
+
+
+@pytest.mark.parametrize("token", ["H3", "I2(7)"])
+def test_float_fixes_all_matches_vector_loop(token):
+    rs = system(token)
+    elems = group_elements(rs)
+    for w in elems[::7]:
+        basis = w.fixed_space_basis()
+        for x in elems:
+            mat = x.matrix()
+            by_vector = all(
+                max(abs(sum(v[r] * mat[r][c] for r in range(len(mat))) - v[c])
+                    for c in range(len(v))) <= FLOAT_FIX_TOL
+                for v in basis)
+            assert fixes_all(mat, basis, False) == by_vector
+        assert fixes_all(w.matrix(), (), False)
 
 
 def test_involutions_inverting_picks_a_path():

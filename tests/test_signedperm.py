@@ -334,3 +334,97 @@ def test_constructive_inverter_d12():
     x = constructive_inverter(w)
     assert (x * x).is_identity()
     assert w.conjugated_by(x) == w.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the two-point conversions against the key-based reference they replace
+
+def _to_root_perm_by_keys(sp, rs):
+    """Reference: permute the coordinates of every root key and look the
+    image up among the keys of all roots."""
+    pull = sp.inverse().images
+    return tuple(rs.key_index[tuple(key[v - 1] if v > 0 else -key[-v - 1] for v in pull)]
+                 for key in rs.keys)
+
+
+def _from_root_perm_by_keys(w):
+    """Reference: read each point's image from the coordinates of the images
+    of e_p (B), e_p - e_q (A) or e_p - e_q and e_p + e_q (D)."""
+    rs = w.system
+    fam = rs.family
+    n = rs.components[0].degree
+    images = [0] * n
+
+    def image_key(*signed_points):
+        vec = [0] * n
+        for p in signed_points:
+            vec[abs(p) - 1] = 1 if p > 0 else -1
+        v = w.perm[rs.index_of(tuple(vec))]
+        key = rs.keys[abs(v) - 1]
+        return key if v > 0 else tuple(-x for x in key)
+
+    for p in range(1, n + 1):
+        if fam == "B":
+            img = image_key(p)
+        else:
+            q = p + 1 if p < n else p - 1
+            lo, hi = min(p, q), max(p, q)
+            sign = 1 if p < q else -1
+            diff = [sign * c for c in image_key(lo, -hi)]
+            if fam == "A":
+                img = [max(c, 0) for c in diff]
+            else:
+                img = [a + b for a, b in zip(diff, image_key(lo, hi))]
+        (r, c), = [(r, c) for r, c in enumerate(img, start=1) if c]
+        images[p - 1] = r if c > 0 else -r
+    return SignedPermutation(images)
+
+
+@pytest.mark.parametrize("token", [f"A{n}" for n in range(1, 7)]
+                         + [f"B{n}" for n in range(2, 6)] + ["D4", "D5"])
+def test_two_point_conversions_match_key_reference_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        sp = from_root_perm(w)
+        assert sp == _from_root_perm_by_keys(w)
+        assert to_root_perm(sp, rs).perm == _to_root_perm_by_keys(sp, rs) == w.perm
+
+
+@st.composite
+def large_model_elements(draw):
+    """A random element of B7, D7 or D12."""
+    token = draw(st.sampled_from(["B7", "D7", "D12"]))
+    n = system(token).components[0].degree
+    perm = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    if token[0] == "D" and signs.count(-1) % 2:
+        signs[0] = -signs[0]
+    return token, SignedPermutation(tuple(p * s for p, s in zip(perm, signs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_model_elements())
+def test_two_point_conversions_match_key_reference_on_random_elements(drawn):
+    token, sp = drawn
+    rs = system(token)
+    w = to_root_perm(sp, rs)
+    assert w.perm == _to_root_perm_by_keys(sp, rs)
+    assert from_root_perm(w) == _from_root_perm_by_keys(w) == sp
+
+
+def test_is_involution_matches_squaring_on_b4():
+    rs = system("B4")
+    count = 0
+    for w in group_elements(rs):
+        sp = from_root_perm(w)
+        assert sp.is_involution() == (sp * sp).is_identity()
+        count += sp.is_involution()
+    assert count == 76  # the identity and the 75 involutions of W(B4)
+
+
+def test_constructor_still_checks_images():
+    for bad in ((1, 1), (1, 3), (0, 2)):
+        with pytest.raises(ValueError):
+            SignedPermutation(bad)
+    with pytest.raises(ValueError):
+        SignedPermutation.identity(3) * SignedPermutation.identity(4)
