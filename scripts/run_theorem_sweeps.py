@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full theorem suite over the desk-scale groups and write a report.
 
-Usage: python scripts/run_theorem_sweeps.py [out.json] [--workers N]
+Usage: python scripts/run_theorem_sweeps.py [out.json]
 """
 
 import sys
@@ -17,17 +17,12 @@ PRODUCTS = [(CoxeterDescriptor("A", 2), CoxeterDescriptor("A", 1)),
 
 
 def main(argv) -> int:
-    out = None
-    workers = 1
-    args = list(argv)
-    if "--workers" in args:
-        i = args.index("--workers")
-        workers = int(args[i + 1])
-        del args[i:i + 2]
-    if args:
-        out = args[0]
+    if len(argv) > 1 or argv and argv[0].startswith("-"):
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    out = argv[0] if argv else None
     descriptors = [parse_descriptor(tok) for tok in GROUPS] + PRODUCTS
-    config = make_config(descriptors, workers=workers)
+    config = make_config(descriptors)
     result = run_suite(config)
     text = result.to_json()
     if out:

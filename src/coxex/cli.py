@@ -70,10 +70,17 @@ def _parse_parabolic(value: str):
         raise SystemExit(f"error: cannot parse parabolic selection {value!r}")
 
 
+def _guard(args) -> int:
+    try:
+        return effective_guard(args.guard)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _cmd_group_info(args) -> int:
     desc = _descriptor_from_args(args)
     rs = build_root_system(desc)
-    guard = effective_guard(args.guard)
+    guard = _guard(args)
     info = {
         "descriptor": desc.name,
         "rank": rs.rank,
@@ -123,7 +130,7 @@ def _cmd_excess(args) -> int:
             w = to_root_perm(sp, rs)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-    guard = effective_guard(args.guard)
+    guard = _guard(args)
     contexts = []
     if args.parabolic is not None:
         sel = _parse_parabolic(args.parabolic)
@@ -164,7 +171,6 @@ def _cmd_verify(args) -> int:
             theorems=theorems,
             parabolic=_parse_parabolic(args.parabolic),
             guard=args.guard,
-            workers=args.workers,
             strategy=args.strategy,
         )
         result = run_suite(config)
@@ -245,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"theorem name or 'all'; known: {', '.join(theorem_names())}")
     ver.add_argument("--parabolic", default="all",
                      help='"all", "maximal" or 1-based indices "1 2 3"')
-    ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--strategy", choices=["direct", "maximal-reduction"],
                      default="direct")
     ver.add_argument("--format", choices=["json", "csv"], default="json")

@@ -151,12 +151,10 @@ class CoxeterDescriptor:
     def is_crystallographic(self) -> bool:
         return self.family not in ("I2", "H3", "H4")
 
-    def spec(self) -> tuple[str, int, int | None]:
-        """Picklable (family, rank, m) tuple; inverse of `from_spec`."""
-        return (self.family, self.rank, self.m)
-
 
 def from_spec(spec: tuple[str, int, int | None]) -> CoxeterDescriptor:
+    """The descriptor of a (family, rank, m) tuple, as a saved root system
+    lists its components."""
     return CoxeterDescriptor(*spec)
 
 

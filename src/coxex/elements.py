@@ -23,7 +23,12 @@ def effective_guard(guard: int | None) -> int:
     if guard is not None:
         return guard
     env = os.environ.get(GUARD_ENV)
-    return int(env) if env else DEFAULT_GUARD
+    if not env:
+        return DEFAULT_GUARD
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
 
 
 def apply_table(table, signed_index: int) -> int:
@@ -313,11 +318,16 @@ def involution_tables(rs: RootSystem, guard: int | None = None):
         ident = identity_table(rs.num_positive)
         seen = {ident}
         stack = [ident]
+        # every entry is read from these lookups, so the tables share their
+        # int objects (see `bfs_tables`)
+        lookups = [(g, signed_lookup(g)) for g in rs.gen_tables]
         while stack:
             x = stack.pop()
-            for g in rs.gen_tables:
-                gx = compose_tables(g, x)
-                y = gx if gx == compose_tables(x, g) else compose_tables(gx, g)
+            ext_x = signed_lookup(x)
+            for g, ext_g in lookups:
+                gxg = tuple([ext_g[ext_x[v]] for v in g])
+                # s and x commute exactly when sxs = x, and then sx = xs
+                y = tuple([ext_g[v] for v in x]) if gxg == x else gxg
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

@@ -32,8 +32,9 @@ xw is an involution exactly when its rank images of the simple roots form a
 key.  The cache stores each involution's simple-root images beside its
 table, and a query carries them through w by one lookup tuple, so the
 filter makes rank lookups per involution and no table composition.  The
-sweep engine `GroupData` keeps its own filter of the enumerated group, and
-the two are differential-tested against each other.
+sweep engine `GroupData` keys the same way: it finds xy for every pair of
+involutions by carrying x's simple-root images through y's lookup into a
+key -> index dict of the enumerated group, in one pass in (x, y) order.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -46,16 +47,16 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .descriptors import from_spec
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
-                       compose_tables, effective_guard, invert_table,
+                       effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
                        is_involution_table, reduced_word, signed_lookup,
                        word_text)
 from .parabolic import ParabolicContext
-from .rootsystem import RootSystem, build_root_system
+from .rootsystem import RootSystem
 from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
                          constructive_inverter, cycle_as_permutation,
                          from_root_perm, to_root_perm)
@@ -322,24 +323,16 @@ def dn_condition_check(w: SignedPermutation, m: int) -> DnCondition:
 # ---------------------------------------------------------------------------
 # exhaustive sweep engine
 
-def _pair_chunk(specs, guard, lo, hi):
-    rs = build_root_system([from_spec(s) for s in specs])
-    perms, _, index = bfs_tables(rs, guard)
-    invol = [i for i, p in enumerate(perms) if is_involution_table(p)]
-    rows = []
-    for xi in invol[lo:hi]:
-        px = perms[xi]
-        for yi in invol:
-            rows.append((index[compose_tables(px, perms[yi])], xi, yi))
-    return rows
-
-
 class GroupData:
     """Tables for an enumerable group: one pass over involution pairs
-    registers every inverting involution of every element at once."""
+    registers every inverting involution of every element at once.
+
+    `pairs[w]` lists the (x, y) with x, y involutions and xy = w, sorted, so
+    x runs over I_w.  With `gens` the group is the subgroup they generate.
+    """
 
     def __init__(self, rs: RootSystem, guard: int | None = None,
-                 workers: int = 1, gens: tuple[int, ...] | None = None):
+                 gens: tuple[int, ...] | None = None):
         self.rs = rs
         perms, words, index = bfs_tables(rs, guard, gens)
         self.perms = perms
@@ -349,30 +342,20 @@ class GroupData:
         self.lengths = [b.bit_count() for b in self.bits]
         self.inverse = [index[invert_table(p)] for p in perms]
         self.involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
-        self.pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(perms))}
-        if workers > 1 and gens is None:
-            # imported here: the pool modules cost import time and memory
-            from concurrent.futures import ProcessPoolExecutor
-            specs = [d.spec() for d in rs.components]
-            chunks = []
-            k = len(self.involutions)
-            step = -(-k // workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_pair_chunk, specs, effective_guard(guard), lo,
-                                    min(lo + step, k))
-                        for lo in range(0, k, step)]
-                for f in futs:
-                    chunks.append(f.result())
-            for rows in chunks:
-                for wi, xi, yi in rows:
-                    self.pairs[wi].append((xi, yi))
-        else:
-            for xi in self.involutions:
-                px = perms[xi]
-                for yi in self.involutions:
-                    self.pairs[index[compose_tables(px, perms[yi])]].append((xi, yi))
-        for lst in self.pairs.values():
-            lst.sort()
+        # an element is determined by its simple-root images, and those of xy
+        # are x's carried through y's lookup; both itemgetters give a bare
+        # int, not a 1-tuple, in rank 1
+        simple = rs.simple_indices
+        key = itemgetter(*simple)
+        at_key = {key(p): i for i, p in enumerate(perms)}
+        lookups = [signed_lookup(perms[yi]) for yi in self.involutions]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in perms]
+        for xi in self.involutions:  # x, then y, ascending: no sort needed
+            px = perms[xi]
+            carry = itemgetter(*[px[i] for i in simple])
+            for yi, ext in zip(self.involutions, lookups):
+                pairs[at_key[carry(ext)]].append((xi, yi))
+        self.pairs = pairs
         # l_R of each involution from its trace; None elsewhere
         self.lr: list = [None] * len(perms)
         for xi in self.involutions:

@@ -2,7 +2,7 @@
 
 Each registered check is a (hypothesis filter, conclusion predicate) pair
 run exhaustively over one group; results are deterministic for a fixed
-configuration, independent of the worker count.
+configuration.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class SuiteConfig:
     theorems: tuple[str, ...] = ("all",)
     parabolic: str | tuple[int, ...] = "all"  # "all" | "maximal" | 0-based subset
     guard: int | None = None
-    workers: int = 1
     strategy: str = "direct"  # "direct" | "maximal-reduction"
     sample_pairs: int = 10000
     seed: int = 20260809
@@ -50,7 +49,12 @@ class SuiteConfig:
                 raise ValueError(f"unknown theorem {name!r}; known: all, {known}")
 
 
-def make_config(descriptors, **kw) -> SuiteConfig:
+def make_config(descriptors, workers: int | None = None, **kw) -> SuiteConfig:
+    """A SuiteConfig over descriptors, each one group or a tuple of factors.
+
+    `workers` is accepted and ignored, so that callers which still pass it,
+    such as `perfbench/workloads.py` (`workers=1`), keep running.
+    """
     groups = []
     for d in descriptors:
         groups.append((d,) if isinstance(d, CoxeterDescriptor) else tuple(d))
@@ -645,7 +649,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
                 checks.append(CheckResult(name, rs.name, "skip", reason=reason))
                 continue
             if gd is None:
-                gd = GroupData(rs, guard=limit, workers=config.workers)
+                gd = GroupData(rs, guard=limit)
             notes: dict = {}
             tally = thm.runner(gd, config, notes)
             status = "pass" if not tally.failures else "fail"

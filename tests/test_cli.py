@@ -201,11 +201,15 @@ def test_verify_unknown_theorem(capsys):
     assert code != 0
 
 
-def test_verify_workers_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--type", "A3",
-                           "--theorem", "nw-subset-niw", "--workers", "2")
-    assert code == 0
-    assert json.loads(out)["payload"]["failures_total"] == 0
+@pytest.mark.parametrize("argv", [
+    ("excess", "--type", "B3", "--element", "(+1 -2)"),
+    ("group", "info", "--type", "B3"),
+    ("verify", "--type", "A2", "--theorem", "zero-excess-classes")])
+def test_malformed_guard_env_is_one_error_line(monkeypatch, argv):
+    monkeypatch.setenv("COXEX_GUARD", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == "error: COXEX_GUARD='abc' is not an integer"
 
 
 def test_repro_subcommand(capsys):

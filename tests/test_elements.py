@@ -116,6 +116,14 @@ def test_involution_closure_matches_bfs_filter(token):
     assert involution_tables(rs) is rs._involutions
 
 
+def test_involution_tables_share_int_objects():
+    # every entry is read from one of the per-generator lookups, each of
+    # 2 * num_positive + 1 ints, so no table makes ints of its own
+    rs = _fresh("E6")
+    tables, _, _ = involution_tables(rs)
+    assert len({id(v) for t in tables for v in t}) <= rs.rank * (2 * rs.num_positive + 1)
+
+
 @pytest.mark.parametrize("cached_first", [True, False])
 def test_guard_is_checked_before_the_caches(cached_first):
     rs = _fresh("A4")

@@ -436,6 +436,35 @@ def test_subgroup_data_reflection_excess_matches_ambient(token):
                     == gd.refl_excess_in(gd.index[sub.perms[si]], mask))
 
 
+def _full_table_pairs(gd):
+    """The pair pass the keyed one replaced: compose every pair of
+    involution tables, look the product up, then sort."""
+    pairs = [[] for _ in gd.perms]
+    for xi in gd.involutions:
+        for yi in gd.involutions:
+            pairs[gd.index[compose_tables(gd.perms[xi], gd.perms[yi])]].append((xi, yi))
+    for lst in pairs:
+        lst.sort()
+    return pairs
+
+
+# every group the suite builds GroupData for, and rank 1
+@pytest.mark.parametrize("token", [
+    "A1", "A2", "A3", "A4", "B3", "B4", "D4", "D5", "F4", "H3",
+    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1"])
+def test_keyed_pair_pass_matches_full_table_loop(token):
+    gd = data(token)
+    assert gd.pairs == _full_table_pairs(gd)
+
+
+@pytest.mark.parametrize("token", ["B4", "D4", "F4", "H3", "A2xA1"])
+def test_keyed_pair_pass_matches_full_table_loop_on_subgroups(token):
+    rs = system(token)
+    for J in maximal_generator_subsets(rs):
+        sub = GroupData(rs, gens=J)
+        assert sub.pairs == _full_table_pairs(sub)
+
+
 def test_excess_report_d12():
     rs = system("D12")
     sp = parse("(+2 +4 +6 +8 +10 -12 +11 +9 +7 +5 -3)", 12)
