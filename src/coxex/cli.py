@@ -202,15 +202,14 @@ def _cmd_repro(args) -> int:
     if args.format == "json":
         _write_out(args, json.dumps(result.to_json_dict(), indent=1, sort_keys=True))
     else:
-        print(f"example: {result.example}")
-        for k, v in sorted(result.details.items()):
-            print(f"  {k}: {v}")
+        lines = [f"example: {result.example}"]
+        lines += [f"  {k}: {v}" for k, v in sorted(result.details.items())]
         if result.ok:
-            print("ok: recomputed values match the golden data")
+            lines.append("ok: recomputed values match the golden data")
         else:
-            print("MISMATCH:")
-            for d in result.diffs:
-                print(f"  {d}")
+            lines.append("MISMATCH:")
+            lines += [f"  {d}" for d in result.diffs]
+        _write_out(args, "\n".join(lines))
     return 0 if result.ok else 1
 
 

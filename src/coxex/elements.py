@@ -220,25 +220,6 @@ def word_text(word) -> str:
     return "r" + ".r".join(str(r + 1) for r in word) if word else "1"
 
 
-# spec-style functional mirrors of the element methods
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def invert(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def is_involution(a: GroupElement) -> bool:
-    return a.is_involution()
-
-
-def act(rs: RootSystem, signed_index: int, w: GroupElement) -> int:
-    if not 1 <= abs(signed_index) <= rs.num_positive:
-        raise ValueError(f"root index {signed_index} out of range")
-    return apply_table(w.perm, signed_index)
-
-
 def inversion_set(w: GroupElement) -> int:
     return w.inversions()
 
@@ -250,10 +231,6 @@ def inversion_set_of_set(elements) -> int:
     return bits
 
 
-def length(w: GroupElement) -> int:
-    return w.length()
-
-
 def _check_order(rs: RootSystem, limit: int) -> None:
     if rs.order() > limit:
         raise GuardExceeded(f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
@@ -263,16 +240,14 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     """Enumerate by breadth-first closure under right multiplication.
 
     Returns (perms, words, index) with perms in discovery order and one
-    reduced word (0-based generator indices) per element.  Results for the
-    full generating set are cached on the root system; the guard is checked
-    against |W| first, whether or not they are cached.
+    reduced word (0-based generator indices) per element.  Nothing is
+    cached: every call enumerates afresh.  For the full generating set the
+    guard is checked against |W| first.
     """
     full = gens is None
     limit = effective_guard(guard)
     if full:
         _check_order(rs, limit)
-        if rs._bfs is not None:
-            return rs._bfs
     names = range(rs.rank) if full else gens
     # p * s reads ext_s at the entries of p, so every table holds the ints of
     # these lookups; a negation would make a new int object per entry below
@@ -295,23 +270,21 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
                 if len(perms) > limit:
                     raise GuardExceeded(f"enumeration exceeded guard {limit}")
         i += 1
-    result = (perms, words, index)
-    if full:
-        rs._bfs = result
-    return result
+    return perms, words, index
 
 
 def involution_tables(rs: RootSystem, guard: int | None = None):
     """The involutions of W (the identity included), without enumerating W.
 
-    Returns (tables, keys, simple_images): the involution tables, sorted,
-    the frozenset of their simple-root images, and those images per table,
-    in the order of `tables`.  An element is determined by where it sends
-    the simple roots, so a table is an involution exactly when its key is in
-    `keys`.  The involutions are the orbit of the identity under x -> sx when
-    s and x commute and x -> sxs otherwise (Richardson-Springer 1990), found
-    by one depth-first search.  Cached on the root system; the guard is
-    checked against |W| first, as in `bfs_tables`.
+    Returns (tables, at_key, simple_images): the involution tables, sorted,
+    a dict from their simple-root images to their index in `tables`, and
+    those images per table, in the order of `tables`.  An element is
+    determined by where it sends the simple roots, so a table is an
+    involution exactly when its key is in `at_key`.  The involutions are
+    the orbit of the identity under x -> sx when s and x commute and
+    x -> sxs otherwise (Richardson-Springer 1990), found by one depth-first
+    search.  Cached on the root system; the guard is checked against |W|
+    first, as in `bfs_tables`.
     """
     _check_order(rs, effective_guard(guard))
     if rs._involutions is None:
@@ -334,7 +307,7 @@ def involution_tables(rs: RootSystem, guard: int | None = None):
         simple = rs.simple_indices
         tables = sorted(seen)
         images = [tuple([p[i] for i in simple]) for p in tables]
-        rs._involutions = (tables, frozenset(images), images)
+        rs._involutions = (tables, {k: i for i, k in enumerate(images)}, images)
     return rs._involutions
 
 
@@ -357,7 +330,13 @@ def reduced_words(rs: RootSystem, guard: int | None = None) -> dict:
 def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[GroupElement]]:
     """Orbits under conjugation, each sorted by table for determinism."""
     perms, _, index = bfs_tables(rs, guard)
-    gens = rs.gen_tables
+    return [[GroupElement(rs, t) for t in orbit]
+            for orbit in _conjugation_orbits(perms, index, rs.gen_tables)]
+
+
+def _conjugation_orbits(perms, index, gens) -> list[list[tuple[int, ...]]]:
+    """The conjugacy classes of an enumerated group as sorted lists of
+    tables, in the order of their first element in `perms`."""
     seen = [False] * len(perms)
     classes = []
     for start, p in enumerate(perms):
@@ -377,5 +356,5 @@ def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[Gro
                     orbit.append(conj)
             q += 1
         orbit.sort()
-        classes.append([GroupElement(rs, t) for t in orbit])
+        classes.append(orbit)
     return classes

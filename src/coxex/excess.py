@@ -17,11 +17,15 @@ Every w has an l_R-additive factorization into two involutions (Carter
 
     l_R(w) = min { l_R(x) + l_R(xw) : x in I_w }
 
-and J_w is the set of x reaching that minimum.  One scoring pass over I_w
-gives, per x, y = xw, the defect and l_R(x) + l_R(y); every statistic of a
-report is read from it.  J_w needs the whole of I_w: a subset of I_w may
-miss the minimum.  The fixed-space description (Fix(w) inside Fix(x)) is
-kept as the oracle of the `jset-equivalence` theorem.
+and J_w is the set of x reaching that minimum.  J_w needs the whole of I_w:
+a subset of I_w may miss the minimum.  The fixed-space description (Fix(w)
+inside Fix(x)) is kept as the oracle of the `jset-equivalence` theorem.
+
+I_w has one form, the handle pairs (x, y) with y = xw, and every statistic
+is read from them by the same few kernels, with inversion bitsets and l_R
+looked up by handle, so no statistic composes an element.  I_w is closed
+under x -> xw, since (xw)w(xw) = w^-2 w = w^-1, so the handle of y is that
+of a member, found by one lookup.
 
 For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so exhaustive I_w
 filters the involutions of W and never enumerates W itself.  The involutions
@@ -29,12 +33,13 @@ come from `elements.involution_tables`, the orbit of the identity under
 x -> sx (s, x commuting) or x -> sxs (Richardson-Springer 1990), with their
 simple-root images as keys.  An element is determined by those images, so
 xw is an involution exactly when its rank images of the simple roots form a
-key.  The cache stores each involution's simple-root images beside its
-table, and a query carries them through w by one lookup tuple, so the
-filter makes rank lookups per involution and no table composition.  The
-sweep engine `GroupData` keys the same way: it finds xy for every pair of
-involutions by carrying x's simple-root images through y's lookup into a
-key -> index dict of the enumerated group, in one pass in (x, y) order.
+key, and that key's index is the handle of xw.  The cache stores each
+involution's simple-root images beside its table, and a query carries them
+through w by one lookup tuple, so the filter makes rank lookups per
+involution and no table composition.  The sweep engine `GroupData` keys the
+same way: it finds xy for every pair of involutions by carrying x's
+simple-root images through y's lookup into a key -> index dict of the
+enumerated group, in one pass in (x, y) order.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -46,9 +51,9 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import NamedTuple
 
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        effective_guard, invert_table,
@@ -64,10 +69,25 @@ from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
 
 @dataclass(frozen=True)
 class InvolutionSet:
-    """The involutions inverting one element, with their provenance."""
+    """I_w as handle pairs (x, y) with y = xw, in ascending order of x.
 
-    elements: tuple[GroupElement, ...]
+    `tables`, `bits` and `lr` are indexed by handle: the root permutation
+    table, the inversion bitset and the reflection length of a member.  I_w
+    is closed under x -> xw, so every y is a member too, and `bits` and `lr`
+    cover every handle in `pairs`.
+    """
+
+    system: RootSystem
     source: str  # "exhaustive" | "structured-coset"
+    pairs: tuple[tuple[int, int], ...]
+    # a list, or dicts: compared, but left out of the hash
+    tables: Sequence = field(repr=False, hash=False)
+    bits: Mapping[int, int] = field(repr=False, hash=False)
+    lr: Mapping[int, int] = field(repr=False, hash=False)
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.system, self.tables[x]) for x, _ in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -86,8 +106,11 @@ class DnCondition(enum.Enum):
     NONE = "none"
 
 
-def _defect(bits_x: int, bits_y: int) -> int:
-    return 2 * (bits_x & bits_y).bit_count()
+def _from_pairs(rs: RootSystem, source: str, pairs, tables) -> InvolutionSet:
+    """Bits and l_R once per member x, which covers every y as well."""
+    bits = {x: bits_of_table(tables[x]) for x, _ in pairs}
+    lr = {x: involution_reflection_length(rs, tables[x]) for x, _ in pairs}
+    return InvolutionSet(rs, source, tuple(pairs), tables, bits, lr)
 
 
 def inverting_involutions(rs: RootSystem, w: GroupElement,
@@ -95,14 +118,18 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
     """Exhaustive filter of the involutions; needs |W| under the guard.
 
     For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so x is kept
-    when the simple-root images of xw are those of an involution.
+    when the simple-root images of xw are those of an involution, whose
+    handle is then that of y = xw.
     """
-    tables, keys, simple_images = involution_tables(rs, guard)
+    tables, at_key, simple_images = involution_tables(rs, guard)
     ext = signed_lookup(w.perm)
-    # the simple-root images of xw are those of x carried on by w
-    out = tuple(GroupElement(rs, p) for p, sx in zip(tables, simple_images)
-                if tuple([ext[v] for v in sx]) in keys)
-    return InvolutionSet(out, "exhaustive")
+    pairs = []
+    for x, sx in enumerate(simple_images):
+        # the simple-root images of xw are those of x carried on by w
+        y = at_key.get(tuple([ext[v] for v in sx]))
+        if y is not None:
+            pairs.append((x, y))
+    return _from_pairs(rs, "exhaustive", pairs, tables)
 
 
 def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
@@ -127,12 +154,16 @@ def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
 
 def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,
                                      guard: int = 10 ** 6) -> InvolutionSet:
+    """I_w from the centralizer coset; the handle of y = xw is found among
+    the members by its signed images."""
     fam = rs.family
     if fam not in ("B", "D"):
         raise ValueError("structured enumeration needs a type B or D system")
     members = inverting_signed_involutions(sp, fam, guard)
-    return InvolutionSet(tuple(to_root_perm(x, rs) for x in members),
-                         "structured-coset")
+    handle = {x.images: i for i, x in enumerate(members)}
+    pairs = [(i, handle[(x * sp).images]) for i, x in enumerate(members)]
+    tables = tuple(to_root_perm(x, rs).perm for x in members)
+    return _from_pairs(rs, "structured-coset", pairs, tables)
 
 
 def involutions_inverting(rs: RootSystem, w: GroupElement,
@@ -147,49 +178,37 @@ def involutions_inverting(rs: RootSystem, w: GroupElement,
         f"|W({rs.name})| = {rs.order()} exceeds guard {limit} and no structured path applies")
 
 
-class _Scored(NamedTuple):
-    """One member x of I_w in the scoring pass, with y = xw."""
+# ---------------------------------------------------------------------------
+# the kernels: every statistic of InvolutionSet, excess_report and GroupData
+# reads pairs (x, y) through these, with bits and lr indexed by handle
 
-    defect: int
-    lr_sum: int      # l_R(x) + l_R(y)
-    bits_x: int
-    x: GroupElement
-    y: GroupElement
-
-
-def _score(w: GroupElement, iw: InvolutionSet) -> list[_Scored]:
-    """The scoring pass: one composition x*w per member of I_w."""
-    rs = w.system
-    rows = []
-    for x in iw.elements:
-        y = x * w
-        bx = x.inversions()
-        rows.append(_Scored(_defect(bx, y.inversions()),
-                            involution_reflection_length(rs, x.perm)
-                            + involution_reflection_length(rs, y.perm),
-                            bx, x, y))
-    if not rows:
-        raise ValueError("empty inverting set")
-    return rows
-
-
-def _j_rows(rows: list[_Scored]) -> list[_Scored]:
-    """The rows reaching l_R(w), the minimum length sum (Carter 1972)."""
-    lw = min(r.lr_sum for r in rows)
-    return [r for r in rows if r.lr_sum == lw]
-
-
-def _min_defect(rows: list[_Scored], mask: int | None = None) -> int:
-    """Least defect, over the x inside Phi_J when a parabolic mask is given."""
+def _least_defect(pairs, bits, mask: int | None = None) -> int:
+    """Least defect 2|N(x) & N(y)|, over the x inside Phi_J (N(x) within the
+    mask) when a parabolic mask is given."""
     if mask is None:
-        return min(r.defect for r in rows)
-    return min(r.defect for r in rows if r.bits_x & ~mask == 0)
+        return 2 * min((bits[x] & bits[y]).bit_count() for x, y in pairs)
+    return 2 * min((bits[x] & bits[y]).bit_count() for x, y in pairs
+                   if bits[x] & ~mask == 0)
 
 
-def _spartan(rows: list[_Scored]) -> list[SpartanPair]:
-    best = _min_defect(rows)
-    out = [SpartanPair(r.x, r.y, r.defect) for r in rows if r.defect == best]
-    out.sort(key=lambda p: (p.x.length(), p.x.perm))
+def _lr_reaching(pairs, lr) -> list[tuple[int, int]]:
+    """The pairs whose l_R(x) + l_R(y) is least, l_R(w) (Carter 1972)."""
+    lw = min(lr[x] + lr[y] for x, y in pairs)
+    return [(x, y) for x, y in pairs if lr[x] + lr[y] == lw]
+
+
+def _spartan(pairs, bits, tables, best: int) -> list[tuple[int, int]]:
+    """The pairs of defect `best`, sorted by (l(x), table of x)."""
+    out = [(x, y) for x, y in pairs if 2 * (bits[x] & bits[y]).bit_count() == best]
+    out.sort(key=lambda xy: (bits[xy[0]].bit_count(), tables[xy[0]]))
+    return out
+
+
+def _niw(pairs, bits) -> int:
+    """N(I_w), the union of the members' inversion sets."""
+    out = 0
+    for x, _ in pairs:
+        out |= bits[x]
     return out
 
 
@@ -199,16 +218,19 @@ def j_set(w: GroupElement, iw: InvolutionSet) -> InvolutionSet:
     l_R(w) is taken as the least such sum over iw, so iw must be the whole
     of I_w.
     """
-    return InvolutionSet(tuple(r.x for r in _j_rows(_score(w, iw))), iw.source)
+    return replace(iw, pairs=tuple(_lr_reaching(iw.pairs, iw.lr)))
 
 
 def excess(w: GroupElement, iw: InvolutionSet) -> int:
-    return _min_defect(_score(w, iw))
+    return _least_defect(iw.pairs, iw.bits)
 
 
 def spartan_pairs(w: GroupElement, iw: InvolutionSet) -> list[SpartanPair]:
     """All minimizing factorizations, sorted by (l(x), table of x)."""
-    return _spartan(_score(w, iw))
+    best = _least_defect(iw.pairs, iw.bits)
+    rs, tables = iw.system, iw.tables
+    return [SpartanPair(GroupElement(rs, tables[x]), GroupElement(rs, tables[y]), best)
+            for x, y in _spartan(iw.pairs, iw.bits, tables, best)]
 
 
 def reflection_excess(w: GroupElement, jw: InvolutionSet) -> int:
@@ -219,7 +241,7 @@ def parabolic_excess(w: GroupElement, ctx: ParabolicContext,
                      iw: InvolutionSet) -> int:
     if not ctx.contains(w):
         raise ValueError("element is not in the parabolic subgroup")
-    return _min_defect(_score(w, iw), ctx.mask)
+    return _least_defect(iw.pairs, iw.bits, ctx.mask)
 
 
 def parabolic_reflection_excess(w: GroupElement, ctx: ParabolicContext,
@@ -231,14 +253,11 @@ def parabolic_reflection_excess(w: GroupElement, ctx: ParabolicContext,
     """
     if not ctx.contains(w):
         raise ValueError("element is not in the parabolic subgroup")
-    return _min_defect(_j_rows(_score(w, iw)), ctx.mask)
+    return _least_defect(_lr_reaching(iw.pairs, iw.lr), iw.bits, ctx.mask)
 
 
 def n_of_inverting_set(iw: InvolutionSet) -> int:
-    bits = 0
-    for x in iw.elements:
-        bits |= x.inversions()
-    return bits
+    return _niw(iw.pairs, iw.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +347,13 @@ class GroupData:
     registers every inverting involution of every element at once.
 
     `pairs[w]` lists the (x, y) with x, y involutions and xy = w, sorted, so
-    x runs over I_w.  With `gens` the group is the subgroup they generate.
+    x runs over I_w.  Every statistic reads them through the kernels that
+    serve `InvolutionSet`, with `bits` and `lr` indexed by element.
     """
 
-    def __init__(self, rs: RootSystem, guard: int | None = None,
-                 gens: tuple[int, ...] | None = None):
+    def __init__(self, rs: RootSystem, guard: int | None = None):
         self.rs = rs
-        perms, words, index = bfs_tables(rs, guard, gens)
+        perms, words, index = bfs_tables(rs, guard)
         self.perms = perms
         self.words = words
         self.index = index
@@ -360,7 +379,6 @@ class GroupData:
         self.lr: list = [None] * len(perms)
         for xi in self.involutions:
             self.lr[xi] = involution_reflection_length(rs, perms[xi])
-        self._rlen: dict[int, int] = {}
         self._jsets: dict[int, list[tuple[int, int]]] = {}
         self._exc: dict[int, int] = {}
         self._rexc: dict[int, int] = {}
@@ -384,23 +402,20 @@ class GroupData:
         return word_text(self.words[i])
 
     def reflection_length(self, i: int) -> int:
-        """l_R(w) as the least l_R(x) + l_R(y) over the pairs of I_w."""
-        if i not in self._rlen:
-            lr = self.lr
-            self._rlen[i] = min(lr[x] + lr[y] for x, y in self.pairs[i])
-        return self._rlen[i]
+        """l_R(w), the l_R(x) + l_R(y) of any pair of the J-set."""
+        x, y = self.jset_of(i)[0]
+        return self.lr[x] + self.lr[y]
 
     def defect(self, xi: int, yi: int) -> int:
-        return _defect(self.bits[xi], self.bits[yi])
+        return 2 * (self.bits[xi] & self.bits[yi]).bit_count()
 
     def excess_of(self, wi: int) -> int:
         if wi not in self._exc:
-            self._exc[wi] = min(self.defect(x, y) for x, y in self.pairs[wi])
+            self._exc[wi] = _least_defect(self.pairs[wi], self.bits)
         return self._exc[wi]
 
     def excess_in(self, wi: int, mask: int) -> int:
-        return min(self.defect(x, y) for x, y in self.pairs[wi]
-                   if self.bits[x] & ~mask == 0)
+        return _least_defect(self.pairs[wi], self.bits, mask)
 
     def jset_of(self, wi: int) -> list[tuple[int, int]]:
         """The pairs (x, y) of I_w with l_R(x) + l_R(y) = l_R(w).
@@ -409,33 +424,23 @@ class GroupData:
         taken inside W_J (see the module docstring).
         """
         if wi not in self._jsets:
-            lw = self.reflection_length(wi)
-            lr = self.lr
-            self._jsets[wi] = [(x, y) for x, y in self.pairs[wi]
-                               if lr[x] + lr[y] == lw]
+            self._jsets[wi] = _lr_reaching(self.pairs[wi], self.lr)
         return self._jsets[wi]
 
     def refl_excess_of(self, wi: int) -> int:
         if wi not in self._rexc:
-            self._rexc[wi] = min(self.defect(x, y) for x, y in self.jset_of(wi))
+            self._rexc[wi] = _least_defect(self.jset_of(wi), self.bits)
         return self._rexc[wi]
 
     def refl_excess_in(self, wi: int, mask: int) -> int:
-        return min(self.defect(x, y) for x, y in self.jset_of(wi)
-                   if self.bits[x] & ~mask == 0)
+        return _least_defect(self.jset_of(wi), self.bits, mask)
 
     def spartan_of(self, wi: int) -> list[tuple[int, int]]:
-        best = self.excess_of(wi)
-        out = [(x, y) for x, y in self.pairs[wi] if self.defect(x, y) == best]
-        out.sort(key=lambda xy: (self.lengths[xy[0]], self.perms[xy[0]]))
-        return out
+        return _spartan(self.pairs[wi], self.bits, self.perms, self.excess_of(wi))
 
     def niw_bits(self, wi: int) -> int:
         if wi not in self._niw:
-            bits = 0
-            for x, _ in self.pairs[wi]:
-                bits |= self.bits[x]
-            self._niw[wi] = bits
+            self._niw[wi] = _niw(self.pairs[wi], self.bits)
         return self._niw[wi]
 
 
@@ -494,22 +499,23 @@ def excess_report(rs: RootSystem, w: GroupElement,
                   parabolics: tuple[ParabolicContext, ...] = (),
                   iw: InvolutionSet | None = None,
                   guard: int | None = None) -> ExcessReport:
-    """Every statistic from one scoring pass over I_w, which must be whole."""
+    """Every statistic from the pairs of I_w, which must be whole; no
+    element is composed."""
     if iw is None:
         iw = involutions_inverting(rs, w, guard)
-    rows = _score(w, iw)
-    jrows = _j_rows(rows)
-    e = _min_defect(rows)
-    E = _min_defect(jrows)
+    pairs, bits, tables = iw.pairs, iw.bits, iw.tables
+    jpairs = _lr_reaching(pairs, iw.lr)
+    e = _least_defect(pairs, bits)
+    E = _least_defect(jpairs, bits)
     if E < e or e % 2:
         raise RuntimeError("inconsistent excess values")  # defensive
-    par = []
-    for ctx in parabolics:
-        if not ctx.contains(w):
-            continue
-        par.append((ctx.J_display,
-                    _min_defect(rows, ctx.mask),
-                    _min_defect(jrows, ctx.mask)))
-    witnesses = tuple((_element_text(p.x), _element_text(p.y)) for p in _spartan(rows))
+    par = tuple((ctx.J_display, _least_defect(pairs, bits, ctx.mask),
+                 _least_defect(jpairs, bits, ctx.mask))
+                for ctx in parabolics if ctx.contains(w))
+
+    def text(h):
+        return _element_text(GroupElement(rs, tables[h]))
+    witnesses = tuple((text(x), text(y)) for x, y in _spartan(pairs, bits, tables, e))
+    x, y = jpairs[0]
     return ExcessReport(rs.name, _element_text(w), w.length(),
-                        jrows[0].lr_sum, e, E, tuple(par), witnesses)
+                        iw.lr[x] + iw.lr[y], e, E, par, witnesses)

@@ -105,7 +105,7 @@ class RootSystem:
         self.rank = len(simple_indices)
         self.num_positive = len(self.positive_roots)
         self._reflections: list | None = None
-        self._bfs = None  # filled by elements.bfs_tables
+        self._bfs = None  # never set; perfbench/tracer.py reads it
         self._involutions = None  # filled by elements.involution_tables
         self._point_tables = None  # filled by signedperm.point_tables
 
@@ -151,9 +151,6 @@ class RootSystem:
                 if max(abs(a + b) for a, b in zip(root, vec)) < 1e-6:
                     return -(i + 1)
         raise KeyError(f"vector {vec} is not a root")
-
-    def generator_table(self, r: int) -> tuple[int, ...]:
-        return self.gen_tables[r]
 
     def coeff_support(self, i: int) -> tuple[int, ...]:
         c = self.coeffs[i]

@@ -178,9 +178,6 @@ class SignedPermutation:
     def __repr__(self):
         return f"SignedPermutation({self.format()!r}, n={self.degree})"
 
-    def to_root_perm(self, rs: RootSystem) -> GroupElement:
-        return to_root_perm(self, rs)
-
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _POINT_RE = re.compile(r"([+-])(\d+)")

@@ -219,3 +219,13 @@ def test_repro_subcommand(capsys):
     code, out, _ = run_cli(capsys, "repro", "sym7-gap", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_repro_text_report_honours_out(capsys, tmp_path):
+    path = tmp_path / "r.txt"
+    code, out, _ = run_cli(capsys, "repro", "sym7-gap", "--out", str(path))
+    assert code == 0
+    assert out == ""
+    text = path.read_text()
+    assert text.startswith("example: sym7-gap\n")
+    assert "ok: recomputed values match the golden data" in text

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from conftest import system
@@ -105,14 +107,19 @@ def _fresh(token):
     "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
     "F4", "H3", "H4", "E6", *(f"I2({m})" for m in range(5, 13)),
     "A2xA1", "A1xA1xA1", "B3xA2"])
-def test_involution_closure_matches_bfs_filter(token):
+def test_involution_closure_matches_bfs_filter(token, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the involution closure enumerated the group")
+
     rs = _fresh(token)
-    tables, keys, simple_images = involution_tables(rs)
-    assert rs._bfs is None
+    for mod in ("elements", "excess"):
+        monkeypatch.setattr(sys.modules[f"coxex.{mod}"], "bfs_tables", refuse)
+    tables, at_key, simple_images = involution_tables(rs)
+    monkeypatch.undo()
     assert tables == sorted(p for p in bfs_tables(rs)[0] if is_involution_table(p))
     assert simple_images == [tuple(p[i] for i in rs.simple_indices) for p in tables]
-    assert keys == frozenset(simple_images)
-    assert len(keys) == len(tables)
+    assert at_key == {k: i for i, k in enumerate(simple_images)}
+    assert len(at_key) == len(tables)
     assert involution_tables(rs) is rs._involutions
 
 

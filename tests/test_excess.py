@@ -21,8 +21,10 @@ from coxex import (DnCondition, GroupData, GuardExceeded, build_root_system,
                    parabolic_excess, parabolic_reflection_excess,
                    parse_descriptor, reflection_excess, spartan_pairs,
                    spartan_support_check, swapcycle_check)
-from coxex.elements import (bfs_tables, compose_tables, element_from_word,
-                            invert_table, is_involution_table, reflection)
+from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
+                            compose_tables, element_from_word, invert_table,
+                            involution_reflection_length, is_involution_table,
+                            reduced_word, reflection, word_text)
 from coxex.linalg import FLOAT_FIX_TOL, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
@@ -40,6 +42,7 @@ def test_iw_golden_sym5():
     assert names == {"(+2 +3)", "(+3 +5)", "(+2 +5)",
                      "(+1 +4)(+2 +3)", "(+1 +4)(+3 +5)", "(+1 +4)(+2 +5)"}
     assert iw.source == "exhaustive"
+    assert hash(iw) == hash(inverting_involutions(rs, w))
     for x in iw.elements:
         assert x.is_involution()
         assert w.conjugated_by(x) == w.inverse()
@@ -92,6 +95,35 @@ def test_iw_matches_two_composition_filter_on_every_element(token):
         assert [x.perm for x in iw.elements] == _two_composition_iw(token, w)
 
 
+JSET_GROUPS = ["A4", "B4", "D4", "F4", "H3", "I2(7)", "A2xA1"]
+
+
+def _assert_pairs(iw, w):
+    """Each pair (x, y) of iw has y = xw, and bits and l_R per handle are
+    those of its table."""
+    rs = w.system
+    assert iw.pairs
+    for x, y in iw.pairs:
+        assert iw.tables[y] == compose_tables(iw.tables[x], w.perm)
+        for h in (x, y):
+            assert iw.bits[h] == bits_of_table(iw.tables[h])
+            assert iw.lr[h] == involution_reflection_length(rs, iw.tables[h])
+
+
+@pytest.mark.parametrize("token", JSET_GROUPS)
+def test_exhaustive_pairs_are_x_and_xw_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        _assert_pairs(inverting_involutions(rs, w), w)
+
+
+@pytest.mark.parametrize("token", ["B4", "D4"])
+def test_structured_pairs_are_x_and_xw_on_every_element(token):
+    rs = system(token)
+    for w in group_elements(rs):
+        _assert_pairs(inverting_involutions_structured(rs, from_root_perm(w)), w)
+
+
 def _words(token):
     rs = system(token)
     return st.lists(st.integers(0, rs.rank - 1), max_size=rs.num_positive)
@@ -107,20 +139,21 @@ def test_iw_matches_two_composition_filter_on_random_elements(token, drawn):
     assert [x.perm for x in iw.elements] == _two_composition_iw(token, w)
 
 
-def test_exhaustive_iw_does_not_enumerate_the_group():
+def test_exhaustive_iw_does_not_enumerate_the_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query enumerated the group")
+
+    for mod in ("elements", "excess"):
+        monkeypatch.setattr(sys.modules[f"coxex.{mod}"], "bfs_tables", refuse)
     rs = build_root_system(parse_descriptor("A6"))
     w = element_from_word(rs, [0, 1, 2, 3, 4, 5])
     assert len(inverting_involutions(rs, w).elements) > 0
-    assert rs._bfs is None
 
 
 def _fixed_space_jset(w, iw):
     """Reference J_w: the members whose fixed space contains that of w."""
     basis = w.fixed_space_basis()
     return tuple(x for x in iw.elements if fixes_all(x.matrix(), basis, w.system.exact))
-
-
-JSET_GROUPS = ["A4", "B4", "D4", "F4", "H3", "I2(7)", "A2xA1"]
 
 
 @pytest.mark.parametrize("token", JSET_GROUPS)
@@ -280,8 +313,9 @@ def test_structured_iw_matches_plain_products_on_random_elements(token, drawn):
     except GuardExceeded:
         assume(False)  # a centralizer too large to square member by member
     assert [x.images for x in members] == _plain_product_coset_iw(sp, token[0])
-    assert ([x.perm for x in inverting_involutions_structured(rs, sp).elements]
-            == [to_root_perm(x, rs).perm for x in members])
+    iw = inverting_involutions_structured(rs, sp)
+    assert [x.perm for x in iw.elements] == [to_root_perm(x, rs).perm for x in members]
+    _assert_pairs(iw, to_root_perm(sp, rs))
 
 
 @pytest.mark.parametrize("token", ["H3", "I2(7)"])
@@ -425,27 +459,49 @@ def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
             assert len(J) - len(basis) == gd.reflection_length(wi)
 
 
-@pytest.mark.parametrize("token", ["B4", "D4", "F4", "A2xA1"])
-def test_subgroup_data_reflection_excess_matches_ambient(token):
-    gd = data(token)
-    for J in maximal_generator_subsets(gd.rs):
-        sub = GroupData(gd.rs, gens=J)
-        mask = parabolic_context(gd.rs, J).mask
-        for si in range(len(sub)):
-            assert (sub.refl_excess_of(si)
-                    == gd.refl_excess_in(gd.index[sub.perms[si]], mask))
-
-
-def _full_table_pairs(gd):
+def _full_table_pairs(perms, index):
     """The pair pass the keyed one replaced: compose every pair of
     involution tables, look the product up, then sort."""
-    pairs = [[] for _ in gd.perms]
-    for xi in gd.involutions:
-        for yi in gd.involutions:
-            pairs[gd.index[compose_tables(gd.perms[xi], gd.perms[yi])]].append((xi, yi))
+    involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
+    pairs = [[] for _ in perms]
+    for xi in involutions:
+        for yi in involutions:
+            pairs[index[compose_tables(perms[xi], perms[yi])]].append((xi, yi))
     for lst in pairs:
         lst.sort()
     return pairs
+
+
+def _trace_on(rs, table, J):
+    """Trace of an element of W_J on the span of the alpha_j, j in J."""
+    tr = 0
+    for k in J:
+        v = table[rs.simple_indices[k]]
+        c = rs.coeffs[abs(v) - 1][k]
+        tr += c if v > 0 else -c
+    return round(tr)
+
+
+@pytest.mark.parametrize("token", ["B4", "D4", "F4", "A2xA1"])
+def test_subgroup_data_reflection_excess_matches_ambient(token):
+    # e and E inside each maximal W_J from W_J's own pairs, with l_R taken
+    # in W_J, against the ambient tables under J's mask
+    gd = data(token)
+    rs = gd.rs
+    for J in maximal_generator_subsets(rs):
+        perms, _, index = bfs_tables(rs, gens=J)
+        bits = [bits_of_table(p) for p in perms]
+        pairs = _full_table_pairs(perms, index)
+        lr = {x: (len(J) - _trace_on(rs, perms[x], J)) // 2
+              for lst in pairs for x, _ in lst}
+        mask = parabolic_context(rs, J).mask
+        for si, p in enumerate(perms):
+            defects = [(lr[x] + lr[y], 2 * (bits[x] & bits[y]).bit_count())
+                       for x, y in pairs[si]]
+            lw = min(s for s, _ in defects)
+            wi = gd.index[p]
+            assert gd.excess_in(wi, mask) == min(d for _, d in defects)
+            assert gd.refl_excess_in(wi, mask) == min(d for s, d in defects if s == lw)
 
 
 # every group the suite builds GroupData for, and rank 1
@@ -454,15 +510,7 @@ def _full_table_pairs(gd):
     *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1"])
 def test_keyed_pair_pass_matches_full_table_loop(token):
     gd = data(token)
-    assert gd.pairs == _full_table_pairs(gd)
-
-
-@pytest.mark.parametrize("token", ["B4", "D4", "F4", "H3", "A2xA1"])
-def test_keyed_pair_pass_matches_full_table_loop_on_subgroups(token):
-    rs = system(token)
-    for J in maximal_generator_subsets(rs):
-        sub = GroupData(rs, gens=J)
-        assert sub.pairs == _full_table_pairs(sub)
+    assert gd.pairs == _full_table_pairs(gd.perms, gd.index)
 
 
 def test_excess_report_d12():
@@ -581,3 +629,81 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _text(g):
+    if g.system.family in ("A", "B", "D"):
+        return from_root_perm(g).format()
+    return word_text(reduced_word(g))
+
+
+def _per_member_report(rs, w, parabolics, iw):
+    """Reference report by the scoring pass the pair form replaced: compose
+    xw for each member x, then score both x and xw."""
+    rows = []
+    for x in iw.elements:
+        y = x * w
+        rows.append((2 * (x.inversions() & y.inversions()).bit_count(),
+                     involution_reflection_length(rs, x.perm)
+                     + involution_reflection_length(rs, y.perm), x, y))
+    lw = min(r[1] for r in rows)
+    jrows = [r for r in rows if r[1] == lw]
+
+    def least(rows, ctx=None):
+        return min(d for d, _, x, _ in rows if ctx is None or ctx.contains(x))
+
+    e = least(rows)
+    spartan = sorted((r for r in rows if r[0] == e),
+                     key=lambda r: (r[2].length(), r[2].perm))
+    return {
+        "descriptor": rs.name, "element": _text(w), "length": w.length(),
+        "reflection_length": lw, "excess": e, "reflection_excess": least(jrows),
+        "parabolic": [{"J": list(ctx.J_display), "e_J": least(rows, ctx),
+                       "E_J": least(jrows, ctx)}
+                      for ctx in parabolics if ctx.contains(w)],
+        "witnesses": [[_text(x), _text(y)] for _, _, x, y in spartan],
+    }
+
+
+def _maximal_contexts(rs):
+    return tuple(parabolic_context(rs, J) for J in maximal_generator_subsets(rs))
+
+
+@pytest.mark.parametrize("token", ["A4", "B4", "D4"])
+def test_excess_report_matches_per_member_scoring_on_every_element(token):
+    rs = system(token)
+    ctxs = _maximal_contexts(rs)
+    for w in group_elements(rs):
+        iw = inverting_involutions(rs, w)
+        assert (excess_report(rs, w, ctxs, iw).to_json_dict()
+                == _per_member_report(rs, w, ctxs, iw))
+
+
+@pytest.mark.parametrize("token", ["A6", "B5", "E6"])
+@settings(max_examples=25, deadline=None)
+@given(drawn=st.data())
+def test_excess_report_matches_per_member_scoring_on_random_elements(token, drawn):
+    rs = system(token)
+    ctxs = _maximal_contexts(rs)
+    w = element_from_word(rs, drawn.draw(_words(token)))
+    iw = inverting_involutions(rs, w)
+    assert (excess_report(rs, w, ctxs, iw).to_json_dict()
+            == _per_member_report(rs, w, ctxs, iw))
+
+
+def test_reports_compose_no_elements(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report composed two elements")
+
+    monkeypatch.setattr(GroupElement, "__mul__", refuse)
+    rng = random.Random(13)
+    for token, guard, source in (("A6", None, "exhaustive"), ("H3", None, "exhaustive"),
+                                 ("B7", 40000, "structured-coset")):
+        rs = system(token)
+        ctxs = _maximal_contexts(rs)
+        for _ in range(4):
+            w = element_from_word(rs, [rng.randrange(rs.rank) for _ in range(20)])
+            iw = involutions_inverting(rs, w, guard)
+            assert iw.source == source
+            report = excess_report(rs, w, ctxs, iw)
+            assert report.reflection_excess >= report.excess
