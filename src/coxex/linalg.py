@@ -7,34 +7,24 @@ inside the float branches, so it is loaded only for the H and I2 families.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 FLOAT_RANK_TOL = 1e-7
 FLOAT_FIX_TOL = 1e-6
 
 
-def _normalize_int_vector(vec: list[Fraction]) -> tuple[int, ...]:
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
-
-
 def exact_nullspace(rows) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : A x = 0} for an exact matrix, integer-scaled."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Basis of {x : A x = 0} for an integer matrix, integer-scaled.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968): a row is cleared by integer
+    combination with the pivot row, then divided by the gcd of its entries.
+    Every row stays a nonzero multiple of its reduced-echelon form, so the
+    pivots, and each basis vector up to scale, are those of exact rational
+    elimination; a vector is returned primitive with its first nonzero
+    entry positive.
+    """
+    a = [list(row) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivot_cols: list[int] = []
@@ -44,24 +34,30 @@ def exact_nullspace(rows) -> tuple[tuple[int, ...], ...]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        pr = a[r]
+        p = pr[c]
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f != 0:
+                row = [p * x - f * y for x, y in zip(a[i], pr)]
+                g = gcd(*row) or 1
+                a[i] = [x // g for x in row]
         pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    scale = lcm(*(a[i][pc] for i, pc in enumerate(pivot_cols)))
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
         for i, pc in enumerate(pivot_cols):
-            vec[pc] = -a[i][fc]
-        basis.append(_normalize_int_vector(vec))
+            vec[pc] = -a[i][fc] * scale // a[i][pc]
+        g = gcd(*vec)
+        sign = -1 if next(x for x in vec if x) < 0 else 1
+        basis.append(tuple(sign * x // g for x in vec))
     return tuple(basis)
 
 
@@ -82,16 +78,12 @@ def fixed_vector_basis(mat, exact: bool):
     return tuple(null)
 
 
-def apply_row(vec, mat):
-    """v @ M for an exact matrix."""
-    n = len(mat[0])
-    return tuple(sum(vec[r] * mat[r][c] for r in range(len(mat))) for c in range(n))
-
-
 def fixes_all(mat, basis, exact: bool) -> bool:
     """Whether v @ M = v for every basis vector v."""
     if exact:
-        return all(apply_row(v, mat) == tuple(v) for v in basis)
+        cols = tuple(zip(*mat))
+        return all(sum(map(mul, v, col)) == x
+                   for v in basis for col, x in zip(cols, v))
     if not basis:
         return True
     import numpy as np

@@ -11,20 +11,24 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
 from .elements import (GuardExceeded, _conjugation_orbits, bfs_tables,
                        bits_of_table, compose_tables, effective_guard,
-                       identity_table, invert_table)
+                       identity_table, invert_table, signed_lookup)
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
-from .linalg import fixed_vector_basis, fixes_all
+from .linalg import FLOAT_FIX_TOL, fixed_vector_basis, fixes_all
 from .parabolic import (all_generator_subsets, maximal_generator_subsets,
                         parabolic_context, split_context, split_values)
 from .rootsystem import RootSystem, build_root_system
 
 MAX_COUNTEREXAMPLES = 100
+# what a check without notes holds: shared, so read-only
+NO_NOTES = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ def make_config(descriptors, workers: int | None = None, **kw) -> SuiteConfig:
     return SuiteConfig(descriptors=tuple(groups), **kw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     element: str
     J: str
@@ -74,16 +78,16 @@ class Counterexample:
                 "observed": self.observed, "expected": self.expected}
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     theorem: str
     descriptor: str
     status: str  # "pass" | "fail" | "skip"
     passes: int = 0
     failures: int = 0  # every failed check, stored or not
-    counterexamples: list[Counterexample] = field(default_factory=list)
+    counterexamples: tuple[Counterexample, ...] = ()
     reason: str = ""
-    notes: dict = field(default_factory=dict)
+    notes: dict | MappingProxyType = field(default_factory=lambda: NO_NOTES)
 
     def to_dict(self):
         out = {"theorem": self.theorem, "descriptor": self.descriptor,
@@ -143,10 +147,12 @@ class _Tally:
     `describe` may be a lambda over the caller's loop variables.
     """
 
+    __slots__ = ("passes", "failures", "bad")
+
     def __init__(self):
         self.passes = 0
         self.failures = 0
-        self.bad: list[Counterexample] = []
+        self.bad: tuple[Counterexample, ...] = ()
 
     def check(self, ok: bool, describe):
         if ok:
@@ -155,9 +161,9 @@ class _Tally:
         self.failures += 1
         if self.failures <= MAX_COUNTEREXAMPLES:
             element, J, observed, expected = describe()
-            self.bad.append(Counterexample(element, J, str(observed), str(expected)))
+            self.bad += (Counterexample(element, J, str(observed), str(expected)),)
         elif self.failures == MAX_COUNTEREXAMPLES + 1:
-            self.bad.append(TRUNCATED)
+            self.bad += (TRUNCATED,)
 
 
 def _subsets_for(gd: GroupData, config: SuiteConfig):
@@ -378,15 +384,41 @@ def _run_excess_additivity(gd, config, notes):
     return t
 
 
+def _fixed_space_filter(gd):
+    """wi -> the x in I_w whose fixed space contains that of w.
+
+    H and I2 test every involution against w's float basis in one stacked
+    product, entry by entry as `fixes_all` does.
+    """
+    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
+    if gd.rs.exact:
+        def via_fix(wi):
+            basis = fixed_vector_basis(gd.element(wi).matrix(), True)
+            return {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, True)}
+        return via_fix
+    import numpy as np
+    slot = {xi: k for k, xi in enumerate(mats)}
+    rank = gd.rs.rank
+    # row i holds row i of every involution's matrix, side by side
+    side = np.array(list(mats.values()), dtype=float)
+    side = side.transpose(1, 0, 2).reshape(rank, -1)
+
+    def via_fix(wi):
+        basis = fixed_vector_basis(gd.element(wi).matrix(), False)
+        b = np.array(basis, dtype=float).reshape(len(basis), rank)
+        diff = (b @ side).reshape(len(basis), len(slot), rank) - b[:, None, :]
+        ok = (np.abs(diff) <= FLOAT_FIX_TOL).all(axis=(0, 2)).tolist()
+        return {x for x, _ in gd.pairs[wi] if ok[slot[x]]}
+    return via_fix
+
+
 def _run_jset_equivalence(gd, config, notes):
     """The oracle computes its own fixed spaces: J_w is the x in I_w whose
     fixed space contains that of w."""
-    exact = gd.rs.exact
-    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
+    via_fix_of = _fixed_space_filter(gd)
     t = _Tally()
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(gd.element(wi).matrix(), exact)
-        via_fix = {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, exact)}
+        via_fix = via_fix_of(wi)
         via_len = {x for x, _ in gd.jset_of(wi)}
         t.check(via_fix == via_len, lambda: (
             gd.display(wi), "-", f"|fixed-space filter|={len(via_fix)}",
@@ -407,23 +439,34 @@ def _run_structured_iw(gd, config, notes):
     return t
 
 
-def _run_reflection_length_oracle(gd, config, notes):
-    rs = gd.rs
-    tables = [rs.reflection_table(i) for i in range(rs.num_positive)]
-    dist = {identity_table(rs.num_positive): 0}
-    frontier = [identity_table(rs.num_positive)]
+def _reflection_distances(rs):
+    """Reflection length of every element, by BFS over products of
+    reflections, keyed by simple-root images: those of pt are p's read
+    through t's lookup."""
+    lookups = [signed_lookup(rs.reflection_table(i)) for i in range(rs.num_positive)]
+    start = tuple([i + 1 for i in rs.simple_indices])
+    dist = {start: 0}
+    frontier = [start]
     while frontier:
         nxt = []
-        for p in frontier:
-            for tb in tables:
-                q = compose_tables(p, tb)
+        for k in frontier:
+            d = dist[k] + 1
+            for ext in lookups:
+                q = tuple([ext[v] for v in k])
                 if q not in dist:
-                    dist[q] = dist[p] + 1
+                    dist[q] = d
                     nxt.append(q)
         frontier = nxt
+    return dist
+
+
+def _run_reflection_length_oracle(gd, config, notes):
+    simple = gd.rs.simple_indices
+    dist = _reflection_distances(gd.rs)
     t = _Tally()
     for wi in range(len(gd)):
-        bfs = dist[gd.perms[wi]]
+        p = gd.perms[wi]
+        bfs = dist[tuple([p[i] for i in simple])]
         carter = gd.reflection_length(wi)
         t.check(bfs == carter, lambda: (gd.display(wi), "-", f"carter={carter}",
                                         f"bfs={bfs}"))
@@ -463,14 +506,6 @@ def _lemma22_holds(g, h) -> bool:
                          bits_of_table(h), bits_of_table(compose_tables(g, h)))
 
 
-def _lemma22_holds_in(gd: GroupData, gi: int, h, bh: int) -> bool:
-    """_lemma22_holds(gd.perms[gi], h) on the bitsets and inverse that gd
-    holds for g; bh is the inversion bitset of h."""
-    gii = gd.inverse[gi]
-    return _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii], bh,
-                         bits_of_table(compose_tables(gd.perms[gi], h)))
-
-
 def _involution_reversal_holds(p) -> bool:
     bits = bits_of_table(p)
     image = 0
@@ -485,14 +520,40 @@ def _involution_reversal_holds(p) -> bool:
     return image == bits
 
 
+def _keyed_product(gd):
+    """(gi, hi) -> the index of gh, found by its simple-root images: g's
+    carried through h's lookup.  A carry or lookup is built on first use
+    only; both itemgetters give a bare int, not a 1-tuple, in rank 1."""
+    perms = gd.perms
+    simple = gd.rs.simple_indices
+    key = itemgetter(*simple)
+    at_key = {key(p): i for i, p in enumerate(perms)}
+    carries: list = [None] * len(perms)
+    lookups: list = [None] * len(perms)
+
+    def product(gi, hi):
+        if carries[gi] is None:
+            carries[gi] = itemgetter(*[perms[gi][i] for i in simple])
+        if lookups[hi] is None:
+            lookups[hi] = signed_lookup(perms[hi])
+        return at_key[carries[gi](lookups[hi])]
+    return product
+
+
 def _run_inversion_identity(gd, config, notes):
+    """_lemma22_holds on sampled pairs, with N(gh) the bits of gh's own
+    table."""
     rng = random.Random(f"{config.seed}:{gd.rs.name}")
+    perms, bits, inverse = gd.perms, gd.bits, gd.inverse
     n = len(gd)
+    product = _keyed_product(gd)
     t = _Tally()
     for _ in range(config.sample_pairs):
         gi = rng.randrange(n)
         hi = rng.randrange(n)
-        ok = _lemma22_holds_in(gd, gi, gd.perms[hi], gd.bits[hi])
+        gii = inverse[gi]
+        ok = _lemma22_core(perms[gii], bits[gi], bits[gii], bits[hi],
+                           bits[product(gi, hi)])
         t.check(ok, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
                              "set identity violated", "N(gh) decomposition"))
     for xi in gd.involutions:
@@ -658,7 +719,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             tally = thm.runner(gd, config, notes)
             status = "pass" if not tally.failures else "fail"
             checks.append(CheckResult(name, rs.name, status, tally.passes,
-                                      tally.failures, tally.bad, "", notes))
+                                      tally.failures, tally.bad, "",
+                                      notes or NO_NOTES))
     cfg_payload = {
         "descriptors": ["x".join(d.name for d in comps) for comps in config.descriptors],
         "theorems": list(selected),

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import data
 from coxex.elements import (apply_table, bits_of_table, compose_tables,
                             invert_table)
-from coxex.verify import (_involution_reversal_holds, _lemma22_core,
-                          _lemma22_holds, _lemma22_holds_in)
+from coxex.verify import (_involution_reversal_holds, _keyed_product,
+                          _lemma22_core, _lemma22_holds)
 
 
 def element_indices(token, count=2):
@@ -32,11 +32,18 @@ def test_inversion_identity_h3(idx):
 
 
 def test_lemma22_cached_inputs_match_tables_exhaustive():
-    for token in ["A3", "B3", "I2(5)", "H3", "A2xA1"]:
+    # the runner's inputs, gd's bitsets with gh found by key, against the
+    # table of gh composed in full
+    for token in ["A1", "A3", "B3", "I2(5)", "H3", "A2xA1"]:
         gd = data(token)
+        product = _keyed_product(gd)
         for gi, g in enumerate(gd.perms):
+            gii = gd.inverse[gi]
             for hi, h in enumerate(gd.perms):
-                assert _lemma22_holds_in(gd, gi, h, gd.bits[hi]) \
+                bgh = gd.bits[product(gi, hi)]
+                assert bgh == bits_of_table(compose_tables(g, h)), (token, gi, hi)
+                assert _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii],
+                                     gd.bits[hi], bgh) \
                     == _lemma22_holds(g, h), (token, gi, hi)
 
 
@@ -44,20 +51,18 @@ def test_lemma22_cached_inputs_match_tables_exhaustive():
 @given(element_indices("H3"), st.integers(min_value=0))
 def test_lemma22_cached_inputs_match_tables_perturbed(idx, pos):
     gd = data("H3")
-    gi, gii = idx[0], gd.inverse[idx[0]]
-    g = gd.perms[gi]
-    h = list(gd.perms[idx[1]])
+    gi, hi = idx
+    gii = gd.inverse[gi]
+    h = list(gd.perms[hi])
     h[pos % len(h)] *= -1  # h is no longer a group element
-    h = tuple(h)
-    holds = _lemma22_holds(g, h)
-    assert _lemma22_holds_in(gd, gi, h, bits_of_table(h)) == holds
     # negating an entry leaves a signed permutation of the roots, for which
-    # the identity is a statement about signs and still holds; a wrong N(gh)
-    # must make the core fail
-    assert holds
-    bgh = bits_of_table(compose_tables(g, h)) ^ (1 << pos % len(h))
-    assert not _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii],
-                             bits_of_table(h), bgh)
+    # the identity is a statement about signs and still holds
+    assert _lemma22_holds(gd.perms[gi], tuple(h))
+    # the keyed N(gh) passes the core, and a wrong N(gh) must make it fail
+    bgh = gd.bits[_keyed_product(gd)(gi, hi)]
+    inputs = (gd.perms[gii], gd.bits[gi], gd.bits[gii], gd.bits[hi])
+    assert _lemma22_core(*inputs, bgh)
+    assert not _lemma22_core(*inputs, bgh ^ (1 << pos % len(h)))
 
 
 @settings(max_examples=200)
