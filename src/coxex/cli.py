@@ -15,8 +15,7 @@ import sys
 from .descriptors import CoxeterDescriptor, parse_descriptor
 from .elements import GuardExceeded, effective_guard, element_from_word
 from .excess import CSV_HEADER, excess_report, involutions_inverting
-from .parabolic import (all_generator_subsets, maximal_generator_subsets,
-                        parabolic_context)
+from .parabolic import generator_subsets, parabolic_context
 from .repro import EXAMPLES, run_example
 from .rootsystem import build_root_system, save_root_system
 from .signedperm import parse as parse_cycles
@@ -133,13 +132,7 @@ def _cmd_excess(args) -> int:
     guard = _guard(args)
     contexts = []
     if args.parabolic is not None:
-        sel = _parse_parabolic(args.parabolic)
-        if sel == "all":
-            subsets = all_generator_subsets(rs)
-        elif sel == "maximal":
-            subsets = maximal_generator_subsets(rs)
-        else:
-            subsets = [sel]
+        subsets = generator_subsets(rs, _parse_parabolic(args.parabolic))
         try:
             contexts = [parabolic_context(rs, J) for J in subsets]
         except ValueError as exc:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import os
 
-from .linalg import FLOAT_FIX_TOL, fixed_vector_basis
-from .rootsystem import RootSystem
+from .rootsystem import FLOAT_TRACE_TOL, RootSystem
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV = "COXEX_GUARD"
@@ -40,7 +39,7 @@ def apply_table(table, signed_index: int) -> int:
 
 def compose_tables(p, q):
     """Table of "p then q" (the group product pq under right actions)."""
-    return tuple(q[v - 1] if v > 0 else -q[-v - 1] for v in p)
+    return tuple([q[v - 1] if v > 0 else -q[-v - 1] for v in p])
 
 
 def signed_lookup(p) -> tuple[int, ...]:
@@ -66,9 +65,8 @@ def identity_table(n: int):
 
 def is_involution_table(p) -> bool:
     """True for self-inverse tables, the identity included."""
-    for i, v in enumerate(p):
-        img = p[v - 1] if v > 0 else -p[-v - 1]
-        if img != i + 1:
+    for i, v in enumerate(p, start=1):
+        if (p[v - 1] if v > 0 else -p[-v - 1]) != i:
             return False
     return True
 
@@ -118,31 +116,6 @@ class GroupElement:
     def length(self) -> int:
         return bits_of_table(self.perm).bit_count()
 
-    def matrix(self):
-        """Action on the span of the simple roots, rows indexed by generators."""
-        rs = self.system
-        rows = []
-        for si in rs.simple_indices:
-            v = self.perm[si]
-            c = rs.coeffs[abs(v) - 1]
-            rows.append(c if v > 0 else tuple(-x for x in c))
-        return tuple(rows)
-
-    def fixed_space_basis(self):
-        return fixed_vector_basis(self.matrix(), self.system.exact)
-
-    def fixed_space_dim(self) -> int:
-        return len(self.fixed_space_basis())
-
-    def reflection_length(self) -> int:
-        """Essential rank minus fixed-space dimension."""
-        return self.system.rank - self.fixed_space_dim()
-
-    def is_cuspidal(self) -> bool:
-        if not self.system.is_irreducible:
-            raise ValueError("cuspidality is defined for irreducible systems only")
-        return self.fixed_space_dim() == 0
-
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
                 and self.system is other.system and self.perm == other.perm)
@@ -169,7 +142,7 @@ def involution_reflection_length(rs: RootSystem, table) -> int:
         tr += c if v > 0 else -c
     if not rs.exact:
         t = round(tr)
-        if abs(tr - t) > FLOAT_FIX_TOL:
+        if abs(tr - t) > FLOAT_TRACE_TOL:
             raise ValueError(f"trace {tr} of an involution is not an integer")
         tr = t
     if (rs.rank - tr) % 2:

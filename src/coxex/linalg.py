@@ -92,6 +92,17 @@ def fixes_all(mat, basis, exact: bool) -> bool:
     return all(abs(d) <= FLOAT_FIX_TOL for row in diff for d in row)
 
 
+def action_matrix(rs, perm):
+    """Action of a root-permutation table on the span of the simple roots:
+    row i is the image of simple root i in simple-root coefficients."""
+    rows = []
+    for si in rs.simple_indices:
+        v = perm[si]
+        c = rs.coeffs[abs(v) - 1]
+        rows.append(c if v > 0 else tuple(-x for x in c))
+    return tuple(rows)
+
+
 def restrict(mat, idxs):
     """Submatrix on the given row/column indices."""
     return tuple(tuple(mat[r][c] for c in idxs) for r in idxs)

@@ -64,6 +64,16 @@ def maximal_generator_subsets(rs: RootSystem) -> list[tuple[int, ...]]:
     return [tuple(j for j in range(rank) if j != omit) for omit in range(rank)]
 
 
+def generator_subsets(rs: RootSystem, selection) -> list[tuple[int, ...]]:
+    """The subsets J a parabolic selection names: "all", "maximal", or one
+    subset of 0-based generators."""
+    if selection == "all":
+        return all_generator_subsets(rs)
+    if selection == "maximal":
+        return maximal_generator_subsets(rs)
+    return [tuple(sorted(selection))]
+
+
 def split_values(rs: RootSystem) -> list[int]:
     """The m for which Sym(1..m) x W(m+1..n) is a maximal standard parabolic."""
     fam = rs.family

@@ -3,13 +3,15 @@
 Crystallographic families (A, B, D, F4, E6-E8) are realized exactly in the
 standard models, whose coordinates all lie in (1/2)Z; the roots of A_n live
 in n+1 dimensions (e_i - e_j), those of B_n/D_n in n dimensions.  The closure,
-the generator tables, the bilinear-form check and `reflection_table` run on
-doubled integer coordinates 2v, with Cartan integers from exact integer
-division.  `positive_roots` still holds the coordinates as `Fraction`s,
-converted once when the system is built.  The dihedral and H families are
-realized over floats in the basis of simple roots, with the bilinear form
--cos(pi/m_rs); floats are only touched while the tables are built.
-Everything downstream works on integer root indices.
+the bilinear-form check and `reflection_table` run on doubled integer
+coordinates 2v, with Cartan integers from exact integer division.
+`positive_roots` still holds the coordinates as `Fraction`s, converted once
+when the system is built.  The dihedral and H families are realized over
+floats in the basis of simple roots, with the bilinear form -cos(pi/m_rs);
+floats are touched while reflection tables are built, when an involution's
+trace is rounded (FLOAT_TRACE_TOL) and when `coeff_support` reads a root's
+support.  In every family generator r's table is `reflection_table` of
+simple root r.  Everything downstream works on integer root indices.
 
 A group element is stored as a signed permutation of positive-root indices:
 ``perm[i] == +-(j+1)`` means the i-th positive root maps to +-(the j-th).
@@ -24,6 +26,8 @@ from fractions import Fraction
 from .descriptors import CoxeterDescriptor, from_spec
 
 FLOAT_KEY_DIGITS = 9
+# how far an H or I2 involution's float trace may sit from an integer
+FLOAT_TRACE_TOL = 1e-6
 SCHEMA = "coxex.rootsystem/1"
 # exact systems store 2v: every coordinate of a standard model is in (1/2)Z
 _SCALE = 2
@@ -72,10 +76,13 @@ class RootSystem:
     """Indexed positive roots plus per-generator root permutation tables.
 
     `roots` are given as index keys: doubled integer coordinates when
-    `exact`, float coordinates in the simple-root basis otherwise.
+    `exact`, float coordinates in the simple-root basis otherwise.  The
+    table of generator r is `reflection_table` of simple root r; the tables
+    are checked to be involutions negating their simple roots that satisfy
+    the Coxeter relations.
     """
 
-    def __init__(self, components, roots, coeffs, simple_indices, gen_tables, exact):
+    def __init__(self, components, roots, coeffs, simple_indices, exact):
         self.components = tuple(components)
         # built once: every report and check of this system shares the string
         self.name = "x".join(d.name for d in self.components)
@@ -95,7 +102,6 @@ class RootSystem:
         self.key_index.update((k, -(i + 1)) for i, k in enumerate(negatives))
         self.coeffs = tuple(tuple(c) for c in coeffs)
         self.simple_indices = tuple(simple_indices)
-        self.gen_tables = tuple(tuple(t) for t in gen_tables)
         if exact:
             simple = [self.keys[i] for i in self.simple_indices]
             self.bilinear_form = tuple(
@@ -108,6 +114,8 @@ class RootSystem:
         self._bfs = None  # never set; perfbench/tracer.py reads it
         self._involutions = None  # filled by elements.involution_tables
         self._point_tables = None  # filled by signedperm.point_tables
+        self.gen_tables = tuple(self.reflection_table(i) for i in self.simple_indices)
+        _check_tables(self)
 
     @property
     def is_irreducible(self) -> bool:
@@ -427,30 +435,8 @@ def build_root_system(descriptor) -> RootSystem:
     positives.sort(key=lambda vc: _key(vc[0], exact))
     pos_vecs = [v for v, _ in positives]
     pos_coeffs = [c for _, c in positives]
-    # key of +-(positive root i) -> +-(i+1)
-    index = {}
-    for i, v in enumerate(pos_vecs):
-        index[_key(v, exact)] = i + 1
-        index[_key(tuple(-x for x in v), exact)] = -(i + 1)
-
-    tables = []
-    for r in range(rank):
-        table = []
-        negated = 0
-        for v, c in positives:
-            nv, _ = reflect(v, c, r)
-            s = index[_key(nv, exact)]
-            if s < 0:
-                negated += 1
-            table.append(s)
-        if negated != 1:
-            raise RuntimeError(f"generator {r} negates {negated} positive roots")
-        tables.append(tuple(table))
-
-    simple_indices = [index[_key(tuple(v), exact)] - 1 for v in simple]
-    for r, si in enumerate(simple_indices):
-        if tables[r][si] != -(si + 1):
-            raise RuntimeError("generator does not negate its own simple root")
+    # the closure stores each simple root as given, so it is found by equality
+    simple_indices = [pos_vecs.index(tuple(v)) for v in simple]
 
     bilinear = tuple(tuple(dot(a, b) for b in simple) for a in simple)
     # the action must respect the form: check every generator on simple pairs
@@ -464,7 +450,7 @@ def build_root_system(descriptor) -> RootSystem:
                 if not ok:
                     raise RuntimeError("generator action does not respect the bilinear form")
 
-    return RootSystem(components, pos_vecs, pos_coeffs, simple_indices, tables, exact)
+    return RootSystem(components, pos_vecs, pos_coeffs, simple_indices, exact)
 
 
 def save_root_system(rs: RootSystem, path) -> None:
@@ -517,9 +503,20 @@ def root_system_from_json(doc: dict) -> RootSystem:
     for r, t in enumerate(tables):
         if sorted(abs(v) for v in t) != list(range(1, n + 1)):
             raise ValueError(f"generator table {r} is not a signed permutation of the roots")
-    rs = RootSystem(components, roots, coeffs, simple_indices, tables, exact)
-    if len(rs.key_index) != 2 * n:
+    keys = {_key(v, exact) for v in roots}
+    keys.update(_key(tuple(-x for x in v), exact) for v in roots)
+    if len(keys) != 2 * n:
         raise ValueError("roots repeat up to sign")
+    for r, (t, si) in enumerate(zip(tables, simple_indices)):
+        _check_generator(r, t, si)
+    try:
+        rs = RootSystem(components, roots, coeffs, simple_indices, exact)
+    except (KeyError, RuntimeError) as exc:
+        raise ValueError(f"the simple roots do not reflect the roots onto roots: {exc}") from None
+    for r, (t, derived) in enumerate(zip(tables, rs.gen_tables)):
+        if t != derived:
+            raise ValueError(f"generator table {r} differs from the reflection "
+                             "in its simple root")
     if exact:
         simple = [rs.keys[i] for i in rs.simple_indices]
         for i, (key, c) in enumerate(zip(rs.keys, rs.coeffs)):
@@ -527,33 +524,30 @@ def root_system_from_json(doc: dict) -> RootSystem:
                     sum(cj * s[a] for cj, s in zip(c, simple)) for a in range(len(key))):
                 raise ValueError(f"coefficients {list(c)} do not express root {i} "
                                  "in the simple roots")
-    _check_tables(rs)
     return rs
 
 
-def _check_tables(rs: RootSystem) -> None:
-    """Each generator table must be an involution negating exactly its own
-    simple root, equal (when exact) to the reflection recomputed from the
-    roots, and the tables must satisfy the Coxeter relations."""
+def _check_generator(r: int, table, si: int) -> None:
+    """Generator table r must be an involution negating exactly its simple
+    root, positive root si."""
     # imported here because elements imports this module
-    from .elements import compose_tables, identity_table, is_involution_table
+    from .elements import is_involution_table
+
+    if not is_involution_table(table):
+        raise ValueError(f"generator table {r} is not an involution")
+    negated = [i for i, v in enumerate(table) if v < 0]
+    if negated != [si]:
+        raise ValueError(f"generator table {r} negates roots {negated}, "
+                         f"not exactly its simple root {si}")
+
+
+def _check_tables(rs: RootSystem) -> None:
+    """Each generator table must pass `_check_generator`, and the tables
+    must satisfy the Coxeter relations."""
+    from .elements import compose_tables, identity_table
 
     for r, (t, si) in enumerate(zip(rs.gen_tables, rs.simple_indices)):
-        if not is_involution_table(t):
-            raise ValueError(f"generator table {r} is not an involution")
-        negated = [i for i, v in enumerate(t) if v < 0]
-        if negated != [si]:
-            raise ValueError(f"generator table {r} negates roots {negated}, "
-                             f"not exactly its simple root {si}")
-        if rs.exact:
-            try:
-                recomputed = rs.reflection_table(si)
-            except (KeyError, RuntimeError) as exc:
-                raise ValueError(f"simple root {si} does not reflect the roots "
-                                 f"onto roots: {exc}") from None
-            if recomputed != t:
-                raise ValueError(f"generator table {r} differs from the reflection "
-                                 "in its simple root")
+        _check_generator(r, t, si)
     ident = identity_table(rs.num_positive)
     m = _coxeter_matrix(rs.components)
     for i in range(rs.rank):

@@ -16,7 +16,9 @@ signed pair.  Both conversions cost one lookup per root.
 Only the public constructor checks that its images form a signed
 permutation; it takes parsed and user input.  Products, inverses and the
 centralizer and coset closures are signed permutations by construction and
-skip that check.
+skip that check.  The images are a signed table like a root permutation's,
+so products, inverses and the involution test are the table functions of
+`elements`.
 
 >>> sp = parse("(+2 +3 +5)", 5)
 >>> format_cycles(sp)
@@ -30,7 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .elements import GroupElement, GuardExceeded, signed_lookup
+from .elements import (GroupElement, GuardExceeded, compose_tables, identity_table,
+                       invert_table, is_involution_table, signed_lookup)
 from .rootsystem import RootSystem
 
 
@@ -101,23 +104,15 @@ class SignedPermutation:
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls._trusted(identity_table(n))
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        oi = other.images
-        if len(self.images) != len(oi):
+        if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        return SignedPermutation._trusted(
-            tuple([oi[v - 1] if v > 0 else -oi[-v - 1] for v in self.images]))
+        return SignedPermutation._trusted(compose_tables(self.images, other.images))
 
     def inverse(self) -> "SignedPermutation":
-        out = [0] * self.degree
-        for i, v in enumerate(self.images):
-            if v > 0:
-                out[v - 1] = i + 1
-            else:
-                out[-v - 1] = -(i + 1)
-        return SignedPermutation._trusted(tuple(out))
+        return SignedPermutation._trusted(invert_table(self.images))
 
     def conjugated_by(self, x: "SignedPermutation") -> "SignedPermutation":
         return x.inverse() * self * x
@@ -126,12 +121,8 @@ class SignedPermutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
     def is_involution(self) -> bool:
-        """x^2 == 1, which admits the identity; read from the images in place."""
-        im = self.images
-        for i, v in enumerate(im, start=1):
-            if (im[v - 1] if v > 0 else -im[-v - 1]) != i:
-                return False
-        return True
+        """x^2 == 1, which admits the identity."""
+        return is_involution_table(self.images)
 
     def is_positive(self) -> bool:
         """Even number of sign changes; the sign-type product rule."""
@@ -390,7 +381,7 @@ def centralizer_elements(sp: SignedPermutation, ambient: str = "B",
                          guard: int = 10 ** 6) -> list[SignedPermutation]:
     """Full centralizer by closure of the generating set, guarded."""
     gens = [signed_lookup(g.images) for g in centralizer_generators(sp, ambient)]
-    ident = tuple(range(1, sp.degree + 1))
+    ident = identity_table(sp.degree)
     seen = {ident}
     frontier = [ident]
     while frontier:

@@ -21,8 +21,8 @@ from .elements import (GuardExceeded, _conjugation_orbits, bfs_tables,
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
-from .linalg import FLOAT_FIX_TOL, fixed_vector_basis, fixes_all
-from .parabolic import (all_generator_subsets, maximal_generator_subsets,
+from .linalg import FLOAT_FIX_TOL, action_matrix, fixed_vector_basis, fixes_all
+from .parabolic import (generator_subsets, maximal_generator_subsets,
                         parabolic_context, split_context, split_values)
 from .rootsystem import RootSystem, build_root_system
 
@@ -166,14 +166,6 @@ class _Tally:
             self.bad += (TRUNCATED,)
 
 
-def _subsets_for(gd: GroupData, config: SuiteConfig):
-    if config.parabolic == "all":
-        return all_generator_subsets(gd.rs)
-    if config.parabolic == "maximal":
-        return maximal_generator_subsets(gd.rs)
-    return [tuple(sorted(config.parabolic))]
-
-
 def _members(gd: GroupData, mask: int):
     return [i for i, b in enumerate(gd.bits) if b & ~mask == 0]
 
@@ -182,7 +174,7 @@ def _members(gd: GroupData, mask: int):
 
 def _run_parabolic_reflection_excess(gd, config, notes):
     t = _Tally()
-    for J in _subsets_for(gd, config):
+    for J in generator_subsets(gd.rs, config.parabolic):
         ctx = parabolic_context(gd.rs, J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
         for wi in _members(gd, ctx.mask):
@@ -194,7 +186,7 @@ def _run_parabolic_reflection_excess(gd, config, notes):
 
 def _run_parabolic_excess_direct(gd, config, notes):
     t = _Tally()
-    for J in _subsets_for(gd, config):
+    for J in generator_subsets(gd.rs, config.parabolic):
         ctx = parabolic_context(gd.rs, J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
         for wi in _members(gd, ctx.mask):
@@ -390,21 +382,22 @@ def _fixed_space_filter(gd):
     H and I2 test every involution against w's float basis in one stacked
     product, entry by entry as `fixes_all` does.
     """
-    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
-    if gd.rs.exact:
+    rs, perms = gd.rs, gd.perms
+    mats = {xi: action_matrix(rs, perms[xi]) for xi in gd.involutions}
+    if rs.exact:
         def via_fix(wi):
-            basis = fixed_vector_basis(gd.element(wi).matrix(), True)
+            basis = fixed_vector_basis(action_matrix(rs, perms[wi]), True)
             return {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, True)}
         return via_fix
     import numpy as np
     slot = {xi: k for k, xi in enumerate(mats)}
-    rank = gd.rs.rank
+    rank = rs.rank
     # row i holds row i of every involution's matrix, side by side
     side = np.array(list(mats.values()), dtype=float)
     side = side.transpose(1, 0, 2).reshape(rank, -1)
 
     def via_fix(wi):
-        basis = fixed_vector_basis(gd.element(wi).matrix(), False)
+        basis = fixed_vector_basis(action_matrix(rs, perms[wi]), False)
         b = np.array(basis, dtype=float).reshape(len(basis), rank)
         diff = (b @ side).reshape(len(basis), len(slot), rank) - b[:, None, :]
         ok = (np.abs(diff) <= FLOAT_FIX_TOL).all(axis=(0, 2)).tolist()
@@ -548,14 +541,18 @@ def _run_inversion_identity(gd, config, notes):
     n = len(gd)
     product = _keyed_product(gd)
     t = _Tally()
+
+    def describe():
+        # one closure for every sample: it reads the loop's current gi and hi
+        return (f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                "set identity violated", "N(gh) decomposition")
     for _ in range(config.sample_pairs):
         gi = rng.randrange(n)
         hi = rng.randrange(n)
         gii = inverse[gi]
         ok = _lemma22_core(perms[gii], bits[gi], bits[gii], bits[hi],
                            bits[product(gi, hi)])
-        t.check(ok, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
-                             "set identity violated", "N(gh) decomposition"))
+        t.check(ok, describe)
     for xi in gd.involutions:
         t.check(_involution_reversal_holds(gd.perms[xi]), lambda: (
             gd.display(xi), "-", "N(x) != -N(x)x", "N(x) = -N(x)x"))
@@ -586,7 +583,7 @@ def _run_length_reduced_word(gd, config, notes):
 
 def _run_parabolic_length(gd, config, notes):
     t = _Tally()
-    for J in _subsets_for(gd, config):
+    for J in generator_subsets(gd.rs, config.parabolic):
         if not J:
             continue
         ctx = parabolic_context(gd.rs, J)

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 from coxex import GroupData, build_root_system, parse_descriptor
 from coxex.descriptors import CoxeterDescriptor
+from coxex.linalg import action_matrix, fixed_vector_basis
 
 
 @lru_cache(maxsize=None)
@@ -20,3 +21,14 @@ def data(token: str) -> GroupData:
 
 def descriptor(token: str) -> CoxeterDescriptor:
     return parse_descriptor(token)
+
+
+def fixed_basis(w):
+    """Basis of the fixed space of a group element w, from its action matrix:
+    the reference that reflection lengths and J-sets are checked against."""
+    rs = w.system
+    return fixed_vector_basis(action_matrix(rs, w.perm), rs.exact)
+
+
+def fixed_dim(w) -> int:
+    return len(fixed_basis(w))

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from conftest import system
+from conftest import data, fixed_basis, fixed_dim, system
 from coxex import (GuardExceeded, build_root_system, group_elements,
                    identity_element, inversion_set_of_set, inverting_involutions,
                    parse_descriptor, reduced_words)
@@ -10,6 +10,7 @@ from coxex.elements import (GroupElement, bfs_tables, compose_tables,
                             element_from_word, enumerate_group, generator,
                             involution_reflection_length, involution_tables,
                             is_involution_table, reduced_word, reflection)
+from coxex.linalg import action_matrix
 from coxex.signedperm import parse, to_root_perm
 
 
@@ -161,15 +162,15 @@ def test_guard_env_override_of_involution_tables(monkeypatch):
 
 def test_fixed_space_dims():
     rs = system("A4")
-    assert identity_element(rs).fixed_space_dim() == 4
+    assert fixed_dim(identity_element(rs)) == 4
     for i in range(rs.num_positive):
-        assert reflection(rs, i).fixed_space_dim() == 3
+        assert fixed_dim(reflection(rs, i)) == 3
     w = to_root_perm(parse("(+2 +3 +5)", 5), rs)
     # the essential fixed space of a 3-cycle in Sym(5) is 2-dimensional
-    assert w.fixed_space_dim() == 2
-    basis = w.fixed_space_basis()
-    for v in basis:
-        img = [sum(v[r] * w.matrix()[r][c] for r in range(4)) for c in range(4)]
+    assert fixed_dim(w) == 2
+    mat = action_matrix(rs, w.perm)
+    for v in fixed_basis(w):
+        img = [sum(v[r] * mat[r][c] for r in range(4)) for c in range(4)]
         assert tuple(img) == tuple(v)
 
 
@@ -191,33 +192,33 @@ def test_reflection_length_against_bfs_oracle():
                         nxt.append(q)
             frontier = nxt
         for w in group_elements(rs):
-            assert w.reflection_length() == dist[w.perm]
+            assert rs.rank - fixed_dim(w) == dist[w.perm]
 
 
 def test_reflection_length_examples():
-    rs = system("A4")
-    assert identity_element(rs).reflection_length() == 0
-    assert reflection(rs, 0).reflection_length() == 1
+    # from traces (Carter 1972) and from the fixed space
+    gd = data("A4")
+    rs = gd.rs
     w = to_root_perm(parse("(+2 +3 +5)", 5), rs)
-    assert w.reflection_length() == 2
+    for p, want in ((gd.perms[0], 0), (rs.reflection_table(0), 1), (w.perm, 2)):
+        assert gd.reflection_length(gd.index[p]) == want
+        assert rs.rank - fixed_dim(GroupElement(rs, p)) == want
 
 
 def test_cuspidal():
+    # cuspidal: no nonzero fixed vector, as for a Coxeter element
     rs = system("B3")
-    assert not identity_element(rs).is_cuspidal()
-    assert not reflection(rs, 0).is_cuspidal()
-    cox = element_from_word(rs, [0, 1, 2])
-    assert cox.is_cuspidal()
-    prod = system("A2xA1")
-    with pytest.raises(ValueError):
-        identity_element(prod).is_cuspidal()
+    assert fixed_dim(identity_element(rs)) == 3
+    assert fixed_dim(reflection(rs, 0)) == 2
+    assert fixed_dim(element_from_word(rs, [0, 1, 2])) == 0
 
 
 def test_fixed_space_plus_reflection_length_is_rank():
+    # the reflection length from traces (Carter 1972) against Fix(w)
     for token in ["A3", "B3", "D4", "H3", "I2(6)"]:
-        rs = system(token)
-        for w in group_elements(rs):
-            assert w.fixed_space_dim() + w.reflection_length() == rs.rank
+        gd = data(token)
+        for wi in range(len(gd)):
+            assert fixed_dim(gd.element(wi)) + gd.reflection_length(wi) == gd.rs.rank
 
 
 @pytest.mark.parametrize("token", ["A5", "B5", "D5", "F4", "E6", "H3", "H4", "I2(5)",
@@ -226,7 +227,7 @@ def test_involution_reflection_length_is_rank_minus_fixed_dimension(token):
     rs = system(token)
     for p in involution_tables(rs)[0]:
         assert (involution_reflection_length(rs, p)
-                == rs.rank - GroupElement(rs, p).fixed_space_dim())
+                == rs.rank - fixed_dim(GroupElement(rs, p)))
 
 
 def test_involution_reflection_length_rejects_odd_parity():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import data, system
+from conftest import data, fixed_basis, fixed_dim, system
 import coxex
 from coxex import (DnCondition, GroupData, GuardExceeded, build_root_system,
                    centralizer_elements, constructive_inverter,
@@ -25,7 +25,8 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             compose_tables, element_from_word, invert_table,
                             involution_reflection_length, is_involution_table,
                             reduced_word, reflection, word_text)
-from coxex.linalg import FLOAT_FIX_TOL, fixed_vector_basis, fixes_all, restrict
+from coxex.linalg import (FLOAT_FIX_TOL, action_matrix, fixed_vector_basis, fixes_all,
+                          restrict)
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
 
@@ -152,8 +153,10 @@ def test_exhaustive_iw_does_not_enumerate_the_group(monkeypatch):
 
 def _fixed_space_jset(w, iw):
     """Reference J_w: the members whose fixed space contains that of w."""
-    basis = w.fixed_space_basis()
-    return tuple(x for x in iw.elements if fixes_all(x.matrix(), basis, w.system.exact))
+    rs = w.system
+    basis = fixed_basis(w)
+    return tuple(x for x in iw.elements
+                 if fixes_all(action_matrix(rs, x.perm), basis, rs.exact))
 
 
 @pytest.mark.parametrize("token", JSET_GROUPS)
@@ -180,9 +183,9 @@ def test_group_data_reflection_data_matches_fixed_spaces(token):
     rs = gd.rs
     for wi in range(len(gd)):
         w = gd.element(wi)
-        basis = w.fixed_space_basis()
+        basis = fixed_basis(w)
         via_fix = [(x, y) for x, y in gd.pairs[wi]
-                   if fixes_all(gd.element(x).matrix(), basis, rs.exact)]
+                   if fixes_all(action_matrix(rs, gd.perms[x]), basis, rs.exact)]
         assert gd.reflection_length(wi) == rs.rank - len(basis)
         assert gd.jset_of(wi) == via_fix
         assert gd.refl_excess_of(wi) == min(gd.defect(x, y) for x, y in via_fix)
@@ -209,9 +212,9 @@ def test_j_set_reflection_length_equivalence():
         for w in group_elements(rs):
             iw = inverting_involutions(rs, w)
             jw = set(j_set(w, iw).elements)
+            # l_R(v) = rank - dim Fix(v)
             via_length = {x for x in iw.elements
-                          if w.reflection_length()
-                          == x.reflection_length() + (x * w).reflection_length()}
+                          if fixed_dim(x) + fixed_dim(x * w) == rs.rank + fixed_dim(w)}
             assert jw == via_length
 
 
@@ -323,15 +326,15 @@ def test_float_fixes_all_matches_vector_loop(token):
     rs = system(token)
     elems = group_elements(rs)
     for w in elems[::7]:
-        basis = w.fixed_space_basis()
+        basis = fixed_basis(w)
         for x in elems:
-            mat = x.matrix()
+            mat = action_matrix(rs, x.perm)
             by_vector = all(
                 max(abs(sum(v[r] * mat[r][c] for r in range(len(mat))) - v[c])
                     for c in range(len(v))) <= FLOAT_FIX_TOL
                 for v in basis)
             assert fixes_all(mat, basis, False) == by_vector
-        assert fixes_all(w.matrix(), (), False)
+        assert fixes_all(action_matrix(rs, w.perm), (), False)
 
 
 def test_involutions_inverting_picks_a_path():
@@ -452,9 +455,11 @@ def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
         for wi in range(len(gd)):
             if gd.bits[wi] & ~mask:
                 continue
-            basis = fixed_vector_basis(restrict(gd.element(wi).matrix(), J), rs.exact) if J else ()
+            block = restrict(action_matrix(rs, gd.perms[wi]), J)
+            basis = fixed_vector_basis(block, rs.exact) if J else ()
             inside = {x for x, _ in gd.pairs[wi] if gd.bits[x] & ~mask == 0
-                      and fixes_all(restrict(gd.element(x).matrix(), J), basis, rs.exact)}
+                      and fixes_all(restrict(action_matrix(rs, gd.perms[x]), J), basis,
+                                    rs.exact)}
             assert inside == {x for x, _ in gd.jset_of(wi) if gd.bits[x] & ~mask == 0}
             assert len(J) - len(basis) == gd.reflection_length(wi)
 
@@ -524,7 +529,7 @@ def test_excess_report_d12():
     assert report.excess == 46
     assert report.parabolic[0][1] == 60
     assert report.parabolic[0][2] == parabolic_reflection_excess(w, ctx, iw)
-    assert report.reflection_length == w.reflection_length()
+    assert report.reflection_length == rs.rank - fixed_dim(w)
     doc = report.to_json_dict()
     assert doc["parabolic"][0]["e_J"] == 60
     assert doc["element"].startswith("(+2 +4")
@@ -535,8 +540,8 @@ def test_excess_report_d12():
 def _fixed_space_report(rs, w, parabolics, iw):
     """Reference report of a B/D element: J_w from fixed spaces, and every
     statistic by its own compositions."""
-    basis = w.fixed_space_basis()
-    jw = [x for x in iw.elements if fixes_all(x.matrix(), basis, rs.exact)]
+    basis = fixed_basis(w)
+    jw = [x for x in iw.elements if fixes_all(action_matrix(rs, x.perm), basis, rs.exact)]
 
     def least(xs):
         return min(2 * (x.inversions() & (x * w).inversions()).bit_count() for x in xs)

@@ -1,7 +1,8 @@
 """Differential tests of the oracle computations against the paths they
 replaced: rational elimination for fixed spaces, row-by-row products for
-`fixes_all`, per-pair float tests for the stacked filter, and full tables
-for the reflection BFS.  Each replaced path lives here as the reference."""
+`fixes_all`, per-pair float tests for the stacked filter, full tables for
+the reflection BFS, and the signed-permutation loops that the table algebra
+replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
 import json
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import data, descriptor, system
-from coxex import make_config, run_suite
+from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
 from coxex.elements import (compose_tables, element_from_word, identity_table,
                             invert_table)
-from coxex.linalg import exact_nullspace, fixed_vector_basis, fixes_all
+from coxex.linalg import action_matrix, exact_nullspace, fixed_vector_basis, fixes_all
 from coxex.verify import _fixed_space_filter, _reflection_distances
 
 
@@ -74,7 +75,7 @@ def _apply_row(vec, mat):
 def test_integer_nullspace_matches_fraction_elimination(token):
     gd = data(token)
     for wi in range(len(gd)):
-        mat = gd.element(wi).matrix()
+        mat = action_matrix(gd.rs, gd.perms[wi])
         rows = _fixed_space_rows(mat)
         assert exact_nullspace(rows) == _fraction_nullspace(rows), (token, wi)
         assert fixed_vector_basis(mat, True) == _fraction_nullspace(rows)
@@ -83,7 +84,8 @@ def test_integer_nullspace_matches_fraction_elimination(token):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=36))
 def test_integer_nullspace_matches_fraction_elimination_e6(word):
-    mat = element_from_word(system("E6"), word).matrix()
+    rs = system("E6")
+    mat = action_matrix(rs, element_from_word(rs, word).perm)
     rows = _fixed_space_rows(mat)
     assert exact_nullspace(rows) == _fraction_nullspace(rows)
 
@@ -91,10 +93,10 @@ def test_integer_nullspace_matches_fraction_elimination_e6(word):
 @pytest.mark.parametrize("token", ["A4", "B4", "D5", "F4"])
 def test_exact_fixes_all_matches_row_products(token):
     gd = data(token)
-    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
+    mats = {xi: action_matrix(gd.rs, gd.perms[xi]) for xi in gd.involutions}
     seen = set()
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(gd.element(wi).matrix(), True)
+        basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]), True)
         for x, _ in gd.pairs[wi]:
             want = all(_apply_row(v, mats[x]) == v for v in basis)
             assert fixes_all(mats[x], basis, True) == want, (token, wi, x)
@@ -106,9 +108,9 @@ def test_exact_fixes_all_matches_row_products(token):
 def test_stacked_float_filter_matches_fixes_all(token):
     gd = data(token)
     via_fix = _fixed_space_filter(gd)
-    mats = {xi: gd.element(xi).matrix() for xi in gd.involutions}
+    mats = {xi: action_matrix(gd.rs, gd.perms[xi]) for xi in gd.involutions}
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(gd.element(wi).matrix(), False)
+        basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]), False)
         per_pair = {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, False)}
         assert via_fix(wi) == per_pair, (token, wi)
 
@@ -151,3 +153,48 @@ def test_rank_one_suite_payload_is_pinned():
     assert (hashlib.sha256(payload.encode()).hexdigest()
             == "b16c85b5619fc902f005bef4b829a2eb1123bc9451b81b0598eed7abbcd85392")
     assert res.failures_total == 0
+
+
+def _loop_product(a, b):
+    return tuple(b[v - 1] if v > 0 else -b[-v - 1] for v in a)
+
+
+def _loop_inverse(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        if v > 0:
+            out[v - 1] = i + 1
+        else:
+            out[-v - 1] = -(i + 1)
+    return tuple(out)
+
+
+def _loop_is_involution(a):
+    return all((a[v - 1] if v > 0 else -a[-v - 1]) == i
+               for i, v in enumerate(a, start=1))
+
+
+@st.composite
+def _signed_pair(draw):
+    """Two signed permutations of one degree 1..9, in W(B_n) or W(D_n)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    in_d = draw(st.booleans())
+
+    def one():
+        perm = draw(st.permutations(range(1, n + 1)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        if in_d and signs.count(-1) % 2:
+            signs[-1] = -signs[-1]
+        return SignedPermutation(s * p for s, p in zip(signs, perm))
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_pair())
+def test_signed_permutation_algebra_matches_loops(pair):
+    a, b = pair
+    assert (a * b).images == _loop_product(a.images, b.images)
+    assert a.inverse().images == _loop_inverse(a.images)
+    assert SignedPermutation.identity(a.degree).images == tuple(range(1, a.degree + 1))
+    for x in (a, a * a, constructive_inverter(a), a * b * a.inverse()):
+        assert x.is_involution() == _loop_is_involution(x.images)

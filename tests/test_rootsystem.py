@@ -9,9 +9,11 @@ from conftest import system
 from coxex import build_root_system, load_root_system, parse_descriptor, save_root_system
 from coxex.rootsystem import root_label, root_system_from_json
 
-# sha256 of json.dumps(rs.to_json_dict(), sort_keys=True), recorded with the
-# closure that computed in Fraction coordinates; the integer closure must
-# reproduce every system exactly
+# sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The exact systems
+# were recorded with the closure that computed in Fraction coordinates, and
+# the integer closure must reproduce them exactly; H3, H4 and I2(5)-I2(8)
+# were recorded while the closure still built the generator tables itself,
+# before they became `reflection_table` of the simple roots
 CLOSURE_DIGESTS = {
     "A1": "c8e404e100bcef374597537c39c4c4dcf7815e72a9ec334f9ec5f5ceb1144480",
     "A2": "b5aa1f0fabc2a9d911bc23efb5dccf5a55c9c333e3185ff1619a4de086f3fb2b",
@@ -41,6 +43,12 @@ CLOSURE_DIGESTS = {
     "A2xA1": "51cf10975a297e241298967324cab896d4d247fba7f2a69d8f7c2b50404684c6",
     "A1xA1xA1": "32386f10d22985edd5f51739b10041a564bb89c14f10e255c85244bcfaf02d03",
     "B3xA2": "cd6e63e43e1e525693287eb786d8fbec52a1873694b3177736261ee1959a0483",
+    "H3": "74dbe2870daeb27120ea6294d608180418f8091687cf3486afa260b0e3afaef1",
+    "H4": "43a9bc1eab10dd5317a6a30ec4ed11dfcfcf6e624ac2549c75f0becb84e4d1bd",
+    "I2(5)": "c006bf58253d14e77244ee39b605b7c6656b3f2e18ca2538591abd836b6811c0",
+    "I2(6)": "583724df92b9fbe8fa4629221f34b3e5cd293e7ef4271e2abe1882b41445e1d5",
+    "I2(7)": "185dfbac2bc96c27268bbb8f2023c56cee668c8a0bd464158a6f12ffb9798406",
+    "I2(8)": "64d00b82324fc8d0525872a71d8c3e98d663c35a09c5c49076d69a72bb3f2d96",
 }
 
 
@@ -173,7 +181,8 @@ def test_closure_reproduces_fraction_digests(token):
     rs = system(token)
     text = json.dumps(rs.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_DIGESTS[token]
-    assert all(type(x) is Fraction for v in rs.positive_roots for x in v)
+    # Fraction coordinates exactly for the exact systems
+    assert all(type(x) is Fraction for v in rs.positive_roots for x in v) == rs.exact
 
 
 def _saved(token, tmp_path):
@@ -262,10 +271,19 @@ def test_load_refuses_malformed_structure(tmp_path):
             "repeat up to sign")
 
 
+@pytest.mark.parametrize("token", ["H3", "I2(7)"])
+def test_load_refuses_float_table_that_is_not_the_reflection(token, tmp_path):
+    # float files are recomputed from their roots too
+    doc = _saved(token, tmp_path)
+    _tamper_not_the_reflection(doc)
+    with pytest.raises(ValueError, match="differs from the reflection"):
+        root_system_from_json(doc)
+
+
 def test_load_refuses_broken_relation_in_float_file(tmp_path):
-    # float files are not recomputed from their roots; relabelling H3's
-    # generators 1 and 2 keeps every table a reflection negating its simple
-    # root, but breaks (s2 s3)^3 = 1
+    # relabelling H3's generators 1 and 2 together with their simple roots
+    # keeps every table the reflection in its simple root, recomputed from
+    # the roots, but breaks (s2 s3)^3 = 1
     doc = _saved("H3", tmp_path)
     t, si = doc["generator_tables"], doc["simple_indices"]
     t[0], t[1] = t[1], t[0]

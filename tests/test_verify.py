@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -103,6 +104,21 @@ def test_inversion_identity_sampling_is_seeded():
     two = _suite(["A3"], theorems=("inversion-set-identity",), sample_pairs=500)
     assert one.to_payload() == two.to_payload()
     assert one.checks[0].passes >= 500
+
+
+def test_inversion_identity_failures_name_their_own_pairs(monkeypatch):
+    # one describe closure serves every sample, so each stored failure must
+    # read the pair drawn for it, not a later one
+    monkeypatch.setattr("coxex.verify._lemma22_core", lambda *args: False)
+    config = make_config([descriptor("A3")], theorems=("inversion-set-identity",),
+                         sample_pairs=7)
+    check = run_suite(config).checks[0]
+    gd = GroupData(system("A3"))
+    rng = random.Random(f"{config.seed}:A3")
+    drawn = [(rng.randrange(len(gd)), rng.randrange(len(gd))) for _ in range(7)]
+    assert check.failures == 7
+    assert [c.element for c in check.counterexamples] == [
+        f"({gd.display(gi)}, {gd.display(hi)})" for gi, hi in drawn]
 
 
 def test_additivity_requires_reducible():
