@@ -144,12 +144,16 @@ def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
         raise ValueError("ambient must be 'B' or 'D'")
     if ambient == "D" and not sp.is_positive():
         raise ValueError("element is not in the type D group")
-    x0 = constructive_inverter(sp)
-    cosets = [c * x0 for c in centralizer_elements(sp, "B", guard)]
-    out = [x for x in cosets if x.is_involution()
-           and (ambient == "B" or x.is_positive())]
-    out.sort(key=lambda g: g.images)
-    return out
+    ext = signed_lookup(constructive_inverter(sp).images)
+    kept = []
+    for c in centralizer_elements(sp, "B", guard):
+        x = tuple([ext[v] for v in c.images])  # c * x0
+        if is_involution_table(x) and (
+                ambient == "B" or sum(v < 0 for v in x) % 2 == 0):
+            kept.append(x)
+    kept.sort()
+    trusted = SignedPermutation._trusted
+    return [trusted(x) for x in kept]
 
 
 def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,

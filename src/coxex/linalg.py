@@ -1,8 +1,10 @@
 """Small exact/float linear algebra helpers for fixed-space computations.
 
-Matrices act on row vectors: the image of v is v @ M.  Exact matrices are
-tuples of int rows; inexact ones are numpy arrays.  numpy is imported only
-inside the float branches, so it is loaded only for the H and I2 families.
+Matrices act on row vectors: the image of v is v @ M.  Matrices are tuples
+of rows, of ints in the exact families and of floats for H and I2; both
+branches are plain Python.  Float elimination treats a pivot below
+FLOAT_RANK_TOL as zero, and a float `fixes_all` allows FLOAT_FIX_TOL per
+entry.
 """
 
 from __future__ import annotations
@@ -61,35 +63,61 @@ def exact_nullspace(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
+def float_nullspace(rows) -> tuple[tuple[float, ...], ...]:
+    """Basis of {x : A x = 0} for a float matrix.
+
+    Gauss-Jordan with partial pivoting: each column's pivot is the entry of
+    largest size at or below the current row, and a column whose pivot is
+    below FLOAT_RANK_TOL is free.  A free column's basis vector has 1 there.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        size, pivot = max((abs(a[i][c]), i) for i in range(r, nrows))
+        if size < FLOAT_RANK_TOL:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        p = a[r][c]
+        pr = a[r] = [x / p for x in a[r]]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and f != 0.0:
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        pivot_cols.append(c)
+        r += 1
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [0.0] * ncols
+        vec[fc] = 1.0
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -a[i][fc]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
 def fixed_vector_basis(mat, exact: bool):
     """Basis of the left fixed space {v : v @ M = v}."""
-    if exact:
-        n = len(mat)
-        a = [[mat[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
-        return exact_nullspace(a)
-    import numpy as np
-    m = np.asarray(mat, dtype=float)
-    a = m.T - np.eye(m.shape[0])
-    _, s, vt = np.linalg.svd(a)
-    null = [tuple(row) for row, sv in zip(vt[::-1], s[::-1]) if sv < FLOAT_RANK_TOL]
-    extra = vt.shape[0] - s.shape[0]
-    if extra > 0:
-        null.extend(tuple(row) for row in vt[s.shape[0]:])
-    return tuple(null)
+    n = len(mat)
+    a = [[mat[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
+    return exact_nullspace(a) if exact else float_nullspace(a)
 
 
 def fixes_all(mat, basis, exact: bool) -> bool:
-    """Whether v @ M = v for every basis vector v."""
-    if exact:
-        cols = tuple(zip(*mat))
-        return all(sum(map(mul, v, col)) == x
-                   for v in basis for col, x in zip(cols, v))
-    if not basis:
-        return True
-    import numpy as np
-    b = np.asarray(basis, dtype=float)
-    diff = (b @ np.asarray(mat, dtype=float) - b).tolist()
-    return all(abs(d) <= FLOAT_FIX_TOL for row in diff for d in row)
+    """Whether v @ M = v for every basis vector v, entry by entry: exactly
+    for integers, within FLOAT_FIX_TOL for floats."""
+    tol = 0 if exact else FLOAT_FIX_TOL
+    for v in basis:
+        for col, x in zip(zip(*mat), v):
+            if abs(sum(map(mul, v, col)) - x) > tol:
+                return False
+    return True
 
 
 def action_matrix(rs, perm):

@@ -606,12 +606,13 @@ def test_reports_do_no_linear_algebra(monkeypatch):
 
 
 def test_exact_reports_do_not_load_numpy():
-    # numpy serves only float fixed spaces, which reports never compute,
-    # so H and I2 reports do not load it either
+    # no coxex module imports numpy: neither the reports of any family nor a
+    # full suite on H3 and I2, whose jset-equivalence oracle computes float
+    # fixed spaces, loads it
     script = """
 import sys
-from coxex import (build_root_system, excess_report, parabolic_context,
-                   parse, parse_descriptor, to_root_perm)
+from coxex import (build_root_system, excess_report, make_config, parabolic_context,
+                   parse, parse_descriptor, run_suite, to_root_perm)
 from coxex.elements import element_from_word
 for token, text in (("A4", "(+2 +3 +5)"), ("B3", "(+1 -2)(-3)")):
     rs = build_root_system(parse_descriptor(token))
@@ -625,6 +626,8 @@ for token, word in (("H3", [0, 1, 2, 1]), ("I2(7)", [0, 1, 0])):
     ctx = parabolic_context(rs, tuple(range(1, rs.rank)))
     report = excess_report(rs, w, (ctx,))
     assert report.reflection_length >= 1, report
+suite = run_suite(make_config([parse_descriptor(t) for t in ("H3", "I2(5)", "I2(8)")]))
+assert suite.failures_total == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
     env = dict(os.environ)

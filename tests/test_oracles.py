@@ -1,14 +1,17 @@
 """Differential tests of the oracle computations against the paths they
 replaced: rational elimination for fixed spaces, row-by-row products for
-`fixes_all`, per-pair float tests for the stacked filter, full tables for
-the reflection BFS, and the signed-permutation loops that the table algebra
-replaced.  Each replaced path lives here as the reference."""
+`fixes_all`, the numpy SVD basis and numpy `fixes_all` for float fixed
+spaces, full tables for the reflection BFS, the per-sample loop of the
+inversion-set identity and its two-pass core, and the signed-permutation
+loops that the table algebra replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,10 @@ from conftest import data, descriptor, system
 from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
 from coxex.elements import (compose_tables, element_from_word, identity_table,
                             invert_table)
-from coxex.linalg import action_matrix, exact_nullspace, fixed_vector_basis, fixes_all
-from coxex.verify import _fixed_space_filter, _reflection_distances
+from coxex import verify
+from coxex.linalg import (FLOAT_FIX_TOL, FLOAT_RANK_TOL, action_matrix, exact_nullspace,
+                          fixed_vector_basis, fixes_all)
+from coxex.verify import MAX_COUNTEREXAMPLES, TRUNCATED, _reflection_distances
 
 
 def _fraction_nullspace(rows):
@@ -104,15 +109,36 @@ def test_exact_fixes_all_matches_row_products(token):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("token", ["H3", "I2(5)", "I2(6)", "I2(7)", "I2(8)"])
-def test_stacked_float_filter_matches_fixes_all(token):
+def _svd_basis(mat):
+    """Float fixed space by numpy: the right singular vectors of M^T - I
+    whose singular value is below FLOAT_RANK_TOL."""
+    a = np.asarray(mat, dtype=float).T - np.eye(len(mat))
+    _, s, vt = np.linalg.svd(a)
+    return vt[s < FLOAT_RANK_TOL]
+
+
+def _numpy_fixes_all(mats, basis) -> list[bool]:
+    """For each matrix M of a stack: v @ M = v within FLOAT_FIX_TOL for
+    every row v of a numpy basis."""
+    return (np.abs(basis @ mats - basis) <= FLOAT_FIX_TOL).all(axis=(1, 2)).tolist()
+
+
+@pytest.mark.parametrize("token", ["H3", "H4", *(f"I2({m})" for m in range(5, 13))])
+def test_float_fixed_spaces_match_numpy_svd(token):
     gd = data(token)
-    via_fix = _fixed_space_filter(gd)
     mats = {xi: action_matrix(gd.rs, gd.perms[xi]) for xi in gd.involutions}
+    seen = set()
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]), False)
-        per_pair = {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis, False)}
-        assert via_fix(wi) == per_pair, (token, wi)
+        mat = action_matrix(gd.rs, gd.perms[wi])
+        basis = fixed_vector_basis(mat, False)
+        ref = _svd_basis(mat)
+        assert len(basis) == len(ref), (token, wi)
+        assert fixes_all(mat, basis, False)
+        xs = [x for x, _ in gd.pairs[wi]]
+        want = _numpy_fixes_all(np.array([mats[x] for x in xs], dtype=float), ref)
+        assert [fixes_all(mats[x], basis, False) for x in xs] == want, (token, wi)
+        seen.update(want)
+    assert seen == {True, False}
 
 
 def _table_distances(rs):
@@ -153,6 +179,132 @@ def test_rank_one_suite_payload_is_pinned():
     assert (hashlib.sha256(payload.encode()).hexdigest()
             == "b16c85b5619fc902f005bef4b829a2eb1123bc9451b81b0598eed7abbcd85392")
     assert res.failures_total == 0
+
+
+def _two_pass_lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
+    """Lemma 2.2's core with one pass over N(h) for the removed roots and
+    one over N(h) outside N(g^-1) for the added ones."""
+    removed = 0
+    b = bh
+    while b:
+        low = b & -b
+        s = -g_inv[low.bit_length() - 1]
+        if s > 0:
+            removed |= 1 << (s - 1)
+        b ^= low
+    added = 0
+    b = bh & ~bginv
+    while b:
+        low = b & -b
+        s = g_inv[low.bit_length() - 1]
+        if s < 0:
+            return False
+        added |= 1 << (s - 1)
+        b ^= low
+    if bgh != (bg & ~removed) | added:
+        return False
+    lg, lh, lgh = bg.bit_count(), bh.bit_count(), bgh.bit_count()
+    return lgh == lg + lh - 2 * (bginv & bh).bit_count()
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "H3", "A2xA1"])
+def test_one_pass_lemma22_core_matches_two_passes_on_groups(token):
+    # the true N(gh) and two wrong ones, for every pair
+    gd = data(token)
+    product = verify._keyed_product(gd)
+    npos = gd.rs.num_positive
+    seen = set()
+    for gi in range(len(gd)):
+        gii = gd.inverse[gi]
+        for hi in range(len(gd)):
+            inputs = (gd.perms[gii], gd.bits[gi], gd.bits[gii], gd.bits[hi])
+            bgh = gd.bits[product(gi, hi)]
+            for b in (bgh, bgh ^ 1, bgh ^ (1 << hi % npos)):
+                want = _two_pass_lemma22_core(*inputs, b)
+                assert verify._lemma22_core(*inputs, b) == want, (token, gi, hi, b)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_lemma22_core_matches_two_passes_on_any_bitsets(drawn):
+    # bitsets that need not belong to g^-1's table, so that a root outside
+    # N(g^-1) may be sent negative
+    n = drawn.draw(st.integers(min_value=1, max_value=12))
+    perm = drawn.draw(st.permutations(range(1, n + 1)))
+    signs = drawn.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    g_inv = tuple(s * p for s, p in zip(signs, perm))
+    bitsets = [drawn.draw(st.integers(min_value=0, max_value=2 ** n - 1))
+               for _ in range(4)]
+    assert verify._lemma22_core(g_inv, *bitsets) == _two_pass_lemma22_core(g_inv, *bitsets)
+
+
+def _per_sample_identity(gd, config):
+    """The inversion-set runner with every draw evaluated, repeats included."""
+    rng = random.Random(f"{config.seed}:{gd.rs.name}")
+    perms, bits, inverse = gd.perms, gd.bits, gd.inverse
+    n = len(gd)
+    product = verify._keyed_product(gd)
+    t = verify._Tally()
+    for _ in range(config.sample_pairs):
+        gi = rng.randrange(n)
+        hi = rng.randrange(n)
+        gii = inverse[gi]
+        ok = verify._lemma22_core(perms[gii], bits[gi], bits[gii], bits[hi],
+                                  bits[product(gi, hi)])
+        t.check(ok, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                             "set identity violated", "N(gh) decomposition"))
+    for xi in gd.involutions:
+        t.check(verify._involution_reversal_holds(gd.perms[xi]), lambda: (
+            gd.display(xi), "-", "N(x) != -N(x)x", "N(x) = -N(x)x"))
+    return t
+
+
+SWEEP_GROUPS = ("A3", "A4", "B3", "D4", "H3", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                "A2xA1", "A1xA1xA1")
+
+
+@pytest.mark.parametrize("token", SWEEP_GROUPS)
+def test_deduplicated_identity_matches_per_sample_loop(token):
+    gd = data(token)
+    for seed in (20260809, 5):
+        # the runner reads only the seed and sample count of its config
+        config = make_config([], seed=seed)
+        t = verify._run_inversion_identity(gd, config, {})
+        ref = _per_sample_identity(gd, config)
+        assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
+        assert t.failures == 0
+
+
+def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
+    # A3 has 576 pairs, so 10,000 draws repeat each of these a dozen times
+    gd = data("A3")
+    n = len(gd)
+    failing = {(gi, hi) for gi in (1, 5, 9) for hi in (0, 2, 7, 11)}
+    failing_bits = {(gd.bits[gi], gd.bits[hi]) for gi, hi in failing}
+    core = verify._lemma22_core
+    calls = []
+
+    def patched(g_inv, bg, bginv, bh, bgh):
+        calls.append((bg, bh))
+        return (bg, bh) not in failing_bits and core(g_inv, bg, bginv, bh, bgh)
+    monkeypatch.setattr(verify, "_lemma22_core", patched)
+    config = make_config([])
+    t = verify._run_inversion_identity(gd, config, {})
+    rng = random.Random(f"{config.seed}:{gd.rs.name}")
+    drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs)]
+    failed = [pair for pair in drawn if pair in failing]
+    assert len(calls) == len(set(drawn)) < len(drawn)
+    assert len(failed) > MAX_COUNTEREXAMPLES
+    assert t.failures == len(failed)
+    assert t.passes == len(drawn) - len(failed) + len(gd.involutions)
+    assert list(t.bad) == [
+        verify.Counterexample(f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                              "set identity violated", "N(gh) decomposition")
+        for gi, hi in failed[:MAX_COUNTEREXAMPLES]] + [TRUNCATED]
+    ref = _per_sample_identity(gd, config)
+    assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
 
 
 def _loop_product(a, b):
