@@ -2,13 +2,15 @@
 
 All group arithmetic is table composition on tuples; inversion sets fall out
 for free (an index is inverted exactly when its table entry is negative).
+An involution's reflection length comes from its trace, read in integers
+from the simple-root coefficients in every family.
 """
 
 from __future__ import annotations
 
 import os
 
-from .rootsystem import FLOAT_TRACE_TOL, RootSystem
+from .rootsystem import RootSystem
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV = "COXEX_GUARD"
@@ -131,20 +133,22 @@ def involution_reflection_length(rs: RootSystem, table) -> int:
     """Reflection length of an involution, (rank - tr)/2, from its trace.
 
     An involution has eigenvalues +-1, so its fixed space has dimension
-    (rank + tr)/2.  The trace sums the coefficient of alpha_i in the image
-    of alpha_i over the simple roots; for H and I2 it is a float sum of an
-    integer and is rounded.
+    (rank + tr)/2.  The trace sums the coefficient of alpha_k in the image
+    of alpha_k over the simple roots.  For H and I2 that coefficient lies in
+    Z[c]: the trace is its constant part, and its parts in c, ..., c^(d-1)
+    must cancel.
     """
+    d = rs.field_degree
     tr = 0
     for k, si in enumerate(rs.simple_indices):
         v = table[si]
-        c = rs.coeffs[abs(v) - 1][k]
+        c = rs.coeffs[abs(v) - 1][k * d]
         tr += c if v > 0 else -c
-    if not rs.exact:
-        t = round(tr)
-        if abs(tr - t) > FLOAT_TRACE_TOL:
-            raise ValueError(f"trace {tr} of an involution is not an integer")
-        tr = t
+    for j in range(1, d):
+        part = sum(rs.coeffs[abs(v) - 1][k * d + j] * (1 if v > 0 else -1)
+                   for k, v in enumerate(table[si] for si in rs.simple_indices))
+        if part:
+            raise ValueError(f"trace of an involution has part {part} c^{j}, not an integer")
     if (rs.rank - tr) % 2:
         raise ValueError(f"trace {tr} is not that of an involution in rank {rs.rank}")
     return (rs.rank - tr) // 2

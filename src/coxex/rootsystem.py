@@ -1,17 +1,18 @@
-"""Root systems for the finite Coxeter types.
+"""Root systems for the finite Coxeter types, in integer arithmetic.
 
-Crystallographic families (A, B, D, F4, E6-E8) are realized exactly in the
-standard models, whose coordinates all lie in (1/2)Z; the roots of A_n live
-in n+1 dimensions (e_i - e_j), those of B_n/D_n in n dimensions.  The closure,
-the bilinear-form check and `reflection_table` run on doubled integer
-coordinates 2v, with Cartan integers from exact integer division.
-`positive_roots` still holds the coordinates as `Fraction`s, converted once
-when the system is built.  The dihedral and H families are realized over
-floats in the basis of simple roots, with the bilinear form -cos(pi/m_rs);
-floats are touched while reflection tables are built, when an involution's
-trace is rounded (FLOAT_TRACE_TOL) and when `coeff_support` reads a root's
-support.  In every family generator r's table is `reflection_table` of
-simple root r.  Everything downstream works on integer root indices.
+The positive roots are closed in the basis of simple roots over Z[c],
+c = 2cos(pi/m) (Humphreys 1990, section 5.3): m = 5 for H3 and H4, the
+group's m for I2(m).  A coefficient is written as d integers in 1, c, ...,
+c^(d-1), d = deg Psi_m, the minimal polynomial of c; the crystallographic
+families (A, B, D, F4, E6-E8) have Cartan integers and d = 1.  The simple
+reflection s_r changes only block r, to beta_r - sum_j A_rj beta_j, and c
+acts on a block as the companion matrix of Psi_m.  The closure applies s_r
+to the positive roots other than alpha_r, which it permutes.  Crystallographic
+roots are keyed by the doubled coordinates 2v of their standard models (A_n
+in n+1 dimensions, B_n/D_n in n), held in `positive_roots` as `Fraction`s;
+H and I2 roots by their coefficients.  Roots are numbered in key order, for
+H and I2 that of the coefficients' real values, a float used only there.
+Reflection tables are generator tables conjugated, t_(s_r beta) = s_r t_beta s_r.
 
 A group element is stored as a signed permutation of positive-root indices:
 ``perm[i] == +-(j+1)`` means the i-th positive root maps to +-(the j-th).
@@ -22,31 +23,22 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 from .descriptors import CoxeterDescriptor, from_spec
 
-FLOAT_KEY_DIGITS = 9
-# how far an H or I2 involution's float trace may sit from an integer
-FLOAT_TRACE_TOL = 1e-6
 SCHEMA = "coxex.rootsystem/1"
-# exact systems store 2v: every coordinate of a standard model is in (1/2)Z
+# crystallographic systems store 2v: every coordinate of a standard model is in (1/2)Z
 _SCALE = 2
 
 
-def _float_key(vec):
-    return tuple(round(x, FLOAT_KEY_DIGITS) + 0.0 for x in vec)
-
-
-def _key(vec, exact):
-    return vec if exact else _float_key(vec)
-
-
-def _doubled(vec):
-    """The integer coordinates _SCALE * v of a vector v, or None when some
-    coordinate of v is not in (1/2)Z."""
+def _doubled(vec, scale):
+    """The integer coordinates scale * v of a vector v, or None when some
+    coordinate of v is not in (1/scale)Z."""
     out = []
     for x in vec:
-        y = _SCALE * x
+        y = scale * x
         n = int(y)
         if n != y:
             return None
@@ -66,56 +58,109 @@ def _cartan(dot, norm):
     return k
 
 
-def _reflect(alpha, beta, norm):
-    """s_alpha(beta) in integer coordinates; norm = (alpha, alpha)."""
-    k = _cartan(_idot(alpha, beta), norm)
-    return tuple(b - k * a for a, b in zip(alpha, beta)) if k else beta
+def _cyclotomic(n):
+    """Phi_n, coefficients from the constant term up: for each divisor k of
+    n in turn, x^k - 1 divided exactly by Phi_j for every proper divisor j
+    of k."""
+    phi = {}
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        p = [-1] + [0] * (k - 1) + [1]
+        for j, den in phi.items():
+            if k % j == 0:  # den is monic
+                q = [0] * (len(p) - len(den) + 1)
+                for i in reversed(range(len(q))):
+                    q[i] = p[i + len(den) - 1]
+                    for t, x in enumerate(den):
+                        p[i + t] -= q[i] * x
+                if any(p):
+                    raise ArithmeticError(f"Phi_{j} does not divide x^{k} - 1")
+                p = q
+        phi[k] = p
+    return phi[n]
+
+
+def minimal_polynomial(m: int) -> tuple[int, ...]:
+    """Psi_m, the minimal polynomial of 2cos(pi/m), from the constant term
+    up: Phi_2m(x) = x^e Psi_m(x + 1/x), and x^k + x^-k is the Dickson
+    polynomial D_k(x + 1/x), D_0 = 2, D_1 = y, D_k = y D_(k-1) - D_(k-2)."""
+    phi = _cyclotomic(2 * m)
+    e = (len(phi) - 1) // 2
+    psi = [phi[e]] + [0] * e
+    prev, cur = [2], [0, 1]
+    for k in range(1, e + 1):
+        for i, x in enumerate(cur):
+            psi[i] += phi[e + k] * x
+        prev, cur = cur, [a - b for a, b in zip_longest([0] + cur, prev, fillvalue=0)]
+    return tuple(psi)
+
+
+def _times_c(block, psi):
+    """c times an element of Z[c] given by its d coordinates; psi holds the
+    coefficients of Psi_m below its leading 1, so c^d = -sum psi_i c^i."""
+    top = block[-1]
+    return tuple([low - top * p for low, p in zip((0, *block[:-1]), psi)])
+
+
+def _c_multiples(vec, psi, d):
+    """vec, c vec, ..., c^(d-1) vec for a vector of blocks of d coordinates."""
+    rows = [vec]
+    for _ in range(d - 1):
+        rows.append(sum((_times_c(rows[-1][k:k + d], psi) for k in range(0, len(vec), d)), ()))
+    return tuple(rows)
+
+
+def _ring(components):
+    """(m, psi, d) of Z[c], c = 2cos(pi/m), for an H or I2 group: psi is
+    Psi_m below its leading 1, d its degree; (None, None, 1) otherwise."""
+    if all(d.is_crystallographic() for d in components):
+        return None, None, 1
+    if len(components) > 1:
+        raise ValueError("direct products are only supported for crystallographic types")
+    desc = components[0]
+    m = desc.m if desc.family == "I2" else 5
+    psi = minimal_polynomial(m)[:-1]
+    return m, psi, len(psi)
 
 
 class RootSystem:
     """Indexed positive roots plus per-generator root permutation tables.
 
-    `roots` are given as index keys: doubled integer coordinates when
-    `exact`, float coordinates in the simple-root basis otherwise.  The
-    table of generator r is `reflection_table` of simple root r; the tables
-    are checked to be involutions negating their simple roots that satisfy
-    the Coxeter relations.
+    `keys` are the integer coordinates of the roots (see the module
+    docstring), `coeffs` their rank * d simple-root coefficients, where
+    d = `field_degree` is the degree of Q(c) over Q, and `gen_tables[r]`
+    the action of generator r; the tables are checked to be involutions
+    negating their simple roots that satisfy the Coxeter relations.
     """
 
-    def __init__(self, components, roots, coeffs, simple_indices, exact):
+    def __init__(self, components, keys, coeffs, simple_indices, gen_tables):
         self.components = tuple(components)
         # built once: every report and check of this system shares the string
         self.name = "x".join(d.name for d in self.components)
-        self.exact = exact
-        if exact:
-            # keys[i] is _SCALE times positive root i, in integers
-            self.keys = tuple(tuple(v) for v in roots)
+        m, psi, self.field_degree = _ring(self.components)
+        self.keys = tuple(tuple(v) for v in keys)
+        if m is None:
+            self._scale = _SCALE
             half = {x: Fraction(x, _SCALE) for x in {x for v in self.keys for x in v}}
             self.positive_roots = tuple(tuple(half[x] for x in v) for v in self.keys)
-            negatives = [tuple(-x for x in v) for v in self.keys]
         else:
-            self.positive_roots = tuple(tuple(v) for v in roots)
-            self.keys = tuple(_float_key(v) for v in self.positive_roots)
-            negatives = [_float_key(tuple(-x for x in v)) for v in self.positive_roots]
+            self._scale = 1
+            self.positive_roots = self.keys
         # key of +-(root i) -> +-(i+1)
         self.key_index = {k: i + 1 for i, k in enumerate(self.keys)}
-        self.key_index.update((k, -(i + 1)) for i, k in enumerate(negatives))
+        self.key_index.update((tuple(-x for x in k), -(i + 1)) for i, k in enumerate(self.keys))
         self.coeffs = tuple(tuple(c) for c in coeffs)
+        # c^j times root i's coefficients for j < d, the rows of
+        # `linalg.action_matrix`
+        self.c_multiples = tuple(_c_multiples(c, psi, self.field_degree) for c in self.coeffs)
         self.simple_indices = tuple(simple_indices)
-        if exact:
-            simple = [self.keys[i] for i in self.simple_indices]
-            self.bilinear_form = tuple(
-                tuple(Fraction(_idot(a, b), _SCALE * _SCALE) for b in simple) for a in simple)
-        else:
-            self.bilinear_form = _form_matrix(self.components)
         self.rank = len(simple_indices)
-        self.num_positive = len(self.positive_roots)
+        self.num_positive = len(self.keys)
         self._reflections: list | None = None
         self._bfs = None  # never set; perfbench/tracer.py reads it
         self._involutions = None  # filled by elements.involution_tables
         self._point_tables = None  # filled by signedperm.point_tables
-        self.gen_tables = tuple(self.reflection_table(i) for i in self.simple_indices)
-        _check_tables(self)
+        self.gen_tables = tuple(tuple(t) for t in gen_tables)
+        _check_tables(self.components, self.gen_tables, self.simple_indices)
 
     @property
     def is_irreducible(self) -> bool:
@@ -136,8 +181,8 @@ class RootSystem:
         return (1 << self.num_positive) - 1
 
     def _lookup(self, vec) -> int | None:
-        """Signed index of a coordinate vector (ints, Fractions or floats)."""
-        return self.key_index.get(_doubled(vec) if self.exact else _float_key(vec))
+        """Signed index of a coordinate vector (ints or Fractions)."""
+        return self.key_index.get(_doubled(vec, self._scale))
 
     def index_of(self, vec) -> int:
         """Index of a positive root given by its coordinate vector."""
@@ -148,43 +193,20 @@ class RootSystem:
 
     def signed_index_of(self, vec) -> int:
         s = self._lookup(vec)
-        if s is not None:
-            return s
-        if not self.exact:
-            # rounded keys can flip their last digit when a vector was reached
-            # along a different float path; fall back to a tolerance scan
-            for i, root in enumerate(self.positive_roots):
-                if max(abs(a - b) for a, b in zip(root, vec)) < 1e-6:
-                    return i + 1
-                if max(abs(a + b) for a, b in zip(root, vec)) < 1e-6:
-                    return -(i + 1)
-        raise KeyError(f"vector {vec} is not a root")
+        if s is None:
+            raise KeyError(f"vector {vec} is not a root")
+        return s
 
     def coeff_support(self, i: int) -> tuple[int, ...]:
+        """The simple roots on which positive root i has a nonzero coefficient."""
         c = self.coeffs[i]
-        if self.exact:
-            return tuple(j for j, x in enumerate(c) if x != 0)
-        return tuple(j for j, x in enumerate(c) if abs(x) > 1e-9)
+        d = self.field_degree
+        return tuple(j for j in range(self.rank) if any(c[j * d:(j + 1) * d]))
 
     def reflection_table(self, i: int) -> tuple[int, ...]:
         """Root permutation of the reflection through positive root i."""
         if self._reflections is None:
-            self._reflections = [None] * self.num_positive
-        if self._reflections[i] is None:
-            if self.exact:
-                alpha = self.keys[i]
-                norm = _idot(alpha, alpha)
-                index = self.key_index
-                table = [index[_reflect(alpha, beta, norm)] for beta in self.keys]
-            else:
-                alpha = self.positive_roots[i]
-                nn = _dot(self.bilinear_form, alpha, alpha)
-                table = []
-                for beta in self.positive_roots:
-                    k = 2 * _dot(self.bilinear_form, alpha, beta) / nn
-                    img = tuple(b - k * a for a, b in zip(alpha, beta))
-                    table.append(self.signed_index_of(img))
-            self._reflections[i] = tuple(table)
+            self._reflections = _reflection_tables(self.gen_tables, self.simple_indices)
         return self._reflections[i]
 
     def root_label(self, i: int) -> str:
@@ -199,20 +221,19 @@ class RootSystem:
         return frozenset(self.root_label(i) for i in _bit_indices(bits))
 
     def to_json_dict(self) -> dict:
-        if self.exact:
-            roots = [[str(Fraction(x)) for x in v] for v in self.positive_roots]
-            coeffs = [list(c) for c in self.coeffs]
+        if self._scale == 1:  # H and I2: the coefficients, as ints
+            roots = [list(v) for v in self.keys]
         else:
-            roots = [[repr(float(x)) for x in v] for v in self.positive_roots]
-            coeffs = [[repr(float(x)) for x in c] for c in self.coeffs]
+            roots = [[str(x) for x in v] for v in self.positive_roots]
         return {
             "schema": SCHEMA,
             "descriptor": [
                 {"family": d.family, "rank": d.rank, "m": d.m} for d in self.components
             ],
-            "exact": self.exact,
+            # every file is written in integers; `false` marks an older float file
+            "exact": True,
             "roots": roots,
-            "coeffs": coeffs,
+            "coeffs": [list(c) for c in self.coeffs],
             "simple_indices": list(self.simple_indices),
             "generator_tables": [list(t) for t in self.gen_tables],
         }
@@ -266,62 +287,33 @@ def _vector_of_label(label: str, dim: int):
     return tuple(vec)
 
 
-def _dot(form, v, w):
-    return sum(v[i] * form[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
-
-
 def _simple_vectors_exact(components):
-    """Block-diagonal standard simple roots, exact families only, as doubled
-    integer coordinates."""
+    """Block-diagonal standard simple roots, crystallographic families only,
+    as doubled integer coordinates."""
     u = _SCALE  # a unit coordinate; a half is 1
     blocks = []
-    for d in components:
-        fam, n = d.family, d.rank
-        if fam == "A":
-            dim = n + 1
-            vecs = []
-            for i in range(n):
-                v = [0] * dim
-                v[i] = u
-                v[i + 1] = -u
-                vecs.append(v)
-        elif fam in ("B", "D"):
-            dim = n
-            vecs = []
-            for i in range(n - 1):
-                v = [0] * dim
-                v[i] = u
-                v[i + 1] = -u
-                vecs.append(v)
-            last = [0] * dim
+    for desc in components:
+        fam, n = desc.family, desc.rank
+        dim = {"A": n + 1, "B": n, "D": n, "F4": 4}.get(fam, 8)
+
+        def vec(*entries, dim=dim):
+            v = [0] * dim
+            for i, x in entries:
+                v[i] = x
+            return v
+        if fam in ("A", "B", "D"):
+            vecs = [vec((i, u), (i + 1, -u)) for i in range(n if fam == "A" else n - 1)]
             if fam == "B":
-                last[n - 1] = u
-            else:
-                last[n - 2] = u
-                last[n - 1] = u
-            vecs.append(last)
+                vecs.append(vec((n - 1, u)))
+            elif fam == "D":
+                vecs.append(vec((n - 2, u), (n - 1, u)))
         elif fam == "F4":
-            dim = 4
-            vecs = [
-                [0, u, -u, 0],
-                [0, 0, u, -u],
-                [0, 0, 0, u],
-                [1, -1, -1, -1],
-            ]
+            vecs = [vec((1, u), (2, -u)), vec((2, u), (3, -u)), vec((3, u)), [1, -1, -1, -1]]
         elif fam in ("E6", "E7", "E8"):
-            dim = 8
-            full = [
-                [1, -1, -1, -1, -1, -1, -1, 1],
-                [u, u] + [0] * 6,
-            ]
-            for k in range(6):
-                v = [0] * 8
-                v[k] = -u
-                v[k + 1] = u
-                full.append(v)
-            vecs = full[: n]
+            vecs = ([[1, -1, -1, -1, -1, -1, -1, 1], vec((0, u), (1, u))]
+                    + [vec((k, -u), (k + 1, u)) for k in range(6)])[:n]
         else:
-            raise ValueError(f"{d.name} is not crystallographic")
+            raise ValueError(f"{desc.name} is not crystallographic")
         blocks.append((dim, vecs))
     total = sum(dim for dim, _ in blocks)
     out = []
@@ -331,21 +323,6 @@ def _simple_vectors_exact(components):
             out.append(tuple([0] * offset + v + [0] * (total - offset - dim)))
         offset += dim
     return out
-
-
-def _form_matrix(components):
-    """-cos(pi/m_rs) bilinear form over all simple roots of the product."""
-    mats = [d.coxeter_matrix() for d in components]
-    total = sum(d.rank for d in components)
-    form = [[0.0] * total for _ in range(total)]
-    offset = 0
-    for d, cm in zip(components, mats):
-        n = d.rank
-        for i in range(n):
-            for j in range(n):
-                form[offset + i][offset + j] = -math.cos(math.pi / cm[i][j])
-        offset += n
-    return tuple(tuple(row) for row in form)
 
 
 def _coxeter_matrix(components):
@@ -362,8 +339,89 @@ def _coxeter_matrix(components):
     return mat
 
 
+def _cartan_rows(components, simple_keys, m, d):
+    """A_rj = 2 (alpha_r, alpha_j) / (alpha_r, alpha_r) as elements of Z[c],
+    d coordinates each: Cartan integers from the doubled simple roots of a
+    crystallographic system, -2cos(pi/m_rj) in {2, 0, -1, -c} for H and I2."""
+    if m is None:
+        return [[(_cartan(_idot(a, b), _idot(a, a)),) for b in simple_keys]
+                for a in simple_keys]
+    zero = (0,) * d
+    entries = {1: (2, *zero[1:]), 2: zero, 3: (-1, *zero[1:]), m: (0, -1, *zero[2:])}
+    return [[entries[x] for x in row] for row in _coxeter_matrix(components)]
+
+
+def _reflection_rules(cartan, psi):
+    """For each generator r, block r of s_r(beta) as d lists of (position,
+    integer) terms over the rank * d coordinates of beta: the coordinates of
+    beta_r - sum_j A_rj beta_j, where A_rj beta_j sums beta_j's coordinate p
+    times A_rj c^p."""
+    rules = []
+    for r, row in enumerate(cartan):
+        d = len(row[0])
+        rule = [[int(pos == r * d + i) for pos in range(len(row) * d)] for i in range(d)]
+        for j, z in enumerate(row):
+            for p, zp in enumerate(_c_multiples(z, psi, d)):
+                for i, x in enumerate(zp):
+                    rule[i][j * d + p] -= x
+        rules.append(tuple(tuple((pos, k) for pos, k in enumerate(terms) if k)
+                           for terms in rule))
+    return rules
+
+
+def _reflect(beta, r, rule):
+    """s_r(beta) for a root given by its coefficients: only block r changes."""
+    at = r * len(rule)
+    new = tuple([sum([k * beta[p] for p, k in terms]) for terms in rule])
+    return beta[:at] + new + beta[at + len(rule):]
+
+
+def _generator_tables(coeffs, rules):
+    """The table of each s_r on the roots with the given coefficients;
+    KeyError when an image is not a root up to sign."""
+    index = {c: i + 1 for i, c in enumerate(coeffs)}
+    index.update((tuple([-x for x in c]), -(i + 1)) for i, c in enumerate(coeffs))
+    return [tuple([index[_reflect(c, r, rule)] for c in coeffs])
+            for r, rule in enumerate(rules)]
+
+
+def _coordinates(coeffs, simple_keys):
+    """The keys of roots given by their simple-root coefficients: sum_j c_j
+    times the doubled simple root j for a crystallographic system, the
+    coefficients themselves for H and I2 (simple_keys None)."""
+    if simple_keys is None:
+        return [tuple(c) for c in coeffs]
+    return [tuple([sum(map(mul, c, col)) for col in zip(*simple_keys)]) for c in coeffs]
+
+
+def _unit_vectors(rank, d):
+    """The coefficients of the simple roots: 1 in block r."""
+    return [tuple([int(p == r * d) for p in range(rank * d)]) for r in range(rank)]
+
+
+def _reflection_tables(gen_tables, simple_indices):
+    """Every reflection table: t_(s_r beta) = s_r t_beta s_r, where s_r(beta)
+    is root g_r[beta], positive unless beta is alpha_r."""
+    # imported here because elements imports this module
+    from .elements import signed_lookup
+
+    tables = [None] * len(gen_tables[0])
+    for g, si in zip(gen_tables, simple_indices):
+        tables[si] = g
+    lookups = [(g, signed_lookup(g)) for g in gen_tables]
+    queue = list(simple_indices)
+    for i in queue:
+        ext_t = signed_lookup(tables[i])
+        for g, ext_g in lookups:
+            k = g[i]
+            if k > 0 and tables[k - 1] is None:
+                tables[k - 1] = tuple([ext_g[ext_t[v]] for v in g])
+                queue.append(k - 1)
+    return tables
+
+
 def build_root_system(descriptor) -> RootSystem:
-    """Close the simple roots under reflection and index the result.
+    """Close the simple roots under the simple reflections and index the result.
 
     Accepts a single descriptor or a sequence of them (a direct product).
     """
@@ -373,84 +431,40 @@ def build_root_system(descriptor) -> RootSystem:
         components = tuple(descriptor)
         if not components:
             raise ValueError("empty descriptor list")
-    exact = all(d.is_crystallographic() for d in components)
-    if not exact and len(components) > 1:
-        raise ValueError("direct products are only supported for crystallographic types")
+    m, psi, d = _ring(components)
+    rank = sum(c.rank for c in components)
+    expected = sum(c.num_positive_roots() for c in components)
+    simple_keys = _simple_vectors_exact(components) if m is None else None
+    rules = _reflection_rules(_cartan_rows(components, simple_keys, m, d), psi)
 
-    rank = sum(d.rank for d in components)
-    if exact:
-        simple = _simple_vectors_exact(components)
-        simple_coeffs = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        dot = _idot
+    units = _unit_vectors(rank, d)
+    coeffs = list(units)
+    found = set(units)
+    for beta in coeffs:  # the list grows while it is read
+        for r, rule in enumerate(rules):
+            if beta != units[r]:
+                gamma = _reflect(beta, r, rule)
+                if gamma not in found:
+                    found.add(gamma)
+                    coeffs.append(gamma)
+        if len(coeffs) > expected:
+            raise RuntimeError(f"closure passed {expected} positive roots")
+    if len(coeffs) != expected:
+        raise RuntimeError(f"closure produced {len(coeffs)} positive roots, expected {expected}")
+
+    keys = _coordinates(coeffs, simple_keys)
+    if m is None:
+        order = keys
     else:
-        form = _form_matrix(components)
-        simple = [tuple(1.0 if j == i else 0.0 for j in range(rank)) for i in range(rank)]
-        simple_coeffs = [tuple(v) for v in simple]
-
-        def dot(v, w):
-            return _dot(form, v, w)
-
-    norms = [dot(a, a) for a in simple]
-
-    def reflect(vec, coeff, r):
-        if exact:
-            k = _cartan(dot(simple[r], vec), norms[r])
-            if not k:
-                return vec, coeff
-        else:
-            k = 2 * dot(simple[r], vec) / norms[r]
-        new_vec = tuple(b - k * a for a, b in zip(simple[r], vec))
-        new_coeff = tuple(b - k * a for a, b in zip(simple_coeffs[r], coeff))
-        return new_vec, new_coeff
-
-    expected = 2 * sum(d.num_positive_roots() for d in components)
-    roots = {}
-    frontier = []
-    for v, c in zip(simple, simple_coeffs):
-        roots[_key(v, exact)] = (tuple(v), tuple(c))
-        frontier.append((tuple(v), tuple(c)))
-    while frontier:
-        nxt = []
-        for vec, coeff in frontier:
-            for r in range(rank):
-                nv, nc = reflect(vec, coeff, r)
-                k = _key(nv, exact)
-                if k not in roots:
-                    roots[k] = (nv, nc)
-                    nxt.append((nv, nc))
-        frontier = nxt
-        if len(roots) > 4 * expected + 16:
-            raise RuntimeError("root closure did not terminate")
-    if len(roots) != expected:
-        raise RuntimeError(f"closure produced {len(roots)} roots, expected {expected}")
-
-    def is_positive(coeff):
-        if exact:
-            return all(x >= 0 for x in coeff)
-        return all(x > -1e-9 for x in coeff)
-
-    positives = [(v, c) for v, c in roots.values() if is_positive(c)]
-    if 2 * len(positives) != expected:
-        raise RuntimeError("positive/negative split failed")
-    positives.sort(key=lambda vc: _key(vc[0], exact))
-    pos_vecs = [v for v, _ in positives]
-    pos_coeffs = [c for _, c in positives]
-    # the closure stores each simple root as given, so it is found by equality
-    simple_indices = [pos_vecs.index(tuple(v)) for v in simple]
-
-    bilinear = tuple(tuple(dot(a, b) for b in simple) for a in simple)
-    # the action must respect the form: check every generator on simple pairs
-    for r in range(rank):
-        imgs = [reflect(tuple(v), simple_coeffs[i], r)[0] for i, v in enumerate(simple)]
-        for i in range(rank):
-            for j in range(rank):
-                got = dot(imgs[i], imgs[j])
-                want = bilinear[i][j]
-                ok = got == want if exact else abs(got - want) < 1e-9
-                if not ok:
-                    raise RuntimeError("generator action does not respect the bilinear form")
-
-    return RootSystem(components, pos_vecs, pos_coeffs, simple_indices, exact)
+        c = 2 * math.cos(math.pi / m)  # a sort key only: it numbers the roots
+        order = [tuple(sum(x * c ** j for j, x in enumerate(v[k:k + d]))
+                       for k in range(0, rank * d, d)) for v in coeffs]
+        if len(set(order)) != expected:
+            raise RuntimeError("two roots share a numbering key")
+    _, keys, coeffs = zip(*sorted(zip(order, keys, coeffs)))
+    simple_indices = [coeffs.index(u) for u in units]
+    return RootSystem(components, keys, coeffs, simple_indices,
+                      _generator_tables(coeffs, rules))
 
 
 def save_root_system(rs: RootSystem, path) -> None:
@@ -476,26 +490,15 @@ def root_system_from_json(doc: dict) -> RootSystem:
     if missing:
         raise ValueError(f"root-system file lacks {missing}")
     components = [from_spec((d["family"], d["rank"], d["m"])) for d in doc["descriptor"]]
-    exact = doc["exact"]
-    if exact:
-        roots = []
-        for v in doc["roots"]:
-            key = _doubled(Fraction(x) for x in v)
-            if key is None:
-                raise ValueError(f"root {v} has a coordinate outside (1/2)Z")
-            roots.append(key)
-        coeffs = [tuple(int(x) for x in c) for c in doc["coeffs"]]
-    else:
-        roots = [tuple(float(x) for x in v) for v in doc["roots"]]
-        coeffs = [tuple(float(x) for x in c) for c in doc["coeffs"]]
+    m, psi, d = _ring(components)
     simple_indices = doc["simple_indices"]
     tables = [tuple(t) for t in doc["generator_tables"]]
-    n = len(roots)
-    rank = sum(d.rank for d in components)
-    expected = sum(d.num_positive_roots() for d in components)
-    if n != expected or len(coeffs) != n:
+    n = len(doc["roots"])
+    rank = sum(c.rank for c in components)
+    expected = sum(c.num_positive_roots() for c in components)
+    if n != expected or len(doc["coeffs"]) != n:
         raise ValueError(f"expected {expected} positive roots and coefficient rows, "
-                         f"found {n} and {len(coeffs)}")
+                         f"found {n} and {len(doc['coeffs'])}")
     if len(simple_indices) != rank or len(tables) != rank:
         raise ValueError(f"expected {rank} simple roots and generator tables")
     if len(set(simple_indices)) != rank or not all(0 <= i < n for i in simple_indices):
@@ -503,28 +506,53 @@ def root_system_from_json(doc: dict) -> RootSystem:
     for r, t in enumerate(tables):
         if sorted(abs(v) for v in t) != list(range(1, n + 1)):
             raise ValueError(f"generator table {r} is not a signed permutation of the roots")
-    keys = {_key(v, exact) for v in roots}
-    keys.update(_key(tuple(-x for x in v), exact) for v in roots)
-    if len(keys) != 2 * n:
-        raise ValueError("roots repeat up to sign")
     for r, (t, si) in enumerate(zip(tables, simple_indices)):
         _check_generator(r, t, si)
+    if not doc["exact"]:
+        return _from_float_file(components, tables, simple_indices)
+
+    scale = _SCALE if m is None else 1
+    keys = []
+    for v in doc["roots"]:
+        key = _doubled((Fraction(x) for x in v), scale)
+        if key is None:
+            raise ValueError(f"root {v} has a coordinate outside (1/{scale})Z")
+        keys.append(key)
+    coeffs = [tuple(int(x) for x in c) for c in doc["coeffs"]]
+    signed = set(keys)
+    signed.update(tuple(-x for x in v) for v in keys)
+    if len(signed) != 2 * n:
+        raise ValueError("roots repeat up to sign")
+    simple_keys = [keys[i] for i in simple_indices] if m is None else None
+    for i, (key, c, want) in enumerate(zip(keys, coeffs, _coordinates(coeffs, simple_keys))):
+        if len(c) != rank * d or key != want:
+            raise ValueError(f"coefficients {list(c)} do not express root {i} "
+                             "in the simple roots")
+    # generator r reflects in its simple root, whose coefficients are 1 in
+    # some block b: its table must be that of s_b
     try:
-        rs = RootSystem(components, roots, coeffs, simple_indices, exact)
-    except (KeyError, RuntimeError) as exc:
+        by_block = _generator_tables(coeffs, _reflection_rules(
+            _cartan_rows(components, simple_keys, m, d), psi))
+        units = _unit_vectors(rank, d)
+        derived = [by_block[units.index(coeffs[si])] for si in simple_indices]
+    except (KeyError, RuntimeError, ValueError) as exc:
         raise ValueError(f"the simple roots do not reflect the roots onto roots: {exc}") from None
-    for r, (t, derived) in enumerate(zip(tables, rs.gen_tables)):
-        if t != derived:
+    for r, (t, want) in enumerate(zip(tables, derived)):
+        if t != want:
             raise ValueError(f"generator table {r} differs from the reflection "
                              "in its simple root")
-    if exact:
-        simple = [rs.keys[i] for i in rs.simple_indices]
-        for i, (key, c) in enumerate(zip(rs.keys, rs.coeffs)):
-            if len(c) != rank or key != tuple(
-                    sum(cj * s[a] for cj, s in zip(c, simple)) for a in range(len(key))):
-                raise ValueError(f"coefficients {list(c)} do not express root {i} "
-                                 "in the simple roots")
-    return rs
+    return RootSystem(components, keys, coeffs, simple_indices, tables)
+
+
+def _from_float_file(components, tables, simple_indices) -> RootSystem:
+    """A file marked "exact": false, as H and I2 were once saved in floats,
+    whose float fields are not read: its generator tables and simple roots
+    must equal a fresh build's, which is returned."""
+    _check_tables(components, tables, simple_indices)
+    fresh = build_root_system(components)
+    if tuple(tables) != fresh.gen_tables or tuple(simple_indices) != fresh.simple_indices:
+        raise ValueError("the tables of a float file differ from a fresh build")
+    return fresh
 
 
 def _check_generator(r: int, table, si: int) -> None:
@@ -541,18 +569,18 @@ def _check_generator(r: int, table, si: int) -> None:
                          f"not exactly its simple root {si}")
 
 
-def _check_tables(rs: RootSystem) -> None:
+def _check_tables(components, tables, simple_indices) -> None:
     """Each generator table must pass `_check_generator`, and the tables
     must satisfy the Coxeter relations."""
     from .elements import compose_tables, identity_table
 
-    for r, (t, si) in enumerate(zip(rs.gen_tables, rs.simple_indices)):
+    for r, (t, si) in enumerate(zip(tables, simple_indices)):
         _check_generator(r, t, si)
-    ident = identity_table(rs.num_positive)
-    m = _coxeter_matrix(rs.components)
-    for i in range(rs.rank):
-        for j in range(i + 1, rs.rank):
-            st = compose_tables(rs.gen_tables[i], rs.gen_tables[j])
+    ident = identity_table(len(tables[0]))
+    m = _coxeter_matrix(components)
+    for i in range(len(tables)):
+        for j in range(i + 1, len(tables)):
+            st = compose_tables(tables[i], tables[j])
             p = ident
             for _ in range(m[i][j]):
                 p = compose_tables(p, st)

@@ -24,11 +24,13 @@ def descriptor(token: str) -> CoxeterDescriptor:
 
 
 def fixed_basis(w):
-    """Basis of the fixed space of a group element w, from its action matrix:
-    the reference that reflection lengths and J-sets are checked against."""
-    rs = w.system
-    return fixed_vector_basis(action_matrix(rs, w.perm), rs.exact)
+    """Basis over Q of the fixed space of a group element w, from its action
+    matrix: the reference that reflection lengths and J-sets are checked
+    against."""
+    return fixed_vector_basis(action_matrix(w.system, w.perm))
 
 
 def fixed_dim(w) -> int:
-    return len(fixed_basis(w))
+    """Dimension of w's fixed space over Q(c): its Q-basis has d vectors
+    for each dimension."""
+    return len(fixed_basis(w)) // w.system.field_degree

@@ -252,3 +252,11 @@ def test_reduced_word_round_trips_on_e6():
         w = element_from_word(rs, word)
         assert len(reduced_word(w)) == w.length()
         assert element_from_word(rs, reduced_word(w)) == w
+
+
+def test_trace_with_a_part_in_c_is_refused():
+    # the rotation s1 s2 of I2(5) has trace 2cos(2pi/5) = c - 1, c the golden
+    # ratio: no involution has it
+    rs = system("I2(5)")
+    with pytest.raises(ValueError, match="not an integer"):
+        involution_reflection_length(rs, element_from_word(rs, [0, 1]).perm)

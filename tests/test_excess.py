@@ -25,8 +25,7 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             compose_tables, element_from_word, invert_table,
                             involution_reflection_length, is_involution_table,
                             reduced_word, reflection, word_text)
-from coxex.linalg import (FLOAT_FIX_TOL, action_matrix, fixed_vector_basis, fixes_all,
-                          restrict)
+from coxex.linalg import action_matrix, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
 
@@ -156,7 +155,7 @@ def _fixed_space_jset(w, iw):
     rs = w.system
     basis = fixed_basis(w)
     return tuple(x for x in iw.elements
-                 if fixes_all(action_matrix(rs, x.perm), basis, rs.exact))
+                 if fixes_all(action_matrix(rs, x.perm), basis))
 
 
 @pytest.mark.parametrize("token", JSET_GROUPS)
@@ -185,8 +184,8 @@ def test_group_data_reflection_data_matches_fixed_spaces(token):
         w = gd.element(wi)
         basis = fixed_basis(w)
         via_fix = [(x, y) for x, y in gd.pairs[wi]
-                   if fixes_all(action_matrix(rs, gd.perms[x]), basis, rs.exact)]
-        assert gd.reflection_length(wi) == rs.rank - len(basis)
+                   if fixes_all(action_matrix(rs, gd.perms[x]), basis)]
+        assert gd.reflection_length(wi) == rs.rank - len(basis) // rs.field_degree
         assert gd.jset_of(wi) == via_fix
         assert gd.refl_excess_of(wi) == min(gd.defect(x, y) for x, y in via_fix)
 
@@ -321,22 +320,6 @@ def test_structured_iw_matches_plain_products_on_random_elements(token, drawn):
     _assert_pairs(iw, to_root_perm(sp, rs))
 
 
-@pytest.mark.parametrize("token", ["H3", "I2(7)"])
-def test_float_fixes_all_matches_vector_loop(token):
-    rs = system(token)
-    elems = group_elements(rs)
-    for w in elems[::7]:
-        basis = fixed_basis(w)
-        for x in elems:
-            mat = action_matrix(rs, x.perm)
-            by_vector = all(
-                max(abs(sum(v[r] * mat[r][c] for r in range(len(mat))) - v[c])
-                    for c in range(len(v))) <= FLOAT_FIX_TOL
-                for v in basis)
-            assert fixes_all(mat, basis, False) == by_vector
-        assert fixes_all(action_matrix(rs, w.perm), (), False)
-
-
 def test_involutions_inverting_picks_a_path():
     rs, w = _elt("B3", "(+1 +2 +3)")
     assert involutions_inverting(rs, w).source == "exhaustive"
@@ -447,21 +430,23 @@ def test_group_data_parabolic_matches_function_level():
 @pytest.mark.parametrize("token", ["A4", "B4", "D4", "F4", "H3", "I2(7)", "A2xA1"])
 def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
     # the reference is the J-set computed inside W_J from fixed spaces of
-    # the J x J blocks of the matrices, the path GroupData used to take
+    # the J x J blocks of the matrices, the path GroupData used to take; over
+    # Q a generator j owns the d rows and columns j * d .. j * d + d - 1
     gd = data(token)
     rs = gd.rs
+    d = rs.field_degree
     for J in all_generator_subsets(rs):
         mask = parabolic_context(rs, J).mask
+        rows = [j * d + i for j in J for i in range(d)]
         for wi in range(len(gd)):
             if gd.bits[wi] & ~mask:
                 continue
-            block = restrict(action_matrix(rs, gd.perms[wi]), J)
-            basis = fixed_vector_basis(block, rs.exact) if J else ()
+            block = restrict(action_matrix(rs, gd.perms[wi]), rows)
+            basis = fixed_vector_basis(block) if J else ()
             inside = {x for x, _ in gd.pairs[wi] if gd.bits[x] & ~mask == 0
-                      and fixes_all(restrict(action_matrix(rs, gd.perms[x]), J), basis,
-                                    rs.exact)}
+                      and fixes_all(restrict(action_matrix(rs, gd.perms[x]), rows), basis)}
             assert inside == {x for x, _ in gd.jset_of(wi) if gd.bits[x] & ~mask == 0}
-            assert len(J) - len(basis) == gd.reflection_length(wi)
+            assert len(J) - len(basis) // d == gd.reflection_length(wi)
 
 
 def _full_table_pairs(perms, index):
@@ -541,7 +526,7 @@ def _fixed_space_report(rs, w, parabolics, iw):
     """Reference report of a B/D element: J_w from fixed spaces, and every
     statistic by its own compositions."""
     basis = fixed_basis(w)
-    jw = [x for x in iw.elements if fixes_all(action_matrix(rs, x.perm), basis, rs.exact)]
+    jw = [x for x in iw.elements if fixes_all(action_matrix(rs, x.perm), basis)]
 
     def least(xs):
         return min(2 * (x.inversions() & (x * w).inversions()).bit_count() for x in xs)
@@ -607,8 +592,8 @@ def test_reports_do_no_linear_algebra(monkeypatch):
 
 def test_exact_reports_do_not_load_numpy():
     # no coxex module imports numpy: neither the reports of any family nor a
-    # full suite on H3 and I2, whose jset-equivalence oracle computes float
-    # fixed spaces, loads it
+    # full suite on H3 and I2, whose jset-equivalence oracle computes fixed
+    # spaces over Z[2cos(pi/m)], loads it
     script = """
 import sys
 from coxex import (build_root_system, excess_report, make_config, parabolic_context,

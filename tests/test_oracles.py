@@ -1,12 +1,13 @@
 """Differential tests of the oracle computations against the paths they
 replaced: rational elimination for fixed spaces, row-by-row products for
-`fixes_all`, the numpy SVD basis and numpy `fixes_all` for float fixed
-spaces, full tables for the reflection BFS, the per-sample loop of the
+`fixes_all`, the numpy SVD basis and numpy `fixes_all` on the real matrices
+of H and I2, full tables for the reflection BFS, the per-sample loop of the
 inversion-set identity and its two-pass core, and the signed-permutation
 loops that the table algebra replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -21,8 +22,7 @@ from coxex import SignedPermutation, constructive_inverter, make_config, run_sui
 from coxex.elements import (compose_tables, element_from_word, identity_table,
                             invert_table)
 from coxex import verify
-from coxex.linalg import (FLOAT_FIX_TOL, FLOAT_RANK_TOL, action_matrix, exact_nullspace,
-                          fixed_vector_basis, fixes_all)
+from coxex.linalg import action_matrix, exact_nullspace, fixed_vector_basis, fixes_all
 from coxex.verify import MAX_COUNTEREXAMPLES, TRUNCATED, _reflection_distances
 
 
@@ -83,7 +83,7 @@ def test_integer_nullspace_matches_fraction_elimination(token):
         mat = action_matrix(gd.rs, gd.perms[wi])
         rows = _fixed_space_rows(mat)
         assert exact_nullspace(rows) == _fraction_nullspace(rows), (token, wi)
-        assert fixed_vector_basis(mat, True) == _fraction_nullspace(rows)
+        assert fixed_vector_basis(mat) == _fraction_nullspace(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,48 +95,66 @@ def test_integer_nullspace_matches_fraction_elimination_e6(word):
     assert exact_nullspace(rows) == _fraction_nullspace(rows)
 
 
-@pytest.mark.parametrize("token", ["A4", "B4", "D5", "F4"])
+@pytest.mark.parametrize("token", ["A4", "B4", "D5", "F4", "H3", "I2(7)"])
 def test_exact_fixes_all_matches_row_products(token):
     gd = data(token)
     mats = {xi: action_matrix(gd.rs, gd.perms[xi]) for xi in gd.involutions}
     seen = set()
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]), True)
+        basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]))
         for x, _ in gd.pairs[wi]:
             want = all(_apply_row(v, mats[x]) == v for v in basis)
-            assert fixes_all(mats[x], basis, True) == want, (token, wi, x)
+            assert fixes_all(mats[x], basis) == want, (token, wi, x)
             seen.add(want)
     assert seen == {True, False}
 
 
+# tolerances of the float references below; coxex itself has none
+RANK_TOL = 1e-7
+FIX_TOL = 1e-6
+
+
+def _real_matrix(rs, perm):
+    """The action of a table on the simple roots over R: row k is the image
+    of simple root k, each Z[c] coefficient evaluated at c = 2cos(pi/m)."""
+    desc = rs.components[0]
+    c = 2 * math.cos(math.pi / (desc.m if desc.family == "I2" else 5))
+    d = rs.field_degree
+    return [[sum(x * c ** j for j, x in enumerate(row[k:k + d])) for k in range(0, len(row), d)]
+            for row in action_matrix(rs, perm)[::d]]
+
+
 def _svd_basis(mat):
-    """Float fixed space by numpy: the right singular vectors of M^T - I
-    whose singular value is below FLOAT_RANK_TOL."""
+    """Real fixed space by numpy: the right singular vectors of M^T - I
+    whose singular value is below RANK_TOL."""
     a = np.asarray(mat, dtype=float).T - np.eye(len(mat))
     _, s, vt = np.linalg.svd(a)
-    return vt[s < FLOAT_RANK_TOL]
+    return vt[s < RANK_TOL]
 
 
 def _numpy_fixes_all(mats, basis) -> list[bool]:
-    """For each matrix M of a stack: v @ M = v within FLOAT_FIX_TOL for
-    every row v of a numpy basis."""
-    return (np.abs(basis @ mats - basis) <= FLOAT_FIX_TOL).all(axis=(1, 2)).tolist()
+    """For each matrix M of a stack: v @ M = v within FIX_TOL for every row
+    v of a numpy basis."""
+    return (np.abs(basis @ mats - basis) <= FIX_TOL).all(axis=(1, 2)).tolist()
 
 
 @pytest.mark.parametrize("token", ["H3", "H4", *(f"I2({m})" for m in range(5, 13))])
 def test_float_fixed_spaces_match_numpy_svd(token):
+    # the integer fixed space over Q has d vectors for each real dimension
     gd = data(token)
-    mats = {xi: action_matrix(gd.rs, gd.perms[xi]) for xi in gd.involutions}
+    rs = gd.rs
+    mats = {xi: action_matrix(rs, gd.perms[xi]) for xi in gd.involutions}
+    real = {xi: _real_matrix(rs, gd.perms[xi]) for xi in gd.involutions}
     seen = set()
     for wi in range(len(gd)):
-        mat = action_matrix(gd.rs, gd.perms[wi])
-        basis = fixed_vector_basis(mat, False)
-        ref = _svd_basis(mat)
-        assert len(basis) == len(ref), (token, wi)
-        assert fixes_all(mat, basis, False)
+        mat = action_matrix(rs, gd.perms[wi])
+        basis = fixed_vector_basis(mat)
+        ref = _svd_basis(_real_matrix(rs, gd.perms[wi]))
+        assert len(basis) == rs.field_degree * len(ref), (token, wi)
+        assert fixes_all(mat, basis)
         xs = [x for x, _ in gd.pairs[wi]]
-        want = _numpy_fixes_all(np.array([mats[x] for x in xs], dtype=float), ref)
-        assert [fixes_all(mats[x], basis, False) for x in xs] == want, (token, wi)
+        want = _numpy_fixes_all(np.array([real[x] for x in xs], dtype=float), ref)
+        assert [fixes_all(mats[x], basis) for x in xs] == want, (token, wi)
         seen.update(want)
     assert seen == {True, False}
 
@@ -275,6 +293,18 @@ def test_deduplicated_identity_matches_per_sample_loop(token):
         ref = _per_sample_identity(gd, config)
         assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
         assert t.failures == 0
+
+
+@pytest.mark.parametrize("token", SWEEP_GROUPS)
+def test_randbelow_draws_match_randrange(token):
+    # the runner draws with Random._randbelow, which randrange(n) returns for
+    # n >= 1; a Python whose two draws part would move every pinned digest
+    n = system(token).order()
+    for seed in (20260809, 1, 5):
+        ours = random.Random(f"{seed}:{token}")
+        ref = random.Random(f"{seed}:{token}")
+        draws = 2 * make_config([]).sample_pairs
+        assert [ours._randbelow(n) for _ in range(draws)] == [ref.randrange(n) for _ in range(draws)]
 
 
 def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):

@@ -1,19 +1,21 @@
 import copy
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import system
 from coxex import build_root_system, load_root_system, parse_descriptor, save_root_system
-from coxex.rootsystem import root_label, root_system_from_json
+from coxex.rootsystem import minimal_polynomial, root_label, root_system_from_json
 
-# sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The exact systems
-# were recorded with the closure that computed in Fraction coordinates, and
-# the integer closure must reproduce them exactly; H3, H4 and I2(5)-I2(8)
-# were recorded while the closure still built the generator tables itself,
-# before they became `reflection_table` of the simple roots
+# sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The
+# crystallographic systems were recorded with the closure that computed in
+# Fraction coordinates, and every later closure must reproduce them exactly;
+# H3, H4 and I2(5)-I2(8) were recorded when their files became integer
+# coefficients over Z[2cos(pi/m)], and TABLE_DIGESTS ties their tables to
+# the float closure that came before
 CLOSURE_DIGESTS = {
     "A1": "c8e404e100bcef374597537c39c4c4dcf7815e72a9ec334f9ec5f5ceb1144480",
     "A2": "b5aa1f0fabc2a9d911bc23efb5dccf5a55c9c333e3185ff1619a4de086f3fb2b",
@@ -43,12 +45,30 @@ CLOSURE_DIGESTS = {
     "A2xA1": "51cf10975a297e241298967324cab896d4d247fba7f2a69d8f7c2b50404684c6",
     "A1xA1xA1": "32386f10d22985edd5f51739b10041a564bb89c14f10e255c85244bcfaf02d03",
     "B3xA2": "cd6e63e43e1e525693287eb786d8fbec52a1873694b3177736261ee1959a0483",
-    "H3": "74dbe2870daeb27120ea6294d608180418f8091687cf3486afa260b0e3afaef1",
-    "H4": "43a9bc1eab10dd5317a6a30ec4ed11dfcfcf6e624ac2549c75f0becb84e4d1bd",
-    "I2(5)": "c006bf58253d14e77244ee39b605b7c6656b3f2e18ca2538591abd836b6811c0",
-    "I2(6)": "583724df92b9fbe8fa4629221f34b3e5cd293e7ef4271e2abe1882b41445e1d5",
-    "I2(7)": "185dfbac2bc96c27268bbb8f2023c56cee668c8a0bd464158a6f12ffb9798406",
-    "I2(8)": "64d00b82324fc8d0525872a71d8c3e98d663c35a09c5c49076d69a72bb3f2d96",
+    "H3": "d93f829193813a134919f5ea70470053e2b6b69b5c01281536d325515f6f5fee",
+    "H4": "564897048573c4a6b954b6e42e48fd4ec996e4a59ec99a7808dffe73550960bd",
+    "I2(5)": "c2b4f8bbd0d6f5418c24a57d9ed857c565d40d15009f5dcca15047d9b4f11c07",
+    "I2(6)": "a0723ca453989fed5584595713093d65a195c4748d9e22b8458001e4455682ec",
+    "I2(7)": "f7bf8756d8d1cd0a7a701df87d22c6857a462e80e745a5acc84bad6e10566957",
+    "I2(8)": "4d2a14eaea4bb5b2a46544d243224ffc1f8d38cb3efc70993bea6bf076a945a8",
+}
+
+# sha256 of json.dumps({"gen": ..., "refl": ..., "simple": ...}, sort_keys=True)
+# over the generator tables, every reflection table and the simple indices,
+# as lists: recorded from the float closure in the simple-root basis, with
+# the bilinear form -cos(pi/m_rs), that H and I2 used before their integer
+# realization
+TABLE_DIGESTS = {
+    "H3": "206f269be9a22f764745651fa497ee04acb274939563f0273fbdad0fca02b33b",
+    "H4": "d3528baa306dd73f286eab031569772b1f2c29fcdf7b032b712710367b454250",
+    "I2(5)": "dd932cc4dcaea00cd727d135fd442f4369d077d7811af38ca6ae0a4f3388ffab",
+    "I2(6)": "a28fa0790e1d9202e60f309fe04c9b776224ea353380ed1458bf280764d2bf73",
+    "I2(7)": "9b40162a8bf0ac4cd32267ffd7f64a41a9d9022a6ca1c4db32a3bcfbb39803bb",
+    "I2(8)": "e9f59e7feafc1aad678b39879629a1f64032a412d707ed84387da803c82d413b",
+    "I2(9)": "b74ada49a55cc815e041807b87f5846d90d3238b3e3752012e6273b27a475a4b",
+    "I2(10)": "8c8355579b2afb082c2dc1a073c28bcd1e0617ddcd81b9f0436026b6f28e3e55",
+    "I2(11)": "9985f3264a8a88123e9c2b35f26e08e30bb8f566ffe64cb932e600db024c967a",
+    "I2(12)": "e40263d5bfdbe080ffca468e4d30c563d944be4e3f8927c86eaf62f433fe04b9",
 }
 
 
@@ -137,15 +157,21 @@ def test_serialization_round_trip_exact(tmp_path):
     assert loaded.name == "B3"
 
 
-def test_serialization_round_trip_float(tmp_path):
+def test_serialization_round_trip_dihedral(tmp_path):
     rs = build_root_system(parse_descriptor("I2(7)"))
+    assert rs.field_degree == 3
     path = tmp_path / "i27.json"
     save_root_system(rs, path)
+    doc = json.loads(path.read_text())
+    assert doc["exact"] is True
+    assert all(type(x) is int for v in doc["roots"] + doc["coeffs"] for x in v)
+    assert all(len(v) == rs.rank * rs.field_degree for v in doc["roots"])
     loaded = load_root_system(path)
+    assert loaded.positive_roots == rs.positive_roots
     assert loaded.gen_tables == rs.gen_tables
+    assert loaded.coeffs == rs.coeffs
+    assert loaded.simple_indices == rs.simple_indices
     assert loaded.num_positive == 7
-    for u, v in zip(loaded.positive_roots, rs.positive_roots):
-        assert max(abs(a - b) for a, b in zip(u, v)) < 1e-12
 
 
 def test_schema_field_is_checked():
@@ -154,9 +180,8 @@ def test_schema_field_is_checked():
 
 
 def test_reflection_tables_through_non_simple_roots():
-    # images of reflections through non-simple roots are computed along a
-    # different float path than the stored coordinates; the lookup must not
-    # depend on rounded keys matching exactly
+    # each table is a generator table conjugated along a path of generators:
+    # it must still be the involution negating exactly its own root
     from coxex.elements import compose_tables, identity_table
     for token in ["H4", "H3", "I2(7)", "F4"]:
         rs = system(token)
@@ -181,8 +206,10 @@ def test_closure_reproduces_fraction_digests(token):
     rs = system(token)
     text = json.dumps(rs.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_DIGESTS[token]
-    # Fraction coordinates exactly for the exact systems
-    assert all(type(x) is Fraction for v in rs.positive_roots for x in v) == rs.exact
+    # Fraction coordinates for the crystallographic systems, int coefficients
+    # for H and I2
+    kind = int if token[0] in "HI" else Fraction
+    assert all(type(x) is kind for v in rs.positive_roots for x in v)
 
 
 def _saved(token, tmp_path):
@@ -273,7 +300,8 @@ def test_load_refuses_malformed_structure(tmp_path):
 
 @pytest.mark.parametrize("token", ["H3", "I2(7)"])
 def test_load_refuses_float_table_that_is_not_the_reflection(token, tmp_path):
-    # float files are recomputed from their roots too
+    # H and I2 files, once float and now integer coefficients over
+    # Z[2cos(pi/m)], are recomputed from their roots too
     doc = _saved(token, tmp_path)
     _tamper_not_the_reflection(doc)
     with pytest.raises(ValueError, match="differs from the reflection"):
@@ -283,7 +311,7 @@ def test_load_refuses_float_table_that_is_not_the_reflection(token, tmp_path):
 def test_load_refuses_broken_relation_in_float_file(tmp_path):
     # relabelling H3's generators 1 and 2 together with their simple roots
     # keeps every table the reflection in its simple root, recomputed from
-    # the roots, but breaks (s2 s3)^3 = 1
+    # the roots' coefficients, but breaks (s2 s3)^3 = 1
     doc = _saved("H3", tmp_path)
     t, si = doc["generator_tables"], doc["simple_indices"]
     t[0], t[1] = t[1], t[0]
@@ -304,3 +332,84 @@ def test_lookups_accept_ints_and_fractions():
         rs.index_of(tuple(-x for x in rs.positive_roots[0]))
     with pytest.raises(KeyError):
         rs.signed_index_of((Fraction(1, 3), 0, 0, 0))
+
+
+@pytest.mark.parametrize("token", sorted(TABLE_DIGESTS))
+def test_tables_match_the_float_closure(token):
+    rs = system(token)
+    doc = {"gen": [list(t) for t in rs.gen_tables],
+           "refl": [list(rs.reflection_table(i)) for i in range(rs.num_positive)],
+           "simple": list(rs.simple_indices)}
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[token]
+
+
+@pytest.mark.parametrize("m,degree", [(5, 2), (6, 2), (7, 3), (8, 4), (9, 3), (10, 4),
+                                      (11, 5), (12, 4), (30, 8), (31, 15)])
+def test_minimal_polynomial_of_2cos_pi_over_m(m, degree):
+    psi = minimal_polynomial(m)
+    assert len(psi) == degree + 1 and psi[-1] == 1
+    # c = 2cos(pi/m) is a root, and the degree is phi(2m)/2
+    c = 2 * math.cos(math.pi / m)
+    assert abs(sum(a * c ** i for i, a in enumerate(psi))) < 1e-9
+    assert sum(math.gcd(k, 2 * m) == 1 for k in range(1, 2 * m)) == 2 * degree
+
+
+def test_h_and_i2_use_their_rings():
+    assert minimal_polynomial(5) == (-1, -1, 1)  # c^2 = c + 1, the golden ratio
+    for token, d in [("H3", 2), ("H4", 2), ("I2(5)", 2), ("I2(7)", 3), ("I2(11)", 5),
+                     ("A3", 1), ("E6", 1), ("A2xA1", 1)]:
+        rs = system(token)
+        assert rs.field_degree == d
+        assert all(len(c) == rs.rank * d for c in rs.coeffs)
+
+
+def _legacy_float_doc(token):
+    """A file as H and I2 systems were saved in float coordinates: roots and
+    coefficients as repr(float) in the simple-root basis, "exact": false."""
+    rs = system(token)
+    desc = rs.components[0]
+    c = 2 * math.cos(math.pi / (desc.m if desc.family == "I2" else 5))
+    d = rs.field_degree
+    vecs = [[repr(float(sum(x * c ** j for j, x in enumerate(v[k:k + d]))))
+             for k in range(0, len(v), d)] for v in rs.coeffs]
+    return {
+        "schema": "coxex.rootsystem/1",
+        "descriptor": [{"family": desc.family, "rank": desc.rank, "m": desc.m}],
+        "exact": False,
+        "roots": vecs,
+        "coeffs": copy.deepcopy(vecs),
+        "simple_indices": list(rs.simple_indices),
+        "generator_tables": [list(t) for t in rs.gen_tables],
+    }
+
+
+@pytest.mark.parametrize("token", ["H3", "H4", "I2(7)"])
+def test_legacy_float_file_loads_to_fresh_tables(token):
+    rs = system(token)
+    loaded = root_system_from_json(_legacy_float_doc(token))
+    assert loaded.gen_tables == rs.gen_tables
+    assert loaded.simple_indices == rs.simple_indices
+    assert loaded.keys == rs.keys and loaded.coeffs == rs.coeffs
+
+
+def _relabel_generators(doc):
+    # swap generators 1 and 2 with their simple roots: for I2(m) the tables
+    # still satisfy (s1 s2)^m = 1, but they are not the fresh build's
+    t, si = doc["generator_tables"], doc["simple_indices"]
+    t[0], t[1] = t[1], t[0]
+    si[0], si[1] = si[1], si[0]
+
+
+@pytest.mark.parametrize("token,tamper,message", [
+    ("I2(7)", _tamper_not_involution, "not an involution"),
+    ("I2(7)", _tamper_wrong_simple_root, "not exactly its simple root"),
+    ("H3", _relabel_generators, "is not the identity"),
+    ("I2(7)", _relabel_generators, "differ from a fresh build"),
+    ("H3", lambda doc: doc["roots"].pop(), "positive roots"),
+])
+def test_load_refuses_tampered_legacy_float_file(token, tamper, message):
+    doc = _legacy_float_doc(token)
+    tamper(doc)
+    with pytest.raises(ValueError, match=message):
+        root_system_from_json(doc)
