@@ -9,6 +9,7 @@ from the simple-root coefficients in every family.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .rootsystem import RootSystem
 
@@ -230,24 +231,26 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     # these lookups; a negation would make a new int object per entry below
     # -5, the end of CPython's small-int cache
     lookups = [signed_lookup(rs.gen_tables[r]) for r in names]
+    # an element is fixed by its simple-root images, and those of p * s are
+    # ext_s read at those of p: the key of a product costs rank lookups, and
+    # only a new element has its table built.  Keys come from itemgetters
+    # over the same number of entries, so in rank 1 every key is a bare int.
+    simple = rs.simple_indices
     ident = identity_table(rs.num_positive)
     perms = [ident]
     words = [()]
-    index = {ident: 0}
-    i = 0
-    while i < len(perms):
-        p = perms[i]
-        w = words[i]
+    seen = {itemgetter(*simple)(ident)}
+    for p, w in zip(perms, words):  # both lists grow while they are read
+        key_of = itemgetter(*[p[i] for i in simple])
         for r, ext in zip(names, lookups):
-            q = tuple([ext[v] for v in p])
-            if q not in index:
-                index[q] = len(perms)
-                perms.append(q)
+            k = key_of(ext)
+            if k not in seen:
+                seen.add(k)
+                perms.append(tuple([ext[v] for v in p]))
                 words.append(w + (r,))
                 if len(perms) > limit:
                     raise GuardExceeded(f"enumeration exceeded guard {limit}")
-        i += 1
-    return perms, words, index
+    return perms, words, {p: i for i, p in enumerate(perms)}
 
 
 def involution_tables(rs: RootSystem, guard: int | None = None):

@@ -69,9 +69,15 @@ def fixed_vector_basis(mat):
     return exact_nullspace(a)
 
 
-def fixes_all(mat, basis) -> bool:
-    """Whether v @ M = v for every basis vector v, entry by entry."""
-    cols = tuple(zip(*mat)) if basis else ()
+def columns(mat):
+    """The columns of a matrix, the form `fixes_all` reads it in."""
+    return tuple(zip(*mat))
+
+
+def fixes_all(cols, basis) -> bool:
+    """Whether v @ M = v for every basis vector v, entry by entry; cols are
+    the columns of M (`columns`), so that a caller testing one M against
+    many bases transposes it once."""
     for v in basis:
         for col, x in zip(cols, v):
             if sum(map(mul, v, col)) != x:

@@ -130,13 +130,14 @@ class RootSystem:
     d = `field_degree` is the degree of Q(c) over Q, and `gen_tables[r]`
     the action of generator r; the tables are checked to be involutions
     negating their simple roots that satisfy the Coxeter relations.
+    `ring` is `_ring(components)`, which the caller has already computed.
     """
 
-    def __init__(self, components, keys, coeffs, simple_indices, gen_tables):
+    def __init__(self, components, keys, coeffs, simple_indices, gen_tables, ring):
         self.components = tuple(components)
         # built once: every report and check of this system shares the string
         self.name = "x".join(d.name for d in self.components)
-        m, psi, self.field_degree = _ring(self.components)
+        m, psi, self.field_degree = ring
         self.keys = tuple(tuple(v) for v in keys)
         if m is None:
             self._scale = _SCALE
@@ -464,7 +465,7 @@ def build_root_system(descriptor) -> RootSystem:
     _, keys, coeffs = zip(*sorted(zip(order, keys, coeffs)))
     simple_indices = [coeffs.index(u) for u in units]
     return RootSystem(components, keys, coeffs, simple_indices,
-                      _generator_tables(coeffs, rules))
+                      _generator_tables(coeffs, rules), (m, psi, d))
 
 
 def save_root_system(rs: RootSystem, path) -> None:
@@ -541,7 +542,7 @@ def root_system_from_json(doc: dict) -> RootSystem:
         if t != want:
             raise ValueError(f"generator table {r} differs from the reflection "
                              "in its simple root")
-    return RootSystem(components, keys, coeffs, simple_indices, tables)
+    return RootSystem(components, keys, coeffs, simple_indices, tables, (m, psi, d))
 
 
 def _from_float_file(components, tables, simple_indices) -> RootSystem:

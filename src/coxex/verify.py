@@ -11,7 +11,9 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import groupby
+from operator import add, itemgetter
+from struct import unpack
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
@@ -21,7 +23,7 @@ from .elements import (GuardExceeded, _conjugation_orbits, bfs_tables,
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
-from .linalg import action_matrix, fixed_vector_basis, fixes_all
+from .linalg import action_matrix, columns, fixed_vector_basis, fixes_all
 from .parabolic import (generator_subsets, maximal_generator_subsets,
                         parabolic_context, split_context, split_values)
 from .rootsystem import RootSystem, build_root_system
@@ -31,7 +33,7 @@ MAX_COUNTEREXAMPLES = 100
 NO_NOTES = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteConfig:
     """What to verify: groups, checks, parabolic selection, limits."""
 
@@ -101,7 +103,7 @@ class CheckResult:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SuiteResult:
     config: dict
     checks: list[CheckResult]
@@ -380,11 +382,11 @@ def _run_jset_equivalence(gd, config, notes):
     """The oracle computes its own fixed spaces: J_w is the x in I_w whose
     fixed space contains that of w."""
     rs, perms = gd.rs, gd.perms
-    mats = {xi: action_matrix(rs, perms[xi]) for xi in gd.involutions}
+    cols = {xi: columns(action_matrix(rs, perms[xi])) for xi in gd.involutions}
     t = _Tally()
     for wi in range(len(gd)):
         basis = fixed_vector_basis(action_matrix(rs, perms[wi]))
-        via_fix = {x for x, _ in gd.pairs[wi] if fixes_all(mats[x], basis)}
+        via_fix = {x for x, _ in gd.pairs[wi] if fixes_all(cols[x], basis)}
         via_len = {x for x, _ in gd.jset_of(wi)}
         t.check(via_fix == via_len, lambda: (
             gd.display(wi), "-", f"|fixed-space filter|={len(via_fix)}",
@@ -444,7 +446,9 @@ def _lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
     of g, g^-1, h and gh.  Bit i stands for positive root i + 1, whose image
     under g^-1 is g_inv[i].  One pass over N(h): a root that g^-1 sends
     negative must lie in N(g^-1), and the negative of its image leaves N(g);
-    any other root outside N(g^-1) adds its image to N(g)."""
+    any other root outside N(g^-1) adds its image to N(g).  The runner
+    evaluates the same from a row per g (`_lemma22_from_row`); this form is
+    the reference the tests hold it to."""
     removed = 0
     added = 0
     b = bh
@@ -504,37 +508,100 @@ def _keyed_product(gd):
     return product
 
 
+def _randbelow_many(rng, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], read from whole 32-bit words.
+
+    randrange(n) draws getrandbits(k), k = n.bit_length(), until the value
+    is below n, and getrandbits(k <= 32) is the top k bits of the next
+    32-bit word.  getrandbits(32 * m) packs the next m words, least
+    significant first, so one shift and one mask leave the top k bits of
+    each word in its own 32 bits.  A round asks for as many words as values
+    are missing, so no word is drawn that randrange would not draw, and rng
+    ends in the state randrange would leave.  n >= 2**32 is refused: there
+    randrange reads several words per value.
+    """
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"n = {n} is outside 1..2**32 - 1")
+    k = n.bit_length()
+    top = ((1 << k) - 1).to_bytes(4, "little")
+    out: list[int] = []
+    while len(out) < count:
+        m = count - len(out)
+        words = rng.getrandbits(32 * m) >> (32 - k) & int.from_bytes(top * m, "little")
+        raw = words.to_bytes(4 * m, "little")
+        if k <= 8:  # a value is its word's first byte: drop those >= n in C
+            out += raw[::4].translate(None, bytes(range(n, 256)))
+        else:
+            out += [v for v in unpack(f"<{m}I", raw) if v < n]
+    return out
+
+
+def _lemma22_row(g_inv, bginv) -> list[int]:
+    """What each root of N(h) contributes to Lemma 2.2 for this g: entry i
+    is for positive root i + 1, whose image under g^-1 is s = g_inv[i].
+    Inside N(g^-1) with s < 0, it is the bit of root -s, which leaves N(g);
+    outside N(g^-1) with s > 0, the bit of root s, which joins N(g),
+    shifted up by npos, the number of positive roots; outside N(g^-1) with
+    s < 0, the sentinel 1 << 2 npos; otherwise 0.  Distinct roots give
+    distinct bits below the sentinel, so a sum over N(h) is the union of
+    their contributions."""
+    npos = len(g_inv)
+    sentinel = 1 << 2 * npos
+    row = []
+    for i, s in enumerate(g_inv):
+        inside = bginv >> i & 1
+        if s < 0:
+            row.append(1 << (-s - 1) if inside else sentinel)
+        else:
+            row.append(0 if inside else 1 << (npos + s - 1))
+    return row
+
+
+def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
+    """`_lemma22_core` from the row of g (`_lemma22_row`); roots_of_h are
+    the bit indices of bh.  A sentinel in the sum sets a bit at npos or
+    above in the predicted N(gh), which bgh never has."""
+    total = sum(map(row.__getitem__, roots_of_h))
+    npos = len(row)
+    if bgh != (bg & ~(total & ((1 << npos) - 1))) | total >> npos:
+        return False
+    return bgh.bit_count() == bg.bit_count() + bh.bit_count() - 2 * (bginv & bh).bit_count()
+
+
 def _run_inversion_identity(gd, config, notes):
-    """_lemma22_holds on sampled pairs, with N(gh) the bits of gh's own
-    table.  Every draw counts, but each distinct pair is evaluated once."""
-    # randrange(n) returns _randbelow(n) for n >= 1 after checking its
-    # argument; a test pins the two draws equal
-    draw = random.Random(f"{config.seed}:{gd.rs.name}")._randbelow
+    """Lemma 2.2 on sampled pairs, with N(gh) the bits of gh's own table.
+    Every draw counts, but each distinct pair is evaluated once, from one
+    row per g (`_lemma22_from_row`).  Only when a pair fails are the draws
+    made again, to count and store its failures in draw order; every other
+    draw passes."""
     perms, bits, inverse = gd.perms, gd.bits, gd.inverse
     n = len(gd)
+    seed = f"{config.seed}:{gd.rs.name}"
+    drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
+    # the keys g * n + h of the pairs, sorted: equal keys and equal g are runs
+    keys = sorted(map(add, map(n.__mul__, drawn), drawn))
     product = _keyed_product(gd)
+    roots_of: dict = {}  # hi -> the bit indices of N(h)
+    failed = set()
+    for gi, same_g in groupby(keys, n.__rfloordiv__):
+        gii = inverse[gi]
+        bg, bginv = bits[gi], bits[gii]
+        row = _lemma22_row(perms[gii], bginv)
+        for key, _ in groupby(same_g):
+            hi = key - gi * n
+            roots = roots_of.get(hi)
+            if roots is None:
+                roots = roots_of[hi] = [i for i, v in enumerate(perms[hi]) if v < 0]
+            if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[product(gi, hi)], roots):
+                failed.add(key)
     t = _Tally()
-
-    def describe():
-        # one closure for every sample: it reads the loop's current gi and hi
-        return (f"({gd.display(gi)}, {gd.display(hi)})", "-",
-                "set identity violated", "N(gh) decomposition")
-    verdicts = {}  # gi * n + hi -> verdict: a repeated draw is not re-evaluated
-    passes = 0
-    for _ in range(config.sample_pairs):
-        gi = draw(n)
-        hi = draw(n)
-        key = gi * n + hi
-        ok = verdicts.get(key)
-        if ok is None:
-            gii = inverse[gi]
-            ok = verdicts[key] = _lemma22_core(perms[gii], bits[gi], bits[gii],
-                                               bits[hi], bits[product(gi, hi)])
-        if ok:
-            passes += 1
-        else:
-            t.check(False, describe)
-    t.passes += passes
+    if failed:
+        drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
+        for gi, hi in zip(drawn, drawn):
+            if gi * n + hi in failed:
+                t.check(False, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                                        "set identity violated", "N(gh) decomposition"))
+    t.passes += config.sample_pairs - t.failures  # so far only failed draws
     for xi in gd.involutions:
         t.check(_involution_reversal_holds(gd.perms[xi]), lambda: (
             gd.display(xi), "-", "N(x) != -N(x)x", "N(x) = -N(x)x"))
@@ -702,7 +769,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
                                       notes or NO_NOTES))
     cfg_payload = {
         "descriptors": ["x".join(d.name for d in comps) for comps in config.descriptors],
-        "theorems": list(selected),
+        "theorems": selected,
         "parabolic": (config.parabolic if isinstance(config.parabolic, str)
                       else list(config.parabolic)),
         "guard": limit,

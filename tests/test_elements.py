@@ -9,7 +9,8 @@ from coxex import (GuardExceeded, build_root_system, group_elements,
 from coxex.elements import (GroupElement, bfs_tables, compose_tables,
                             element_from_word, enumerate_group, generator,
                             involution_reflection_length, involution_tables,
-                            is_involution_table, reduced_word, reflection)
+                            identity_table, is_involution_table, reduced_word,
+                            reflection, signed_lookup)
 from coxex.linalg import action_matrix
 from coxex.signedperm import parse, to_root_perm
 
@@ -122,6 +123,40 @@ def test_involution_closure_matches_bfs_filter(token, monkeypatch):
     assert at_key == {k: i for i, k in enumerate(simple_images)}
     assert len(at_key) == len(tables)
     assert involution_tables(rs) is rs._involutions
+
+
+def _table_bfs(rs, gens=None):
+    """The BFS that builds and looks up the full table of every product."""
+    names = range(rs.rank) if gens is None else gens
+    lookups = [signed_lookup(rs.gen_tables[r]) for r in names]
+    ident = identity_table(rs.num_positive)
+    perms, words, index = [ident], [()], {ident: 0}
+    i = 0
+    while i < len(perms):
+        p, w = perms[i], words[i]
+        for r, ext in zip(names, lookups):
+            q = tuple([ext[v] for v in p])
+            if q not in index:
+                index[q] = len(perms)
+                perms.append(q)
+                words.append(w + (r,))
+        i += 1
+    return perms, words, index
+
+
+# the groups of scripts/run_theorem_sweeps.py, rank 1 (bare-int keys) and E6
+@pytest.mark.parametrize("token", [
+    "A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4", "I2(5)", "I2(6)",
+    "I2(7)", "I2(8)", "A2xA1", "A1xA1xA1", "A1", "E6"])
+def test_keyed_bfs_matches_table_bfs(token):
+    rs = _fresh(token)
+    assert bfs_tables(rs) == _table_bfs(rs)
+
+
+def test_keyed_bfs_matches_table_bfs_on_a_generator_subset():
+    rs = _fresh("B4")
+    for gens in ((0, 2), (3,), (1, 2, 3)):
+        assert bfs_tables(rs, gens=gens) == _table_bfs(rs, gens)
 
 
 def test_involution_tables_share_int_objects():

@@ -25,7 +25,7 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             compose_tables, element_from_word, invert_table,
                             involution_reflection_length, is_involution_table,
                             reduced_word, reflection, word_text)
-from coxex.linalg import action_matrix, fixed_vector_basis, fixes_all, restrict
+from coxex.linalg import action_matrix, columns, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.signedperm import from_root_perm, parse, to_root_perm
 
@@ -155,7 +155,7 @@ def _fixed_space_jset(w, iw):
     rs = w.system
     basis = fixed_basis(w)
     return tuple(x for x in iw.elements
-                 if fixes_all(action_matrix(rs, x.perm), basis))
+                 if fixes_all(columns(action_matrix(rs, x.perm)), basis))
 
 
 @pytest.mark.parametrize("token", JSET_GROUPS)
@@ -184,7 +184,7 @@ def test_group_data_reflection_data_matches_fixed_spaces(token):
         w = gd.element(wi)
         basis = fixed_basis(w)
         via_fix = [(x, y) for x, y in gd.pairs[wi]
-                   if fixes_all(action_matrix(rs, gd.perms[x]), basis)]
+                   if fixes_all(columns(action_matrix(rs, gd.perms[x])), basis)]
         assert gd.reflection_length(wi) == rs.rank - len(basis) // rs.field_degree
         assert gd.jset_of(wi) == via_fix
         assert gd.refl_excess_of(wi) == min(gd.defect(x, y) for x, y in via_fix)
@@ -444,7 +444,7 @@ def test_parabolic_jset_is_ambient_jset_cut_to_parabolic(token):
             block = restrict(action_matrix(rs, gd.perms[wi]), rows)
             basis = fixed_vector_basis(block) if J else ()
             inside = {x for x, _ in gd.pairs[wi] if gd.bits[x] & ~mask == 0
-                      and fixes_all(restrict(action_matrix(rs, gd.perms[x]), rows), basis)}
+                      and fixes_all(columns(restrict(action_matrix(rs, gd.perms[x]), rows)), basis)}
             assert inside == {x for x, _ in gd.jset_of(wi) if gd.bits[x] & ~mask == 0}
             assert len(J) - len(basis) // d == gd.reflection_length(wi)
 
@@ -526,7 +526,7 @@ def _fixed_space_report(rs, w, parabolics, iw):
     """Reference report of a B/D element: J_w from fixed spaces, and every
     statistic by its own compositions."""
     basis = fixed_basis(w)
-    jw = [x for x in iw.elements if fixes_all(action_matrix(rs, x.perm), basis)]
+    jw = [x for x in iw.elements if fixes_all(columns(action_matrix(rs, x.perm)), basis)]
 
     def least(xs):
         return min(2 * (x.inversions() & (x * w).inversions()).bit_count() for x in xs)

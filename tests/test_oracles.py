@@ -2,7 +2,8 @@
 replaced: rational elimination for fixed spaces, row-by-row products for
 `fixes_all`, the numpy SVD basis and numpy `fixes_all` on the real matrices
 of H and I2, full tables for the reflection BFS, the per-sample loop of the
-inversion-set identity and its two-pass core, and the signed-permutation
+inversion-set identity, randrange for its bulk draws, its one-pass core for
+the row kernel and the two-pass core for that, and the signed-permutation
 loops that the table algebra replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
@@ -22,7 +23,8 @@ from coxex import SignedPermutation, constructive_inverter, make_config, run_sui
 from coxex.elements import (compose_tables, element_from_word, identity_table,
                             invert_table)
 from coxex import verify
-from coxex.linalg import action_matrix, exact_nullspace, fixed_vector_basis, fixes_all
+from coxex.linalg import (action_matrix, columns, exact_nullspace, fixed_vector_basis,
+                          fixes_all)
 from coxex.verify import MAX_COUNTEREXAMPLES, TRUNCATED, _reflection_distances
 
 
@@ -104,7 +106,7 @@ def test_exact_fixes_all_matches_row_products(token):
         basis = fixed_vector_basis(action_matrix(gd.rs, gd.perms[wi]))
         for x, _ in gd.pairs[wi]:
             want = all(_apply_row(v, mats[x]) == v for v in basis)
-            assert fixes_all(mats[x], basis) == want, (token, wi, x)
+            assert fixes_all(columns(mats[x]), basis) == want, (token, wi, x)
             seen.add(want)
     assert seen == {True, False}
 
@@ -151,10 +153,10 @@ def test_float_fixed_spaces_match_numpy_svd(token):
         basis = fixed_vector_basis(mat)
         ref = _svd_basis(_real_matrix(rs, gd.perms[wi]))
         assert len(basis) == rs.field_degree * len(ref), (token, wi)
-        assert fixes_all(mat, basis)
+        assert fixes_all(columns(mat), basis)
         xs = [x for x, _ in gd.pairs[wi]]
         want = _numpy_fixes_all(np.array([real[x] for x in xs], dtype=float), ref)
-        assert [fixes_all(mats[x], basis) for x in xs] == want, (token, wi)
+        assert [fixes_all(columns(mats[x]), basis) for x in xs] == want, (token, wi)
         seen.update(want)
     assert seen == {True, False}
 
@@ -244,6 +246,41 @@ def test_one_pass_lemma22_core_matches_two_passes_on_groups(token):
     assert seen == {True, False}
 
 
+def _from_row(g_inv, bg, bginv, bh, bgh) -> bool:
+    """The runner's kernel, fed the inputs of `_lemma22_core`."""
+    roots = [i for i in range(len(g_inv)) if bh >> i & 1]
+    return verify._lemma22_from_row(verify._lemma22_row(g_inv, bginv), bg, bginv, bh, bgh,
+                                    roots)
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "H3", "A2xA1"])
+def test_row_kernel_matches_lemma22_core_on_groups(token):
+    # the true N(gh) and two wrong ones, for every pair
+    gd = data(token)
+    product = verify._keyed_product(gd)
+    npos = gd.rs.num_positive
+    seen = set()
+    for gi in range(len(gd)):
+        gii = gd.inverse[gi]
+        for hi in range(len(gd)):
+            inputs = (gd.perms[gii], gd.bits[gi], gd.bits[gii], gd.bits[hi])
+            bgh = gd.bits[product(gi, hi)]
+            for b in (bgh, bgh ^ 1, bgh ^ (1 << hi % npos)):
+                want = verify._lemma22_core(*inputs, b)
+                assert _from_row(*inputs, b) == want, (token, gi, hi, b)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_row_kernel_refuses_a_negative_image_outside_n_ginv():
+    # g^-1 sends root 1 negative though it lies outside N(g^-1): its entry
+    # is the sentinel, and both kernels refuse the pair
+    g_inv, bg, bginv, bh, bgh = (-1, 2), 0b01, 0b00, 0b01, 0b01
+    assert not verify._lemma22_core(g_inv, bg, bginv, bh, bgh)
+    assert not _from_row(g_inv, bg, bginv, bh, bgh)
+    assert verify._lemma22_row(g_inv, bginv)[0] == 1 << 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_one_pass_lemma22_core_matches_two_passes_on_any_bitsets(drawn):
@@ -255,7 +292,10 @@ def test_one_pass_lemma22_core_matches_two_passes_on_any_bitsets(drawn):
     g_inv = tuple(s * p for s, p in zip(signs, perm))
     bitsets = [drawn.draw(st.integers(min_value=0, max_value=2 ** n - 1))
                for _ in range(4)]
-    assert verify._lemma22_core(g_inv, *bitsets) == _two_pass_lemma22_core(g_inv, *bitsets)
+    want = _two_pass_lemma22_core(g_inv, *bitsets)
+    assert verify._lemma22_core(g_inv, *bitsets) == want
+    # the runner's row kernel too, whose sentinel these bitsets reach
+    assert _from_row(g_inv, *bitsets) == want
 
 
 def _per_sample_identity(gd, config):
@@ -297,14 +337,37 @@ def test_deduplicated_identity_matches_per_sample_loop(token):
 
 @pytest.mark.parametrize("token", SWEEP_GROUPS)
 def test_randbelow_draws_match_randrange(token):
-    # the runner draws with Random._randbelow, which randrange(n) returns for
-    # n >= 1; a Python whose two draws part would move every pinned digest
+    # the runner's bulk draws for the sweep's group orders; a Python whose
+    # two draws part would move every pinned digest
     n = system(token).order()
+    draws = 2 * make_config([]).sample_pairs
     for seed in (20260809, 1, 5):
         ours = random.Random(f"{seed}:{token}")
         ref = random.Random(f"{seed}:{token}")
-        draws = 2 * make_config([]).sample_pairs
-        assert [ours._randbelow(n) for _ in range(draws)] == [ref.randrange(n) for _ in range(draws)]
+        assert verify._randbelow_many(ours, n, draws) == [ref.randrange(n) for _ in range(draws)]
+        assert ours.getstate() == ref.getstate()
+
+
+# both sides of each width and of the one-byte path, E6's order (16 bits)
+# and the widest words
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 255, 256, 257, 65535, 65537, 51840,
+                               2 ** 31, 2 ** 32 - 1])
+def test_bulk_draws_match_randrange_at_every_width(n):
+    # n = 2**j and n = 2**j + 1 keep about half of the words, so the longer
+    # counts take several refills
+    for seed in (0, 7, 20260809):
+        for count in (0, 1, 2, 9, 1000, 4097):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert (verify._randbelow_many(ours, n, count)
+                    == [ref.randrange(n) for _ in range(count)]), (n, seed, count)
+            # no word is drawn that randrange would not draw
+            assert ours.getstate() == ref.getstate(), (n, seed, count)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2 ** 32, 2 ** 40])
+def test_bulk_draws_refuse_what_one_word_cannot_hold(n):
+    with pytest.raises(ValueError):
+        verify._randbelow_many(random.Random(1), n, 5)
 
 
 def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
@@ -313,13 +376,17 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     n = len(gd)
     failing = {(gi, hi) for gi in (1, 5, 9) for hi in (0, 2, 7, 11)}
     failing_bits = {(gd.bits[gi], gd.bits[hi]) for gi, hi in failing}
+    kernel = verify._lemma22_from_row
     core = verify._lemma22_core
     calls = []
 
-    def patched(g_inv, bg, bginv, bh, bgh):
+    def patched(row, bg, bginv, bh, bgh, roots_of_h):
         calls.append((bg, bh))
-        return (bg, bh) not in failing_bits and core(g_inv, bg, bginv, bh, bgh)
-    monkeypatch.setattr(verify, "_lemma22_core", patched)
+        return (bg, bh) not in failing_bits and kernel(row, bg, bginv, bh, bgh, roots_of_h)
+    monkeypatch.setattr(verify, "_lemma22_from_row", patched)
+    # the per-sample reference below evaluates with the core: it fails the same pairs
+    monkeypatch.setattr(verify, "_lemma22_core", lambda g_inv, bg, bginv, bh, bgh: (
+        (bg, bh) not in failing_bits and core(g_inv, bg, bginv, bh, bgh)))
     config = make_config([])
     t = verify._run_inversion_identity(gd, config, {})
     rng = random.Random(f"{config.seed}:{gd.rs.name}")

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import system
 from coxex import build_root_system, load_root_system, parse_descriptor, save_root_system
+from coxex import rootsystem
 from coxex.rootsystem import minimal_polynomial, root_label, root_system_from_json
 
 # sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The
@@ -353,6 +354,20 @@ def test_minimal_polynomial_of_2cos_pi_over_m(m, degree):
     c = 2 * math.cos(math.pi / m)
     assert abs(sum(a * c ** i for i, a in enumerate(psi))) < 1e-9
     assert sum(math.gcd(k, 2 * m) == 1 for k in range(1, 2 * m)) == 2 * degree
+
+
+def test_psi_is_computed_once_per_build_and_load(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return minimal_polynomial(m)
+    monkeypatch.setattr(rootsystem, "minimal_polynomial", counted)
+    rs = build_root_system(parse_descriptor("I2(60)"))
+    assert calls == [60]
+    save_root_system(rs, tmp_path / "i2_60.json")
+    assert load_root_system(tmp_path / "i2_60.json").gen_tables == rs.gen_tables
+    assert calls == [60, 60]
 
 
 def test_h_and_i2_use_their_rings():

@@ -109,7 +109,7 @@ def test_inversion_identity_sampling_is_seeded():
 def test_inversion_identity_failures_name_their_own_pairs(monkeypatch):
     # one describe closure serves every sample, so each stored failure must
     # read the pair drawn for it, not a later one
-    monkeypatch.setattr("coxex.verify._lemma22_core", lambda *args: False)
+    monkeypatch.setattr("coxex.verify._lemma22_from_row", lambda *args: False)
     config = make_config([descriptor("A3")], theorems=("inversion-set-identity",),
                          sample_pairs=7)
     check = run_suite(config).checks[0]
