@@ -53,18 +53,20 @@ import enum
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import product
+from math import factorial
 from operator import itemgetter
 
 from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
-                       effective_guard, invert_table,
+                       compose_tables, effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
                        is_involution_table, reduced_word, signed_lookup,
                        word_text)
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem
-from .signedperm import (SignedCycle, SignedPermutation, centralizer_elements,
-                         constructive_inverter, cycle_as_permutation,
-                         from_root_perm, to_root_perm)
+from .signedperm import (SignedCycle, SignedPermutation, _check_model,
+                         cycle_as_permutation, from_root_perm, point_tables)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class InvolutionSet:
     `tables`, `bits` and `lr` are indexed by handle: the root permutation
     table, the inversion bitset and the reflection length of a member.  I_w
     is closed under x -> xw, so every y is a member too, and `bits` and `lr`
-    cover every handle in `pairs`.
+    cover every handle in `pairs`.  On the structured path `signed` holds
+    each member's signed images by handle, which reports format directly.
     """
 
     system: RootSystem
@@ -84,6 +87,7 @@ class InvolutionSet:
     tables: Sequence = field(repr=False, hash=False)
     bits: Mapping[int, int] = field(repr=False, hash=False)
     lr: Mapping[int, int] = field(repr=False, hash=False)
+    signed: Sequence | None = field(default=None, repr=False, hash=False)
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -106,11 +110,11 @@ class DnCondition(enum.Enum):
     NONE = "none"
 
 
-def _from_pairs(rs: RootSystem, source: str, pairs, tables) -> InvolutionSet:
+def _from_pairs(rs: RootSystem, source: str, pairs, tables, signed=None) -> InvolutionSet:
     """Bits and l_R once per member x, which covers every y as well."""
     bits = {x: bits_of_table(tables[x]) for x, _ in pairs}
     lr = {x: involution_reflection_length(rs, tables[x]) for x, _ in pairs}
-    return InvolutionSet(rs, source, tuple(pairs), tables, bits, lr)
+    return InvolutionSet(rs, source, tuple(pairs), tables, bits, lr, signed)
 
 
 def inverting_involutions(rs: RootSystem, w: GroupElement,
@@ -132,52 +136,186 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
     return _from_pairs(rs, "exhaustive", pairs, tables)
 
 
-def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
-                                 guard: int = 10 ** 6) -> list[SignedPermutation]:
-    """I_w through the inverting coset of the centralizer, in W(B_n) or W(D_n).
+def _cycle_types(images) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """The cycles of a signed permutation, fixed points included, as point
+    tuples in cycle order, grouped by (length, sign type)."""
+    types: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
+        points = []
+        sign = 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            points.append(p)
+            v = images[p - 1]
+            if v < 0:
+                sign = -sign
+            p = abs(v)
+        if points:
+            types.setdefault((len(points), sign), []).append(tuple(points))
+    return types
 
-    Every x with w^x = w^-1 is c*x0 for a centralizing c and one fixed
-    inverter x0, so it suffices to filter that coset for involutions (and,
-    for ambient D, for positive elements).
+
+def _count(types, ambient: str) -> int:
+    """|I_w| from w's cycle types: see `inverting_involution_count`."""
+    def count(t):
+        out = 1
+        for (k, sign), cycles in types.items():
+            m = len(cycles)
+            f = 2 * k if t > 0 or (sign > 0 and k % 2 == 0) else 0
+            out *= sum(factorial(m) // (factorial(j) * factorial(m - 2 * j) * 2 ** j)
+                       * f ** (m - 2 * j) * (2 * k) ** j for j in range(m // 2 + 1))
+        return out
+    return count(1) if ambient == "B" else (count(1) + count(-1)) // 2
+
+
+def inverting_involution_count(sp: SignedPermutation, ambient: str = "B") -> int:
+    """|I_w| in W(B_n) or W(D_n) in closed form, a product over cycle types.
+
+    Of m cycles of length k, an involutive matching with j pairs swaps each
+    pair in one of 2k ways and reverses each of the m - 2j others in one of
+    2k ways (see `inverting_signed_involutions`), so a type contributes
+    sum_j m!/(j!(m-2j)!2^j) (2k)^(m-j).  For D, count(t) weighs a member by
+    t to the number of points it negates: a swapped pair negates an even
+    number, and a reversed cycle an even number in all 2k ways if it is
+    positive of even length, else in exactly k of them.  So the members that
+    negate an even number of points number (count(1) + count(-1)) / 2.
+    """
+    return _count(_cycle_types(sp.images), ambient)
+
+
+@lru_cache(maxsize=None)
+def _involutive_matchings(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The involutions of range(m) as blocks: (a, a) for a fixed item and
+    (a, b) for a swapped pair."""
+    if m == 0:
+        return ((),)
+    out = [((0, 0),) + tuple((a + 1, b + 1) for a, b in tail)
+           for tail in _involutive_matchings(m - 1)]
+    for other in range(1, m):
+        rest = [i for i in range(1, m) if i != other]
+        out.extend(((0, other),) + tuple((rest[a], rest[b]) for a, b in tail)
+                   for tail in _involutive_matchings(m - 2))
+    return tuple(out)
+
+
+def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
+                                 guard: int | None = None) -> list[SignedPermutation]:
+    """I_w in W(B_n) or W(D_n), sorted by images, as a product over w's
+    cycle types; the centralizer of w is never enumerated.
+
+    xwx = w^-1 says x(w^-1(p)) = w(x(p)) for every signed point p, so x
+    carries each cycle c of w onto a cycle d of the same length k and sign
+    type, and its image r of c's first point p0 fixes the rest:
+    x(w^-j(p0)) = w^j(r).  Any of the 2k signed points of d will do (Carter
+    1972).  For x to be an involution, the cycles of each type are matched
+    by an involution of S_m: a fixed cycle is reversed onto itself, in one of
+    2k ways, all of them involutions; a swapped pair (c, d) takes one of 2k
+    images r and the inverse map back from d.  So I_w is the product, over
+    the cycle types, of the involutive matchings with a choice of r per
+    block.  For ambient D each block's choices are kept apart by the parity
+    of the points they negate, and the last block takes only the parity that
+    makes the total even, so only members of W(D_n) are built.  The size is
+    known first (`inverting_involution_count`) and checked against the
+    guard.
     """
     if ambient not in ("B", "D"):
         raise ValueError("ambient must be 'B' or 'D'")
     if ambient == "D" and not sp.is_positive():
         raise ValueError("element is not in the type D group")
-    ext = signed_lookup(constructive_inverter(sp).images)
-    kept = []
-    for c in centralizer_elements(sp, "B", guard):
-        x = tuple([ext[v] for v in c.images])  # c * x0
-        if is_involution_table(x) and (
-                ambient == "B" or sum(v < 0 for v in x) % 2 == 0):
-            kept.append(x)
-    kept.sort()
+    types = _cycle_types(sp.images)
+    limit = effective_guard(guard)
+    size = _count(types, ambient)
+    if size > limit:
+        raise GuardExceeded(f"|I_w| = {size} exceeds guard {limit}")
+    ext = signed_lookup(sp.images)
+    ext_inv = signed_lookup(invert_table(sp.images))
+    by_parity = ambient == "D"
+    blocks: dict = {}
+
+    def block(c, d):
+        """(points, choices by parity): the images of x at c's points, and at
+        d's when d is another cycle, for each of the 2k images r."""
+        key = (c[0], d[0])
+        if key not in blocks:
+            points = c if d is c else c + d
+            slot = {p: i for i, p in enumerate(points)}
+            back = [c[0]]  # w^-j(p0)
+            for _ in range(len(c) - 1):
+                back.append(ext_inv[back[-1]])
+            choices: tuple[list, list] = ([], [])
+            for r in d + tuple([-p for p in d]):
+                images = [0] * len(points)
+                v = r
+                for u in back:  # x(u) = v, and x(v) = u when d is not c
+                    images[slot[abs(u)]] = v if u > 0 else -v
+                    if d is not c:
+                        images[slot[abs(v)]] = u if v > 0 else -u
+                    v = ext[v]
+                parity = sum(v < 0 for v in images) & 1 if by_parity else 0
+                choices[parity].append(tuple(images))
+            blocks[key] = (points, choices)
+        return blocks[key]
+
+    per_type = [[[block(cycles[a], cycles[b]) for a, b in matching]
+                 for matching in _involutive_matchings(len(cycles))]
+                for cycles in types.values()]
+    natural = list(range(1, sp.degree + 1))
+    members = []
+    for matchings in product(*per_type):
+        chosen = [b for matching in matchings for b in matching]
+        # partial images by parity of the points negated so far
+        partial: tuple[list, list] = ([()], [])
+        order = []
+        for i, (points, choices) in enumerate(chosen):
+            order += points
+            last = i == len(chosen) - 1
+            grown: tuple[list, list] = ([], [])
+            for p in (0, 1):
+                for q in (0, 1):
+                    if partial[p] and choices[q] and not (last and p != q):
+                        grown[p ^ q].extend([a + b for a in partial[p] for b in choices[q]])
+            partial = grown
+        found = partial[0]
+        if order != natural:
+            where = {p: i for i, p in enumerate(order)}
+            found = map(itemgetter(*[where[p] for p in natural]), found)
+        members.extend(found)
+    members.sort()
     trusted = SignedPermutation._trusted
-    return [trusted(x) for x in kept]
+    return [trusted(x) for x in members]
 
 
 def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,
-                                     guard: int = 10 ** 6) -> InvolutionSet:
-    """I_w from the centralizer coset; the handle of y = xw is found among
-    the members by its signed images."""
+                                     guard: int | None = None) -> InvolutionSet:
+    """I_w from the product over cycle types; the handle of y = xw is found
+    among the members by its signed images, and each member's root table
+    maps the signed point pair of every positive root."""
     fam = rs.family
     if fam not in ("B", "D"):
         raise ValueError("structured enumeration needs a type B or D system")
-    members = inverting_signed_involutions(sp, fam, guard)
-    handle = {x.images: i for i, x in enumerate(members)}
-    pairs = [(i, handle[(x * sp).images]) for i, x in enumerate(members)]
-    tables = tuple(to_root_perm(x, rs).perm for x in members)
-    return _from_pairs(rs, "structured-coset", pairs, tables)
+    _check_model(rs, sp)
+    signed = [x.images for x in inverting_signed_involutions(sp, fam, guard)]
+    handle = {x: i for i, x in enumerate(signed)}
+    pairs = [(i, handle[compose_tables(x, sp.images)]) for i, x in enumerate(signed)]
+    roots, grid = point_tables(rs)
+    tables = []
+    for x in signed:
+        ext = signed_lookup(x)
+        tables.append(tuple([grid[ext[a]][ext[b]] for a, b in roots]))
+    return _from_pairs(rs, "structured-coset", pairs, tables, signed)
 
 
 def involutions_inverting(rs: RootSystem, w: GroupElement,
                           guard: int | None = None) -> InvolutionSet:
-    """Exhaustive when the group fits under the guard, else the coset path."""
+    """Exhaustive when the group fits under the guard, else the structured
+    path, which the same guard bounds by |I_w|."""
     limit = effective_guard(guard)
     if rs.order() <= limit:
         return inverting_involutions(rs, w, limit)
     if rs.family in ("B", "D"):
-        return inverting_involutions_structured(rs, from_root_perm(w))
+        return inverting_involutions_structured(rs, from_root_perm(w), limit)
     raise GuardExceeded(
         f"|W({rs.name})| = {rs.order()} exceeds guard {limit} and no structured path applies")
 
@@ -353,6 +491,7 @@ class GroupData:
     `pairs[w]` lists the (x, y) with x, y involutions and xy = w, sorted, so
     x runs over I_w.  Every statistic reads them through the kernels that
     serve `InvolutionSet`, with `bits` and `lr` indexed by element.
+    `at_key` maps an element's simple-root images to its index.
     """
 
     def __init__(self, rs: RootSystem, guard: int | None = None):
@@ -370,7 +509,7 @@ class GroupData:
         # int, not a 1-tuple, in rank 1
         simple = rs.simple_indices
         key = itemgetter(*simple)
-        at_key = {key(p): i for i, p in enumerate(perms)}
+        self.at_key = at_key = {key(p): i for i, p in enumerate(perms)}
         lookups = [signed_lookup(perms[yi]) for yi in self.involutions]
         pairs: list[list[tuple[int, int]]] = [[] for _ in perms]
         for xi in self.involutions:  # x, then y, ascending: no sort needed
@@ -459,8 +598,21 @@ class ExcessReport:
     reflection_length: int
     excess: int
     reflection_excess: int
-    parabolic: tuple[tuple[tuple[int, ...], int, int], ...]
-    witnesses: tuple[tuple[str, str], ...]
+    # the rows (J, e_J, E_J) and the witness pairs (x, y) flattened, one
+    # tuple a report rather than one more a row or a pair, as callers keep
+    # many reports; `parabolic` and `witnesses` give them back as tuples
+    parabolic_rows: tuple
+    witness_texts: tuple[str, ...]
+
+    @property
+    def parabolic(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        rows = self.parabolic_rows
+        return tuple(zip(rows[::3], rows[1::3], rows[2::3]))
+
+    @property
+    def witnesses(self) -> tuple[tuple[str, str], ...]:
+        texts = self.witness_texts
+        return tuple(zip(texts[::2], texts[1::2]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -480,7 +632,7 @@ class ExcessReport:
         base = [self.descriptor, self.element, str(self.length),
                 str(self.reflection_length), str(self.excess),
                 str(self.reflection_excess)]
-        if not self.parabolic:
+        if not self.parabolic_rows:
             return [base + ["", "", ""]]
         return [base + [" ".join(str(j) for j in J), str(ej), str(Ej)]
                 for J, ej, Ej in self.parabolic]
@@ -499,6 +651,10 @@ def _element_text(w: GroupElement) -> str:
     return sys.intern(word_text(reduced_word(w)))
 
 
+def _signed_text(images) -> str:
+    return sys.intern(SignedPermutation._trusted(images).format())
+
+
 def excess_report(rs: RootSystem, w: GroupElement,
                   parabolics: tuple[ParabolicContext, ...] = (),
                   iw: InvolutionSet | None = None,
@@ -513,13 +669,23 @@ def excess_report(rs: RootSystem, w: GroupElement,
     E = _least_defect(jpairs, bits)
     if E < e or e % 2:
         raise RuntimeError("inconsistent excess values")  # defensive
-    par = tuple((ctx.J_display, _least_defect(pairs, bits, ctx.mask),
-                 _least_defect(jpairs, bits, ctx.mask))
-                for ctx in parabolics if ctx.contains(w))
+    wbits = w.inversions()
+    par = tuple([v for ctx in parabolics if ctx.contains_table(wbits)
+                 for v in (ctx.J_display, _least_defect(pairs, bits, ctx.mask),
+                           _least_defect(jpairs, bits, ctx.mask))])
 
-    def text(h):
-        return _element_text(GroupElement(rs, tables[h]))
-    witnesses = tuple((text(x), text(y)) for x, y in _spartan(pairs, bits, tables, e))
+    signed = iw.signed
+    if signed is None:
+        def text(h):
+            return _element_text(GroupElement(rs, tables[h]))
+        w_text = _element_text(w)
+    else:
+        # the signed members are kept by handle, and w = xy for any pair
+        def text(h):
+            return _signed_text(signed[h])
+        x, y = pairs[0]
+        w_text = _signed_text(compose_tables(signed[x], signed[y]))
+    witnesses = tuple([text(h) for xy in _spartan(pairs, bits, tables, e) for h in xy])
     x, y = jpairs[0]
-    return ExcessReport(rs.name, _element_text(w), w.length(),
+    return ExcessReport(rs.name, w_text, wbits.bit_count(),
                         iw.lr[x] + iw.lr[y], e, E, par, witnesses)

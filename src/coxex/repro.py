@@ -113,7 +113,7 @@ def run_d12() -> ReproResult:
     _diff(diffs, "e(w)", excess(w, iw), D12_EXCESS)
     coset = len(centralizer_elements(w_sp, "B"))
     _diff(diffs, "candidate coset size", coset, 44)
-    member_images = {from_root_perm(v).images for v in iw.elements}
+    member_images = set(iw.signed)
     _diff(diffs, "x in structured I_w", parse(D12_X, 12).images in member_images, True)
     _diff(diffs, "y in structured I_w", parse(D12_Y, 12).images in member_images, True)
     ctx = parabolic_context(rs, D12_J)

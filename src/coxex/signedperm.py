@@ -13,11 +13,22 @@ built once per root system (`point_tables`): each positive root's pair
 (a, b), with b = 0 for e_a, and the signed root index of every ordered
 signed pair.  Both conversions cost one lookup per root.
 
+In W(B_n) the centralizer of w is a product over w's cycle types (length
+k, sign type) of wreath products: a group of order 2k, generated by the
+cycle and, for a positive cycle, its sign flip, wreathed with S_m over the
+m cycles of that type (Carter 1972).  The inverting involutions I_w have
+the same shape: an involution permutes the cycles of each type as an
+involution of S_m, reverses each cycle it fixes in one of 2k ways and swaps
+each pair it moves in one of 2k ways.  `excess.inverting_signed_involutions`
+writes I_w down as that product, without the centralizer.
+`centralizer_elements` closes the centralizer from `centralizer_generators`;
+it is the reference the tests check that product against.
+
 Only the public constructor checks that its images form a signed
 permutation; it takes parsed and user input.  Products, inverses and the
-centralizer and coset closures are signed permutations by construction and
-skip that check.  The images are a signed table like a root permutation's,
-so products, inverses and the involution test are the table functions of
+centralizer closure are signed permutations by construction and skip that
+check.  The images are a signed table like a root permutation's, so
+products, inverses and the involution test are the table functions of
 `elements`.
 
 >>> sp = parse("(+2 +3 +5)", 5)

@@ -396,9 +396,10 @@ def _run_jset_equivalence(gd, config, notes):
 
 def _run_structured_iw(gd, config, notes):
     fam = gd.rs.family
+    images = {xi: gd.signed_perm(xi).images for xi in gd.involutions}
     t = _Tally()
     for wi in range(len(gd)):
-        exhaustive = {gd.signed_perm(xi).images for xi, _ in gd.pairs[wi]}
+        exhaustive = {images[xi] for xi, _ in gd.pairs[wi]}
         structured = {x.images for x in
                       inverting_signed_involutions(gd.signed_perm(wi), fam)}
         t.check(exhaustive == structured, lambda: (
@@ -489,13 +490,12 @@ def _involution_reversal_holds(p) -> bool:
 
 
 def _keyed_product(gd):
-    """(gi, hi) -> the index of gh, found by its simple-root images: g's
-    carried through h's lookup.  A carry or lookup is built on first use
-    only; both itemgetters give a bare int, not a 1-tuple, in rank 1."""
-    perms = gd.perms
+    """(gi, hi) -> the index of gh, found by its simple-root images, g's
+    carried through h's lookup, in `gd.at_key`.  A carry or lookup is built
+    on first use only; both itemgetters give a bare int, not a 1-tuple, in
+    rank 1."""
+    perms, at_key = gd.perms, gd.at_key
     simple = gd.rs.simple_indices
-    key = itemgetter(*simple)
-    at_key = {key(p): i for i, p in enumerate(perms)}
     carries: list = [None] * len(perms)
     lookups: list = [None] * len(perms)
 
@@ -714,7 +714,7 @@ _register("jset-equivalence",
           "fixed-space filter equals the reflection-length-additive filter",
           _run_jset_equivalence)
 _register("structured-iw-oracle",
-          "centralizer-coset enumeration of I_w matches the exhaustive filter",
+          "cycle-type enumeration of I_w matches the exhaustive filter",
           _run_structured_iw, _needs_bd)
 _register("reflection-length-oracle",
           "least l_R(x) + l_R(xw) over I_w, from traces, matches BFS reflection "

@@ -1,8 +1,11 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,8 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             reduced_word, reflection, word_text)
 from coxex.linalg import action_matrix, columns, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
-from coxex.signedperm import from_root_perm, parse, to_root_perm
+from coxex.excess import inverting_involution_count
+from coxex.signedperm import SignedPermutation, from_root_perm, parse, to_root_perm
 
 
 def _elt(token, text):
@@ -286,11 +290,61 @@ def test_structured_matches_exhaustive_b3():
         assert set(st.elements) == set(ex.elements)
 
 
-def _plain_product_coset_iw(sp, ambient):
-    """Reference structured I_w: every product c * x0 built and squared."""
+def _plain_product_coset_iw(sp, ambient, guard=10 ** 6):
+    """Reference structured I_w: the centralizer closed under the guard, and
+    every product c * x0 built and squared."""
     x0 = constructive_inverter(sp)
-    return sorted(g.images for g in (c * x0 for c in centralizer_elements(sp, "B"))
+    return sorted(g.images for g in (c * x0 for c in centralizer_elements(sp, "B", guard))
                   if (g * g).is_identity() and (ambient == "B" or g.is_positive()))
+
+
+def _signed_permutations(n, ambient):
+    """Every element of W(B_n), or of W(D_n): the positive ones."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            sp = SignedPermutation([s * p for s, p in zip(signs, perm)])
+            if ambient == "B" or sp.is_positive():
+                yield sp
+
+
+@pytest.mark.parametrize("token", ["B3", "B4", "B5", "D3", "D4", "D5"])
+def test_cycle_type_product_matches_centralizer_closure_on_every_element(token):
+    ambient, n = token[0], int(token[1:])
+    for sp in _signed_permutations(n, ambient):
+        members = [x.images for x in inverting_signed_involutions(sp, ambient)]
+        assert members == _plain_product_coset_iw(sp, ambient)
+        assert inverting_involution_count(sp, ambient) == len(members)
+        if ambient == "D":
+            assert all(SignedPermutation(x).is_positive() for x in members)
+
+
+def test_inverting_involution_count_pins():
+    assert inverting_involution_count(parse("(+1 +2 +3)(-4 +5 +6)", 6)) == 36
+    assert inverting_involution_count(parse("(+1 +2 +3)(+4 +5 +6)", 6)) == 36 + 6
+    # the identity inverts under every involution: 6,512 of W(B_7), 921,184 of W(B_10)
+    assert inverting_involution_count(SignedPermutation.identity(7)) == 6512
+    assert inverting_involution_count(SignedPermutation.identity(10)) == 921184
+    assert inverting_involution_count(SignedPermutation.identity(4)) == 76
+    assert inverting_involution_count(SignedPermutation.identity(4), "D") == 44
+
+
+def test_structured_path_refuses_on_the_size_of_iw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused query enumerated")
+
+    monkeypatch.setattr(sys.modules["coxex.excess"], "_involutive_matchings", refuse)
+    with pytest.raises(GuardExceeded, match=r"^\|I_w\| = 6512 exceeds guard 6511$"):
+        inverting_signed_involutions(SignedPermutation.identity(7), "B", guard=6511)
+    rs = system("B10")
+    with pytest.raises(GuardExceeded, match=r"^\|I_w\| = 921184 exceeds guard 100000$"):
+        involutions_inverting(rs, identity_element(rs), guard=10 ** 5)
+    # the caller's guard reaches the structured path: 4 * 8 * 6 * 2 / 2 members in D10
+    rs = system("D10")
+    w = to_root_perm(parse("(+1 +2)(+3 +4 +5 +6)(-7 -8 +9)", 10), rs)
+    with pytest.raises(GuardExceeded, match=r"^\|I_w\| = 192 exceeds guard 191$"):
+        involutions_inverting(rs, w, guard=191)
+    monkeypatch.undo()
+    assert len(involutions_inverting(rs, w, guard=192).pairs) == 192
 
 
 @pytest.mark.parametrize("token", ["B4", "D4"])
@@ -311,13 +365,35 @@ def test_structured_iw_matches_plain_products_on_random_elements(token, drawn):
     rs = system(token)
     sp = from_root_perm(element_from_word(rs, drawn.draw(_words(token))))
     try:
-        members = inverting_signed_involutions(sp, token[0], guard=5000)
+        reference = _plain_product_coset_iw(sp, token[0], guard=5000)
     except GuardExceeded:
         assume(False)  # a centralizer too large to square member by member
-    assert [x.images for x in members] == _plain_product_coset_iw(sp, token[0])
+    members = inverting_signed_involutions(sp, token[0])
+    assert [x.images for x in members] == reference
     iw = inverting_involutions_structured(rs, sp)
     assert [x.perm for x in iw.elements] == [to_root_perm(x, rs).perm for x in members]
     _assert_pairs(iw, to_root_perm(sp, rs))
+
+
+def test_structured_report_formats_the_kept_signed_members(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structured report converted a root table back")
+
+    rs = system("D12")
+    sp = parse("(+2 +4 +6 +8 +10 -12 +11 +9 +7 +5 -3)", 12)
+    w = to_root_perm(sp, rs)
+    ctxs = _maximal_contexts(rs)
+    iw = inverting_involutions_structured(rs, sp)
+    by_tables = excess_report(rs, w, ctxs, replace(iw, signed=None)).to_json_dict()
+    monkeypatch.setattr(sys.modules["coxex.excess"], "from_root_perm", refuse)
+    assert excess_report(rs, w, ctxs, iw).to_json_dict() == by_tables
+
+
+@pytest.mark.parametrize("token", ["A1", "B3", "H3", "A2xA1"])
+def test_group_data_keeps_its_key_dict(token):
+    gd = data(token)
+    key = itemgetter(*gd.rs.simple_indices)
+    assert gd.at_key == {key(p): i for i, p in enumerate(gd.perms)}
 
 
 def test_involutions_inverting_picks_a_path():
