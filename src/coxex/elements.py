@@ -9,7 +9,7 @@ from the simple-root coefficients in every family.
 from __future__ import annotations
 
 import os
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .rootsystem import RootSystem
 
@@ -308,33 +308,61 @@ def reduced_words(rs: RootSystem, guard: int | None = None) -> dict:
 
 
 def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[GroupElement]]:
-    """Orbits under conjugation, each sorted by table for determinism."""
-    perms, _, index = bfs_tables(rs, guard)
-    return [[GroupElement(rs, t) for t in orbit]
-            for orbit in _conjugation_orbits(perms, index, rs.gen_tables)]
+    """Orbits under conjugation, each sorted by table for determinism, in
+    the order of their first element in BFS order."""
+    perms, _, _ = bfs_tables(rs, guard)
+    at_key = {itemgetter(*rs.simple_indices)(p): i for i, p in enumerate(perms)}
+    orbits, _ = _conjugation_orbits(perms, at_key, rs)
+    return [[GroupElement(rs, t) for t in sorted(perms[i] for i in orbit)]
+            for orbit in orbits]
 
 
-def _conjugation_orbits(perms, index, gens) -> list[list[tuple[int, ...]]]:
-    """The conjugacy classes of an enumerated group as sorted lists of
-    tables, in the order of their first element in `perms`."""
+def _conjugation_orbits(perms, at_key, rs):
+    """The conjugacy classes of an enumerated group, by breadth-first search
+    under w -> s w s over the generators s.
+
+    `at_key` maps an element's simple-root images to its index in `perms`,
+    as `GroupData.at_key` does (a bare int in rank 1).  Returns (orbits,
+    parent): each orbit lists indices in BFS order from the first of its
+    elements in `perms`, and the orbits come in that order; parent[i] is
+    (j, r) with i = s_r j s_r and j before i in its orbit, None for the
+    first.  The image of simple root k under s w s is s's image of
+    w(s(alpha_k)): w's table read at the roots +-s(alpha_k), then one
+    signed lookup in s, negated where s(alpha_k) is negative.  Conjugation
+    by s is an involution, so once i = s j s is found, s i s = j is not
+    computed again.
+    """
+    gens = []
+    for r, g in enumerate(rs.gen_tables):
+        images = [g[i] for i in rs.simple_indices]
+        ext = signed_lookup(g)
+        neg = tuple([ext[-v] for v in range(len(ext))])  # neg[v] = ext[-v]
+        if rs.rank == 1:  # read the one entry twice so that map gets a tuple
+            images *= 2
+        gens.append((r, 1 << r, itemgetter(*[abs(v) - 1 for v in images]),
+                     [ext if v > 0 else neg for v in images]))
+    # a key is a tuple, or in rank 1 the bare int first of the pair read
+    key = next if rs.rank == 1 else tuple
+    parent: list = [None] * len(perms)
     seen = [False] * len(perms)
-    classes = []
-    for start, p in enumerate(perms):
+    known = [0] * len(perms)  # bit r: the conjugate by s_r is already seen
+    orbits = []
+    for start in range(len(perms)):
         if seen[start]:
             continue
-        orbit = [p]
         seen[start] = True
-        q = 0
-        while q < len(orbit):
-            cur = orbit[q]
-            for g in gens:
-                # generators are involutions, so g * cur * g conjugates
-                conj = compose_tables(compose_tables(g, cur), g)
-                ci = index[conj]
+        orbit = [start]
+        for wi in orbit:  # grows while it is read
+            p = perms[wi]
+            skip = known[wi]
+            for r, bit, at, lookups in gens:
+                if skip & bit:
+                    continue
+                ci = at_key[key(map(getitem, lookups, at(p)))]
+                known[ci] |= bit
                 if not seen[ci]:
                     seen[ci] = True
-                    orbit.append(conj)
-            q += 1
-        orbit.sort()
-        classes.append(orbit)
-    return classes
+                    parent[ci] = (wi, r)
+                    orbit.append(ci)
+        orbits.append(orbit)
+    return orbits, parent

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import add, itemgetter
+from operator import itemgetter, mul
 from struct import unpack
 from types import MappingProxyType
 
@@ -23,7 +23,8 @@ from .elements import (GuardExceeded, _conjugation_orbits, bfs_tables,
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
-from .linalg import action_matrix, columns, fixed_vector_basis, fixes_all
+from .linalg import (action_matrix, columns, fixed_vector_basis, packed_basis,
+                     packed_difference)
 from .parabolic import (generator_subsets, maximal_generator_subsets,
                         parabolic_context, split_context, split_values)
 from .rootsystem import RootSystem, build_root_system
@@ -105,16 +106,49 @@ class CheckResult:
 
 @dataclass(slots=True)
 class SuiteResult:
-    config: dict
-    checks: list[CheckResult]
+    """A run's outcome.  Callers may keep many results, so it holds only
+    what its config does not fix: the effective guard, and for each check
+    that ran, in order, its passes, failures, counterexamples and notes, one
+    flat tuple (`ran`).  `checks` and `to_payload` build the rest from the
+    config on demand."""
+
+    config: SuiteConfig
+    limit: int
+    ran: tuple
     wall_clock_s: float
 
     @property
+    def checks(self) -> list[CheckResult]:
+        out = []
+        names = ["x".join(d.name for d in comps) for comps in self.config.descriptors]
+        ran = zip(*[iter(self.ran)] * 4)
+        for i, name, reason in _plan(self.config):
+            descriptor = names[i]
+            if reason is not None:
+                out.append(CheckResult(name, descriptor, "skip", reason=reason))
+                continue
+            passes, failures, bad, notes = next(ran)
+            out.append(CheckResult(name, descriptor, "fail" if failures else "pass",
+                                   passes, failures, bad, "", notes))
+        return out
+
+    @property
     def failures_total(self) -> int:
-        return sum(c.failures for c in self.checks)
+        return sum(self.ran[1::4])
 
     def to_payload(self) -> dict:
-        return {"config": self.config,
+        config = self.config
+        cfg = {
+            "descriptors": ["x".join(d.name for d in comps) for comps in config.descriptors],
+            "theorems": _selected(config),
+            "parabolic": (config.parabolic if isinstance(config.parabolic, str)
+                          else list(config.parabolic)),
+            "guard": self.limit,
+            "strategy": config.strategy,
+            "sample_pairs": config.sample_pairs,
+            "seed": config.seed,
+        }
+        return {"config": cfg,
                 "checks": [c.to_dict() for c in self.checks],
                 "failures_total": self.failures_total}
 
@@ -378,19 +412,75 @@ def _run_excess_additivity(gd, config, notes):
     return t
 
 
-def _run_jset_equivalence(gd, config, notes):
-    """The oracle computes its own fixed spaces: J_w is the x in I_w whose
-    fixed space contains that of w."""
+def _moved_columns(mat):
+    """(j, column j) for each column of mat that differs from the identity's:
+    v @ mat is v with those entries replaced.  A generator's action matrix
+    moves one block of d columns, that of its simple root."""
+    return [(j, col) for j, col in enumerate(columns(mat))
+            if any(x != (r == j) for r, x in enumerate(col))]
+
+
+def _fixed_space_filters(gd):
+    """Yield (w, {x in I_w : x fixes Fix(w) pointwise}) for every element,
+    class by class, from one nullspace per conjugacy class.
+
+    Fix(s w s) is Fix(w) s in row vectors, so the basis at a class's first
+    element is carried down the class's BFS tree, one generator's action
+    matrix a step.  A carried basis spans the element's fixed space, so a
+    test of every basis vector gives the verdict of its own nullspace.  The
+    test is `fixes_all` on packed forms (`linalg.packed_basis`), one product
+    sum per pair.  For H and I2 only the constant columns k d of x are
+    compared: Fix(w) is closed under c and x is Q(c)-linear, so v x - v is 0
+    for every v once its constant coordinates are 0 for every v.
+
+    A carried vector is u @ M_g for a first basis vector u, and every entry
+    of an action matrix is a coefficient of c^j times a root, at most `big`
+    in size; so each entry of v @ M_x - v is at most n |u|_1 big (big + 1),
+    and the packing width is chosen above that.
+    """
     rs, perms = gd.rs, gd.perms
-    cols = {xi: columns(action_matrix(rs, perms[xi])) for xi in gd.involutions}
+    d = rs.field_degree
+    n = rs.rank * d
+    orbits, parent = _conjugation_orbits(perms, gd.at_key, rs)
+    first = [fixed_vector_basis(action_matrix(rs, perms[orbit[0]])) for orbit in orbits]
+    big = max(abs(x) for rows in rs.c_multiples for row in rows for x in row)
+    u1 = max((sum(map(abs, v)) for basis in first for v in basis), default=0)
+    width = (n * u1 * big * (big + 1)).bit_length() + 1
+    diff: list = [None] * len(perms)
+    for xi in gd.involutions:
+        diff[xi] = packed_difference(action_matrix(rs, perms[xi]), width, d)
+    moves = [_moved_columns(action_matrix(rs, g)) for g in rs.gen_tables]
+    for orbit, basis in zip(orbits, first):
+        if not basis:  # Fix(w) = 0 on the whole class: every x fixes it
+            for wi in orbit:
+                yield wi, {x for x, _ in gd.pairs[wi]}
+            continue
+        packed = {orbit[0]: packed_basis(basis, n, width, d)}
+        for wi in orbit[1:]:
+            pi, r = parent[wi]
+            p = packed[pi]
+            q = list(p)
+            for j, col in moves[r]:
+                q[j] = sum(map(mul, p, col))
+            packed[wi] = q
+        for wi in orbit:
+            p = packed[wi]
+            yield wi, {x for x, _ in gd.pairs[wi] if not sum(map(mul, p, diff[x]))}
+
+
+def _run_jset_equivalence(gd, config, notes):
+    """The oracle computes its own fixed spaces (`_fixed_space_filters`): J_w
+    is the x in I_w whose fixed space contains that of w."""
+    wrong = {}  # wi -> (|fixed-space filter|, |length-additive filter|)
+    for wi, via_fix in _fixed_space_filters(gd):
+        via_len = {x for x, _ in gd.jset_of(wi)}
+        if via_fix != via_len:
+            wrong[wi] = (len(via_fix), len(via_len))
     t = _Tally()
     for wi in range(len(gd)):
-        basis = fixed_vector_basis(action_matrix(rs, perms[wi]))
-        via_fix = {x for x, _ in gd.pairs[wi] if fixes_all(cols[x], basis)}
-        via_len = {x for x, _ in gd.jset_of(wi)}
-        t.check(via_fix == via_len, lambda: (
-            gd.display(wi), "-", f"|fixed-space filter|={len(via_fix)}",
-            f"|length-additive filter|={len(via_len)}"))
+        t.check(wi not in wrong, lambda: (
+            gd.display(wi), "-", f"|fixed-space filter|={wrong[wi][0]}",
+            f"|length-additive filter|={wrong[wi][1]}"))
     return t
 
 
@@ -559,45 +649,54 @@ def _lemma22_row(g_inv, bginv) -> list[int]:
 
 def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
     """`_lemma22_core` from the row of g (`_lemma22_row`); roots_of_h are
-    the bit indices of bh.  A sentinel in the sum sets a bit at npos or
-    above in the predicted N(gh), which bgh never has."""
+    the bit indices of bh, so their count is |N(h)|.  A sentinel in the sum
+    sets a bit at npos or above in the predicted N(gh), which bgh never
+    has."""
     total = sum(map(row.__getitem__, roots_of_h))
     npos = len(row)
     if bgh != (bg & ~(total & ((1 << npos) - 1))) | total >> npos:
         return False
-    return bgh.bit_count() == bg.bit_count() + bh.bit_count() - 2 * (bginv & bh).bit_count()
+    return bgh.bit_count() == bg.bit_count() + len(roots_of_h) - 2 * (bginv & bh).bit_count()
 
 
 def _run_inversion_identity(gd, config, notes):
     """Lemma 2.2 on sampled pairs, with N(gh) the bits of gh's own table.
     Every draw counts, but each distinct pair is evaluated once, from one
-    row per g (`_lemma22_from_row`).  Only when a pair fails are the draws
-    made again, to count and store its failures in draw order; every other
-    draw passes."""
+    row per g (`_lemma22_from_row`).  When |W|^2 <= sample_pairs, every pair
+    is evaluated and nothing is drawn, since a draw's verdict is its pair's.
+    Only when a pair fails are the draws made, to count and store its
+    failures in draw order; every other draw passes."""
     perms, bits, inverse = gd.perms, gd.bits, gd.inverse
     n = len(gd)
     seed = f"{config.seed}:{gd.rs.name}"
-    drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
-    # the keys g * n + h of the pairs, sorted: equal keys and equal g are runs
-    keys = sorted(map(add, map(n.__mul__, drawn), drawn))
+
+    def draws():
+        drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
+        return zip(drawn, drawn)
+
+    # the keys g * n + h of the pairs, ascending: equal g are runs
+    if n * n <= config.sample_pairs:
+        keys = range(n * n)
+    else:
+        keys = sorted({gi * n + hi for gi, hi in draws()})
     product = _keyed_product(gd)
-    roots_of: dict = {}  # hi -> the bit indices of N(h)
+    roots_of: list = [None] * n  # hi -> the bit indices of N(h)
     failed = set()
     for gi, same_g in groupby(keys, n.__rfloordiv__):
         gii = inverse[gi]
         bg, bginv = bits[gi], bits[gii]
         row = _lemma22_row(perms[gii], bginv)
-        for key, _ in groupby(same_g):
-            hi = key - gi * n
-            roots = roots_of.get(hi)
+        base = gi * n
+        for key in same_g:
+            hi = key - base
+            roots = roots_of[hi]
             if roots is None:
                 roots = roots_of[hi] = [i for i, v in enumerate(perms[hi]) if v < 0]
             if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[product(gi, hi)], roots):
                 failed.add(key)
     t = _Tally()
     if failed:
-        drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
-        for gi, hi in zip(drawn, drawn):
+        for gi, hi in draws():
             if gi * n + hi in failed:
                 t.check(False, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
                                         "set identity violated", "N(gh) decomposition"))
@@ -610,14 +709,14 @@ def _run_inversion_identity(gd, config, notes):
 
 
 def _run_zero_excess_classes(gd, config, notes):
-    classes = _conjugation_orbits(gd.perms, gd.index, gd.rs.gen_tables)
+    orbits, _ = _conjugation_orbits(gd.perms, gd.at_key, gd.rs)
     t = _Tally()
-    for cls in classes:
-        best = min(gd.excess_of(gd.index[p]) for p in cls)
-        rep = gd.index[cls[0]]
+    for orbit in orbits:
+        best = min(map(gd.excess_of, orbit))
+        rep = min(orbit, key=gd.perms.__getitem__)
         t.check(best == 0, lambda: (gd.display(rep), "-",
                                     f"class min excess = {best}", "0"))
-    notes["classes"] = len(classes)
+    notes["classes"] = len(orbits)
     return t
 
 
@@ -738,6 +837,23 @@ def theorem_names() -> list[str]:
     return list(THEOREMS)
 
 
+def _selected(config: SuiteConfig) -> list[str]:
+    """The config's theorems in registry order."""
+    if "all" in config.theorems:
+        return list(THEOREMS)
+    return [n for n in THEOREMS if n in config.theorems]
+
+
+def _plan(config: SuiteConfig):
+    """(group index, theorem, skip reason or None) for each check of a run,
+    in the order of its results."""
+    selected = _selected(config)
+    for i, comps in enumerate(config.descriptors):
+        for name in selected:
+            thm = THEOREMS[name]
+            yield i, name, thm.applicable(comps) if thm.applicable else None
+
+
 def run_suite(config: SuiteConfig) -> SuiteResult:
     t0 = time.monotonic()
     limit = effective_guard(config.guard)
@@ -748,33 +864,15 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             raise GuardExceeded(
                 f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
         systems.append(rs)
-    selected = (list(THEOREMS) if "all" in config.theorems
-                else [n for n in THEOREMS if n in config.theorems])
-    checks: list[CheckResult] = []
-    for rs in systems:
-        gd = None
-        for name in selected:
-            thm = THEOREMS[name]
-            reason = thm.applicable(rs.components) if thm.applicable else None
-            if reason is not None:
-                checks.append(CheckResult(name, rs.name, "skip", reason=reason))
-                continue
-            if gd is None:
-                gd = GroupData(rs, guard=limit)
-            notes: dict = {}
-            tally = thm.runner(gd, config, notes)
-            status = "pass" if not tally.failures else "fail"
-            checks.append(CheckResult(name, rs.name, status, tally.passes,
-                                      tally.failures, tally.bad, "",
-                                      notes or NO_NOTES))
-    cfg_payload = {
-        "descriptors": ["x".join(d.name for d in comps) for comps in config.descriptors],
-        "theorems": selected,
-        "parabolic": (config.parabolic if isinstance(config.parabolic, str)
-                      else list(config.parabolic)),
-        "guard": limit,
-        "strategy": config.strategy,
-        "sample_pairs": config.sample_pairs,
-        "seed": config.seed,
-    }
-    return SuiteResult(cfg_payload, checks, time.monotonic() - t0)
+    ran: list = []  # SuiteResult.ran
+    current = gd = None
+    for i, name, reason in _plan(config):
+        if reason is not None:
+            continue
+        if i != current:
+            gd = None  # the last group's tables go before the next are built
+            current, gd = i, GroupData(systems[i], guard=limit)
+        notes: dict = {}
+        tally = THEOREMS[name].runner(gd, config, notes)
+        ran += (tally.passes, tally.failures, tally.bad, notes or NO_NOTES)
+    return SuiteResult(config, limit, tuple(ran), time.monotonic() - t0)

@@ -3,8 +3,11 @@ replaced: rational elimination for fixed spaces, row-by-row products for
 `fixes_all`, the numpy SVD basis and numpy `fixes_all` on the real matrices
 of H and I2, full tables for the reflection BFS, the per-sample loop of the
 inversion-set identity, randrange for its bulk draws, its one-pass core for
-the row kernel and the two-pass core for that, and the signed-permutation
-loops that the table algebra replaced.  Each replaced path lives here as the reference."""
+the row kernel and the two-pass core for that, full-table conjugation for
+the class orbits, one nullspace per element and `fixes_all` on every column
+for the J-set oracle's class-wise fixed spaces and packed test, and the
+signed-permutation loops that the table algebra replaced.  Each replaced
+path lives here as the reference."""
 
 import hashlib
 import json
@@ -20,11 +23,11 @@ from hypothesis import strategies as st
 
 from conftest import data, descriptor, system
 from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
-from coxex.elements import (compose_tables, element_from_word, identity_table,
-                            invert_table)
+from coxex.elements import (_conjugation_orbits, compose_tables, conjugacy_classes,
+                            element_from_word, identity_table, invert_table)
 from coxex import verify
 from coxex.linalg import (action_matrix, columns, exact_nullspace, fixed_vector_basis,
-                          fixes_all)
+                          fixes_all, packed_basis, packed_difference)
 from coxex.verify import MAX_COUNTEREXAMPLES, TRUNCATED, _reflection_distances
 
 
@@ -335,6 +338,34 @@ def test_deduplicated_identity_matches_per_sample_loop(token):
         assert t.failures == 0
 
 
+@pytest.mark.parametrize("sample_pairs", [100, 10000])
+def test_drawn_and_every_pair_paths_match_per_sample_loop(sample_pairs):
+    # A3 has 576 pairs: 100 samples are drawn, 10,000 evaluate every pair
+    gd = data("A3")
+    for seed in (20260809, 1, 5):
+        config = make_config([], seed=seed, sample_pairs=sample_pairs)
+        notes = {}
+        t = verify._run_inversion_identity(gd, config, notes)
+        ref = _per_sample_identity(gd, config)
+        assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
+        assert t.passes == sample_pairs + len(gd.involutions)
+        assert notes == {"sampled_pairs": sample_pairs}
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "I2(5)", "A1xA1xA1"])
+def test_every_pair_path_draws_nothing_when_every_pair_passes(token, monkeypatch):
+    gd = data(token)
+    config = make_config([])
+    assert len(gd) ** 2 <= config.sample_pairs
+    ref = _per_sample_identity(gd, config)
+
+    def refuse(*args):
+        raise AssertionError("drew samples")
+    monkeypatch.setattr(verify, "_randbelow_many", refuse)
+    t = verify._run_inversion_identity(gd, config, {})
+    assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
+
+
 @pytest.mark.parametrize("token", SWEEP_GROUPS)
 def test_randbelow_draws_match_randrange(token):
     # the runner's bulk draws for the sweep's group orders; a Python whose
@@ -392,7 +423,8 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     rng = random.Random(f"{config.seed}:{gd.rs.name}")
     drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs)]
     failed = [pair for pair in drawn if pair in failing]
-    assert len(calls) == len(set(drawn)) < len(drawn)
+    # n * n <= sample_pairs: the kernel runs once on every pair, drawn or not
+    assert len(calls) == n * n < len(drawn)
     assert len(failed) > MAX_COUNTEREXAMPLES
     assert t.failures == len(failed)
     assert t.passes == len(drawn) - len(failed) + len(gd.involutions)
@@ -447,3 +479,118 @@ def test_signed_permutation_algebra_matches_loops(pair):
     assert SignedPermutation.identity(a.degree).images == tuple(range(1, a.degree + 1))
     for x in (a, a * a, constructive_inverter(a), a * b * a.inverse()):
         assert x.is_involution() == _loop_is_involution(x.images)
+
+
+def _table_conjugation_orbits(perms, index, gens):
+    """The conjugacy classes as sorted lists of tables, in the order of
+    their first element in `perms`, by composing full tables: s * cur * s
+    for each generator s."""
+    seen = [False] * len(perms)
+    classes = []
+    for start, p in enumerate(perms):
+        if seen[start]:
+            continue
+        orbit = [p]
+        seen[start] = True
+        q = 0
+        while q < len(orbit):
+            cur = orbit[q]
+            for g in gens:
+                conj = compose_tables(compose_tables(g, cur), g)
+                ci = index[conj]
+                if not seen[ci]:
+                    seen[ci] = True
+                    orbit.append(conj)
+            q += 1
+        orbit.sort()
+        classes.append(orbit)
+    return classes
+
+
+CLASS_GROUPS = ("A1", *SWEEP_GROUPS, "H4", "E6")
+
+
+@pytest.mark.parametrize("token", CLASS_GROUPS)
+def test_keyed_orbits_match_table_orbits(token):
+    gd = data(token)
+    gens = gd.rs.gen_tables
+    orbits, parent = _conjugation_orbits(gd.perms, gd.at_key, gd.rs)
+    ref = _table_conjugation_orbits(gd.perms, gd.index, gens)
+    assert [sorted(gd.perms[i] for i in orbit) for orbit in orbits] == ref
+    # every element but an orbit's first is s p s for a parent p found before it
+    for orbit in orbits:
+        assert parent[orbit[0]] is None
+        at = {wi: k for k, wi in enumerate(orbit)}
+        for wi in orbit[1:]:
+            pi, r = parent[wi]
+            assert at[pi] < at[wi]
+            assert compose_tables(compose_tables(gens[r], gd.perms[pi]), gens[r]) == gd.perms[wi]
+
+
+@pytest.mark.parametrize("token", ["A1", "A3", "B3", "H3", "I2(7)", "A2xA1"])
+def test_conjugacy_classes_keep_their_output(token):
+    gd = data(token)
+    ref = _table_conjugation_orbits(gd.perms, gd.index, gd.rs.gen_tables)
+    assert [[w.perm for w in cls] for cls in conjugacy_classes(gd.rs)] == ref
+
+
+def _per_element_fixed_space_filters(gd):
+    """The J-set oracle's filter with one nullspace per element, tested
+    against every column of each x's matrix."""
+    rs, perms = gd.rs, gd.perms
+    cols = {xi: columns(action_matrix(rs, perms[xi])) for xi in gd.involutions}
+    for wi in range(len(gd)):
+        basis = fixed_vector_basis(action_matrix(rs, perms[wi]))
+        yield wi, {x for x, _ in gd.pairs[wi] if fixes_all(cols[x], basis)}
+
+
+@pytest.mark.parametrize("token", CLASS_GROUPS)
+def test_class_wise_fixed_spaces_match_per_element_nullspaces(token):
+    # the same x of I_w, element by element, whichever side is wrong
+    gd = data(token)
+    got = [None] * len(gd)
+    for wi, via_fix in verify._fixed_space_filters(gd):
+        assert got[wi] is None
+        got[wi] = tuple(sorted(via_fix))
+    kept = rejected = 0
+    for wi, want in _per_element_fixed_space_filters(gd):
+        assert got[wi] == tuple(sorted(want)), (token, wi)
+        kept += len(want)
+        rejected += len(gd.pairs[wi]) - len(want)
+    assert kept and rejected
+
+
+@st.composite
+def _fixing_case(draw):
+    """(mat, basis, d): a basis of integer vectors of length n = k d, and
+    M = I + E with E's rows zero where some basis vector is not, so that M
+    fixes the basis, or with E anything."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    n = d * draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-40, max_value=40)
+    support = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    basis = [tuple(draw(entry) if i in support else 0 for i in range(n))
+             for _ in range(draw(st.integers(min_value=0, max_value=n)))]
+    fixing = draw(st.booleans())
+    mat = [[(r == c) + (0 if fixing and r in support else draw(entry)) for c in range(n)]
+           for r in range(n)]
+    return mat, basis, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixing_case())
+def test_packed_test_matches_fixes_all(case):
+    # the oracle's one product sum per pair, at the width its bound gives
+    mat, basis, d = case
+    n = len(mat)
+    u1 = max((sum(map(abs, v)) for v in basis), default=0)
+    big = max(abs(x - (r == c)) for r, row in enumerate(mat) for c, x in enumerate(row))
+    width = (u1 * big).bit_length() + 1
+    packed = sum(map(lambda p, q: p * q, packed_basis(basis, n, width, d),
+                     packed_difference(mat, width, d)))
+    # fixes_all on the columns k d only
+    tested = list(enumerate(columns(mat)))[::d]
+    assert (packed == 0) == all(sum(map(lambda a, b: a * b, v, col)) == v[j]
+                                for v in basis for j, col in tested)
+    if d == 1:
+        assert (packed == 0) == fixes_all(columns(mat), basis)

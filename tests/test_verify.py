@@ -186,3 +186,28 @@ def test_passing_checks_format_nothing(monkeypatch):
     assert res.failures_total == 0
     assert all(c.status in ("pass", "skip") for c in res.checks)
     assert sum(c.passes for c in res.checks) > 0
+
+
+def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
+    # the guard of the run, read from the environment, is kept with it
+    monkeypatch.setenv("COXEX_GUARD", "5000")
+    a2a1 = (CoxeterDescriptor("A", 2), CoxeterDescriptor("A", 1))
+    config = make_config([descriptor("B3"), a2a1, descriptor("B3")],
+                         theorems=("inversion-set-identity", "excess-additivity"))
+    res = run_suite(config)
+    monkeypatch.delenv("COXEX_GUARD")
+    assert res.config is config and res.limit == 5000
+    # four fields a check that ran; a skip is rebuilt from the config
+    assert len(res.ran) == 4 * 4
+    assert [(c.descriptor, c.theorem, c.status) for c in res.checks] == [
+        ("B3", "excess-additivity", "skip"), ("B3", "inversion-set-identity", "pass"),
+        ("A2xA1", "excess-additivity", "pass"), ("A2xA1", "inversion-set-identity", "pass"),
+        ("B3", "excess-additivity", "skip"), ("B3", "inversion-set-identity", "pass")]
+    assert res.checks[0].reason == "needs a reducible group"
+    assert res.checks[1].notes == {"sampled_pairs": 10000}
+    assert res.to_payload()["config"] == {
+        "descriptors": ["B3", "A2xA1", "B3"],
+        "theorems": ["excess-additivity", "inversion-set-identity"],
+        "parabolic": "all", "guard": 5000, "strategy": "direct",
+        "sample_pairs": 10000, "seed": 20260809}
+    assert res.to_payload()["checks"][1] == res.to_payload()["checks"][5]
