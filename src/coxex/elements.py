@@ -253,18 +253,53 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     return perms, words, {p: i for i, p in enumerate(perms)}
 
 
-def involution_tables(rs: RootSystem, guard: int | None = None):
+class InvolutionTables:
+    """The involutions of W, packed for a filter that runs in C.
+
+    `tables` holds the involution tables, sorted; a table's index is its
+    handle.  An element is determined by where it sends the simple roots, so
+    its key is those rank images, each entry v written as the code point
+    v + npos (npos positive roots, so 0 <= v + npos <= 2 npos).  `packed`
+    holds the keys in handle order, separated by `sep`, the code point
+    2 npos + 1, and `at_key` maps each key to its handle: a table is an
+    involution exactly when its key is in `at_key`.  A translation table of
+    2 npos + 2 characters that sends v + npos to w(v) + npos, and `sep` to
+    itself, therefore carries every key through w in one `str.translate`.
+
+    `bits` and `lr` hold an involution's inversion bitset and reflection
+    length by handle, None until `fill` computes them: E8 has 199,952
+    involutions, and a query reads a few.
+    """
+
+    __slots__ = ("tables", "packed", "sep", "at_key", "bits", "lr")
+
+    def __init__(self, rs: RootSystem, tables):
+        npos = rs.num_positive
+        keys = ["".join([chr(p[i] + npos) for i in rs.simple_indices]) for p in tables]
+        self.tables = tables
+        self.sep = chr(2 * npos + 1)
+        self.packed = self.sep.join(keys)
+        self.at_key = {k: i for i, k in enumerate(keys)}
+        self.bits: list = [None] * len(tables)
+        self.lr: list = [None] * len(tables)
+
+    def fill(self, rs: RootSystem, handles) -> None:
+        """Compute bits and l_R for the handles that lack them."""
+        tables, bits, lr = self.tables, self.bits, self.lr
+        for h in handles:
+            if bits[h] is None:
+                bits[h] = bits_of_table(tables[h])
+                lr[h] = involution_reflection_length(rs, tables[h])
+
+
+def involution_tables(rs: RootSystem, guard: int | None = None) -> InvolutionTables:
     """The involutions of W (the identity included), without enumerating W.
 
-    Returns (tables, at_key, simple_images): the involution tables, sorted,
-    a dict from their simple-root images to their index in `tables`, and
-    those images per table, in the order of `tables`.  An element is
-    determined by where it sends the simple roots, so a table is an
-    involution exactly when its key is in `at_key`.  The involutions are
-    the orbit of the identity under x -> sx when s and x commute and
-    x -> sxs otherwise (Richardson-Springer 1990), found by one depth-first
-    search.  Cached on the root system; the guard is checked against |W|
-    first, as in `bfs_tables`.
+    The involutions are the orbit of the identity under x -> sx when s and x
+    commute and x -> sxs otherwise (Richardson-Springer 1990), found by one
+    depth-first search.  Cached on the root system, with their packed keys
+    (see `InvolutionTables`); the guard is checked against |W| first, as in
+    `bfs_tables`.
     """
     _check_order(rs, effective_guard(guard))
     if rs._involutions is None:
@@ -284,10 +319,7 @@ def involution_tables(rs: RootSystem, guard: int | None = None):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        simple = rs.simple_indices
-        tables = sorted(seen)
-        images = [tuple([p[i] for i in simple]) for p in tables]
-        rs._involutions = (tables, {k: i for i, k in enumerate(images)}, images)
+        rs._involutions = InvolutionTables(rs, sorted(seen))
     return rs._involutions
 
 

@@ -33,13 +33,15 @@ come from `elements.involution_tables`, the orbit of the identity under
 x -> sx (s, x commuting) or x -> sxs (Richardson-Springer 1990), with their
 simple-root images as keys.  An element is determined by those images, so
 xw is an involution exactly when its rank images of the simple roots form a
-key, and that key's index is the handle of xw.  The cache stores each
-involution's simple-root images beside its table, and a query carries them
-through w by one lookup tuple, so the filter makes rank lookups per
-involution and no table composition.  The sweep engine `GroupData` keys the
-same way: it finds xy for every pair of involutions by carrying x's
-simple-root images through y's lookup into a key -> index dict of the
-enumerated group, in one pass in (x, y) order.
+key, and that key's index is the handle of xw.  The cache packs every key
+into one string, a root v as the code point v + npos, and a query carries
+them all through w by one `str.translate` with a table built from w's
+signed lookup, then splits the result and looks each piece up, so the
+filter runs no Python code per involution and composes no table.  An
+involution's bits and l_R are cached on its first use.  The sweep engine
+`GroupData` keys the same way: it finds xy for every pair of involutions by
+carrying x's simple-root images through y's lookup into a key -> index dict
+of the enumerated group, in one pass in (x, y) order.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -54,12 +56,13 @@ import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
+from itertools import compress, count, product, repeat
 from math import factorial
-from operator import itemgetter
+from operator import is_not, itemgetter
 
-from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
-                       compose_tables, effective_guard, invert_table,
+from .elements import (GroupElement, GuardExceeded, _conjugation_orbits,
+                       bfs_tables, bits_of_table, compose_tables,
+                       effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
                        is_involution_table, reduced_word, signed_lookup,
                        word_text)
@@ -110,30 +113,25 @@ class DnCondition(enum.Enum):
     NONE = "none"
 
 
-def _from_pairs(rs: RootSystem, source: str, pairs, tables, signed=None) -> InvolutionSet:
-    """Bits and l_R once per member x, which covers every y as well."""
-    bits = {x: bits_of_table(tables[x]) for x, _ in pairs}
-    lr = {x: involution_reflection_length(rs, tables[x]) for x, _ in pairs}
-    return InvolutionSet(rs, source, tuple(pairs), tables, bits, lr, signed)
-
-
 def inverting_involutions(rs: RootSystem, w: GroupElement,
                           guard: int | None = None) -> InvolutionSet:
     """Exhaustive filter of the involutions; needs |W| under the guard.
 
     For an involution x, xwx = w^-1 exactly when (xw)^2 = 1, so x is kept
-    when the simple-root images of xw are those of an involution, whose
-    handle is then that of y = xw.
+    when the simple-root images of xw, those of x carried on by w, are the
+    key of an involution, whose handle is then that of y = xw.  Every key
+    is carried at once, by one `str.translate` of the packed keys through
+    w's signed lookup (see `elements.InvolutionTables`).
     """
-    tables, at_key, simple_images = involution_tables(rs, guard)
+    inv = involution_tables(rs, guard)
+    npos = rs.num_positive
     ext = signed_lookup(w.perm)
-    pairs = []
-    for x, sx in enumerate(simple_images):
-        # the simple-root images of xw are those of x carried on by w
-        y = at_key.get(tuple([ext[v] for v in sx]))
-        if y is not None:
-            pairs.append((x, y))
-    return _from_pairs(rs, "exhaustive", pairs, tables)
+    # code point v + npos goes to w(v) + npos, for v = -npos..npos in order
+    table = "".join([chr(v + npos) for v in ext[npos + 1:] + ext[:npos + 1]]) + inv.sep
+    ys = list(map(inv.at_key.get, inv.packed.translate(table).split(inv.sep)))
+    pairs = tuple(compress(zip(count(), ys), map(is_not, ys, repeat(None))))
+    inv.fill(rs, [x for x, _ in pairs])
+    return InvolutionSet(rs, "exhaustive", pairs, inv.tables, inv.bits, inv.lr)
 
 
 def _cycle_types(images) -> dict[tuple[int, int], list[tuple[int, ...]]]:
@@ -304,7 +302,10 @@ def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,
     for x in signed:
         ext = signed_lookup(x)
         tables.append(tuple([grid[ext[a]][ext[b]] for a, b in roots]))
-    return _from_pairs(rs, "structured-coset", pairs, tables, signed)
+    # bits and l_R once per member x, which covers every y as well
+    bits = {x: bits_of_table(tables[x]) for x, _ in pairs}
+    lr = {x: involution_reflection_length(rs, tables[x]) for x, _ in pairs}
+    return InvolutionSet(rs, "structured-coset", tuple(pairs), tables, bits, lr, signed)
 
 
 def involutions_inverting(rs: RootSystem, w: GroupElement,
@@ -527,9 +528,17 @@ class GroupData:
         self._rexc: dict[int, int] = {}
         self._niw: dict[int, int] = {}
         self._sps: list = [None] * len(perms)
+        self._orbits = None
 
     def __len__(self):
         return len(self.perms)
+
+    def conjugation_orbits(self):
+        """(orbits, parent) of `elements._conjugation_orbits`, searched on
+        the first call only: two theorems read the classes."""
+        if self._orbits is None:
+            self._orbits = _conjugation_orbits(self.perms, self.at_key, self.rs)
+        return self._orbits
 
     def element(self, i: int) -> GroupElement:
         return GroupElement(self.rs, self.perms[i])
@@ -592,26 +601,56 @@ class GroupData:
 
 @dataclass(frozen=True, slots=True)
 class ExcessReport:
+    """The statistics of one element: its group's name and one interned
+    string, so that reports of one element share everything they hold, as
+    callers keep many reports.
+
+    `record` has seven lines: the element's text, l(w), l_R(w), e(w), E(w),
+    the parabolic rows and the witness texts.  A row is "j1 j2 ...,e_J,E_J"
+    (1-based generators) and rows are joined by ";"; the witness pairs
+    (x, y) are flattened and joined by "|", which no cycle text or word
+    holds.  The properties read the lines back.
+    """
+
     descriptor: str
-    element: str
-    length: int
-    reflection_length: int
-    excess: int
-    reflection_excess: int
-    # the rows (J, e_J, E_J) and the witness pairs (x, y) flattened, one
-    # tuple a report rather than one more a row or a pair, as callers keep
-    # many reports; `parabolic` and `witnesses` give them back as tuples
-    parabolic_rows: tuple
-    witness_texts: tuple[str, ...]
+    record: str
+
+    def _line(self, i: int) -> str:
+        return self.record.split("\n")[i]
+
+    @property
+    def element(self) -> str:
+        return self._line(0)
+
+    @property
+    def length(self) -> int:
+        return int(self._line(1))
+
+    @property
+    def reflection_length(self) -> int:
+        return int(self._line(2))
+
+    @property
+    def excess(self) -> int:
+        return int(self._line(3))
+
+    @property
+    def reflection_excess(self) -> int:
+        return int(self._line(4))
 
     @property
     def parabolic(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        rows = self.parabolic_rows
-        return tuple(zip(rows[::3], rows[1::3], rows[2::3]))
+        rows = self._line(5)
+        out = []
+        for row in rows.split(";") if rows else ():
+            J, ej, Ej = row.split(",")
+            out.append((tuple(map(int, J.split())), int(ej), int(Ej)))
+        return tuple(out)
 
     @property
     def witnesses(self) -> tuple[tuple[str, str], ...]:
-        texts = self.witness_texts
+        texts = self._line(6)
+        texts = texts.split("|") if texts else []
         return tuple(zip(texts[::2], texts[1::2]))
 
     def to_json_dict(self) -> dict:
@@ -629,13 +668,13 @@ class ExcessReport:
         }
 
     def csv_rows(self) -> list[list[str]]:
-        base = [self.descriptor, self.element, str(self.length),
-                str(self.reflection_length), str(self.excess),
-                str(self.reflection_excess)]
-        if not self.parabolic_rows:
+        """One row per parabolic row, or one with J, e_J and E_J empty."""
+        lines = self.record.split("\n")
+        # the element, the statistics and each row's fields are text already
+        base = [self.descriptor] + lines[:5]
+        if not lines[5]:
             return [base + ["", "", ""]]
-        return [base + [" ".join(str(j) for j in J), str(ej), str(Ej)]
-                for J, ej, Ej in self.parabolic]
+        return [base + row.split(",") for row in lines[5].split(";")]
 
 
 CSV_HEADER = ["descriptor", "element", "length", "reflection_length",
@@ -643,16 +682,15 @@ CSV_HEADER = ["descriptor", "element", "length", "reflection_length",
 
 
 def _element_text(w: GroupElement) -> str:
-    """Cycle text for A/B/D, else a reduced word; interned, so reports that
-    repeat an element or a witness share its text."""
+    """Cycle text for A/B/D, else a reduced word."""
     rs = w.system
     if rs.family in ("A", "B", "D"):
-        return sys.intern(from_root_perm(w).format())
-    return sys.intern(word_text(reduced_word(w)))
+        return from_root_perm(w).format()
+    return word_text(reduced_word(w))
 
 
 def _signed_text(images) -> str:
-    return sys.intern(SignedPermutation._trusted(images).format())
+    return SignedPermutation._trusted(images).format()
 
 
 def excess_report(rs: RootSystem, w: GroupElement,
@@ -670,9 +708,10 @@ def excess_report(rs: RootSystem, w: GroupElement,
     if E < e or e % 2:
         raise RuntimeError("inconsistent excess values")  # defensive
     wbits = w.inversions()
-    par = tuple([v for ctx in parabolics if ctx.contains_table(wbits)
-                 for v in (ctx.J_display, _least_defect(pairs, bits, ctx.mask),
-                           _least_defect(jpairs, bits, ctx.mask))])
+    rows = ";".join([
+        f"{' '.join(map(str, ctx.J_display))},{_least_defect(pairs, bits, ctx.mask)},"
+        f"{_least_defect(jpairs, bits, ctx.mask)}"
+        for ctx in parabolics if ctx.contains_table(wbits)])
 
     signed = iw.signed
     if signed is None:
@@ -685,7 +724,8 @@ def excess_report(rs: RootSystem, w: GroupElement,
             return _signed_text(signed[h])
         x, y = pairs[0]
         w_text = _signed_text(compose_tables(signed[x], signed[y]))
-    witnesses = tuple([text(h) for xy in _spartan(pairs, bits, tables, e) for h in xy])
+    witnesses = "|".join([text(h) for xy in _spartan(pairs, bits, tables, e) for h in xy])
     x, y = jpairs[0]
-    return ExcessReport(rs.name, w_text, wbits.bit_count(),
-                        iw.lr[x] + iw.lr[y], e, E, par, witnesses)
+    record = "\n".join([w_text, str(wbits.bit_count()), str(iw.lr[x] + iw.lr[y]),
+                        str(e), str(E), rows, witnesses])
+    return ExcessReport(rs.name, sys.intern(record))

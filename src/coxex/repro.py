@@ -53,7 +53,7 @@ SYM7_W = "(+1 +2 +3 +4)(+5 +6 +7)"
 SYM7_MISSING_ROOT = "e4-e5"
 
 
-@dataclass
+@dataclass(slots=True)  # callers may keep many results
 class ReproResult:
     example: str
     ok: bool

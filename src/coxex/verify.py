@@ -17,9 +17,9 @@ from struct import unpack
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
-from .elements import (GuardExceeded, _conjugation_orbits, bfs_tables,
-                       bits_of_table, compose_tables, effective_guard,
-                       identity_table, invert_table, signed_lookup)
+from .elements import (GuardExceeded, bfs_tables, bits_of_table,
+                       compose_tables, effective_guard, identity_table,
+                       invert_table, signed_lookup)
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
@@ -441,7 +441,7 @@ def _fixed_space_filters(gd):
     rs, perms = gd.rs, gd.perms
     d = rs.field_degree
     n = rs.rank * d
-    orbits, parent = _conjugation_orbits(perms, gd.at_key, rs)
+    orbits, parent = gd.conjugation_orbits()
     first = [fixed_vector_basis(action_matrix(rs, perms[orbit[0]])) for orbit in orbits]
     big = max(abs(x) for rows in rs.c_multiples for row in rows for x in row)
     u1 = max((sum(map(abs, v)) for basis in first for v in basis), default=0)
@@ -709,7 +709,7 @@ def _run_inversion_identity(gd, config, notes):
 
 
 def _run_zero_excess_classes(gd, config, notes):
-    orbits, _ = _conjugation_orbits(gd.perms, gd.at_key, gd.rs)
+    orbits, _ = gd.conjugation_orbits()
     t = _Tally()
     for orbit in orbits:
         best = min(map(gd.excess_of, orbit))

@@ -116,12 +116,21 @@ def test_involution_closure_matches_bfs_filter(token, monkeypatch):
     rs = _fresh(token)
     for mod in ("elements", "excess"):
         monkeypatch.setattr(sys.modules[f"coxex.{mod}"], "bfs_tables", refuse)
-    tables, at_key, simple_images = involution_tables(rs)
+    inv = involution_tables(rs)
     monkeypatch.undo()
+    tables, at_key = inv.tables, inv.at_key
     assert tables == sorted(p for p in bfs_tables(rs)[0] if is_involution_table(p))
+    # the packed keys, rank code points v + npos a key, decode to the
+    # simple-root images of the tables, in table order
+    npos = rs.num_positive
+    keys = inv.packed.split(inv.sep)
+    assert inv.sep == chr(2 * npos + 1)
+    assert all(len(k) == rs.rank for k in keys)
+    simple_images = [tuple(ord(c) - npos for c in k) for k in keys]
     assert simple_images == [tuple(p[i] for i in rs.simple_indices) for p in tables]
-    assert at_key == {k: i for i, k in enumerate(simple_images)}
+    assert at_key == {k: i for i, k in enumerate(keys)}
     assert len(at_key) == len(tables)
+    assert inv.bits == [None] * len(tables) and inv.lr == [None] * len(tables)
     assert involution_tables(rs) is rs._involutions
 
 
@@ -163,7 +172,7 @@ def test_involution_tables_share_int_objects():
     # every entry is read from one of the per-generator lookups, each of
     # 2 * num_positive + 1 ints, so no table makes ints of its own
     rs = _fresh("E6")
-    tables, _, _ = involution_tables(rs)
+    tables = involution_tables(rs).tables
     assert len({id(v) for t in tables for v in t}) <= rs.rank * (2 * rs.num_positive + 1)
 
 
@@ -181,7 +190,7 @@ def test_guard_is_checked_before_the_caches(cached_first):
             call()
     assert len(bfs_tables(rs, 120)[0]) == 120
     assert len(inverting_involutions(rs, w, 120).elements) == 26
-    assert len(involution_tables(rs, 120)[0]) == 26
+    assert len(involution_tables(rs, 120).tables) == 26
 
 
 def test_guard_env_override_of_involution_tables(monkeypatch):
@@ -192,7 +201,7 @@ def test_guard_env_override_of_involution_tables(monkeypatch):
         involution_tables(rs)
     with pytest.raises(GuardExceeded, match=r"exceeds guard 5$"):
         involution_tables(_fresh("A3"))
-    assert len(involution_tables(rs, guard=24)[0]) == 10
+    assert len(involution_tables(rs, guard=24).tables) == 10
 
 
 def test_fixed_space_dims():
@@ -260,7 +269,7 @@ def test_fixed_space_plus_reflection_length_is_rank():
                                    "I2(6)", "I2(7)", "I2(8)", "A2xA1"])
 def test_involution_reflection_length_is_rank_minus_fixed_dimension(token):
     rs = system(token)
-    for p in involution_tables(rs)[0]:
+    for p in involution_tables(rs).tables:
         assert (involution_reflection_length(rs, p)
                 == rs.rank - fixed_dim(GroupElement(rs, p)))
 

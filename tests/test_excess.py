@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -26,8 +28,9 @@ from coxex import (DnCondition, GroupData, GuardExceeded, build_root_system,
                    spartan_support_check, swapcycle_check)
 from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             compose_tables, element_from_word, invert_table,
-                            involution_reflection_length, is_involution_table,
-                            reduced_word, reflection, word_text)
+                            involution_reflection_length, involution_tables,
+                            is_involution_table, reduced_word, reflection,
+                            signed_lookup, word_text)
 from coxex.linalg import action_matrix, columns, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.excess import inverting_involution_count
@@ -776,3 +779,117 @@ def test_reports_compose_no_elements(monkeypatch):
             assert iw.source == source
             report = excess_report(rs, w, ctxs, iw)
             assert report.reflection_excess >= report.excess
+
+
+@lru_cache(maxsize=None)
+def _tuple_keys(token):
+    """Each involution's simple-root images as a tuple, and a dict from
+    those tuples to the involution's handle."""
+    rs = system(token)
+    images = [tuple([p[i] for i in rs.simple_indices])
+              for p in involution_tables(rs).tables]
+    return images, {k: i for i, k in enumerate(images)}
+
+
+def _tuple_filter(token, w):
+    """Reference I_w by the filter the packed translation replaced: carry
+    each involution's tuple of simple-root images through w's signed
+    lookup, one involution at a time, and look the tuple up.  Returns the
+    pairs and the bits and l_R of each member."""
+    rs = system(token)
+    tables = involution_tables(rs).tables
+    images, at_key = _tuple_keys(token)
+    ext = signed_lookup(w.perm)
+    pairs = []
+    for x, sx in enumerate(images):
+        y = at_key.get(tuple([ext[v] for v in sx]))
+        if y is not None:
+            pairs.append((x, y))
+    bits = {x: bits_of_table(tables[x]) for x, _ in pairs}
+    lr = {x: involution_reflection_length(rs, tables[x]) for x, _ in pairs}
+    return tuple(pairs), bits, lr
+
+
+def _assert_filter_matches(token, w):
+    iw = inverting_involutions(system(token), w)
+    pairs, bits, lr = _tuple_filter(token, w)
+    assert iw.pairs == pairs
+    assert {x: iw.bits[x] for x, _ in pairs} == bits
+    assert {x: iw.lr[x] for x, _ in pairs} == lr
+
+
+# I2(111) has 111 positive roots, so its keys run past code point 127 and
+# its translation leaves the ASCII fast path of str.translate
+@pytest.mark.parametrize("token", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "F4",
+    "H3", *(f"I2({m})" for m in range(5, 13)), "I2(111)", "A2xA1",
+    "A1xA1xA1", "B3xA2"])
+def test_packed_filter_matches_tuple_filter_on_every_element(token):
+    rs = system(token)
+    for p in bfs_tables(rs)[0]:
+        _assert_filter_matches(token, GroupElement(rs, p))
+
+
+@pytest.mark.parametrize("token", ["E6", "H4"])
+def test_packed_filter_matches_tuple_filter_on_sampled_elements(token):
+    rs = system(token)
+    perms = bfs_tables(rs)[0]
+    for p in random.Random(f"packed-filter:{token}").sample(perms, 150):
+        _assert_filter_matches(token, GroupElement(rs, p))
+
+
+@pytest.mark.parametrize("token", ["A4", "H3"])
+def test_involution_cache_fills_bits_and_lr_of_members_only(token):
+    rs = build_root_system(parse_descriptor(token))
+    w = element_from_word(rs, (0, 1, 2))
+    iw = inverting_involutions(rs, w)
+    inv = involution_tables(rs)
+    members = {h for xy in iw.pairs for h in xy}
+    assert {h for h, b in enumerate(inv.bits) if b is not None} == members
+    assert {h for h, v in enumerate(inv.lr) if v is not None} == members
+
+
+def _digest_reports():
+    """Reports of seeded A6, B5 and E6 elements (exhaustive path) and of
+    three D10 elements (structured path), as each output form reads them."""
+    rng = random.Random(20261019)
+    out = []
+    for token, count, subsets in (("A6", 40, all_generator_subsets),
+                                  ("B5", 30, maximal_generator_subsets),
+                                  ("E6", 20, maximal_generator_subsets)):
+        rs = system(token)
+        ctxs = tuple(parabolic_context(rs, J) for J in subsets(rs))
+        for p in rng.sample(bfs_tables(rs)[0], count):
+            out.append(excess_report(rs, GroupElement(rs, p), ctxs))
+    rs = system("D10")
+    ctxs = _maximal_contexts(rs)
+    for text in ("(+1 +2 +3)(-4 -5)(+6 -7 +8 -9)", "(+1 -2)(+3 +4 +5 -6)(-7)(-8)",
+                 "(+1 +2)(+3 +4)(+5 +6)(+7 +8)(+9 +10)"):
+        out.append(excess_report(rs, to_root_perm(parse(text, 10), rs), ctxs, guard=20000))
+    return out
+
+
+def test_report_outputs_are_pinned():
+    # the digest was taken when reports kept their statistics as fields and
+    # their witness texts and parabolic rows as tuples
+    reports = _digest_reports()
+    doc = [[r.to_json_dict(), r.csv_rows(), [list(p) for p in r.witnesses],
+            list(r.parabolic)] for r in reports]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert (len(doc), sum(len(r.witnesses) for r in reports)) == (93, 198)
+    assert digest == "e4897a6b1a43402a87c79e31868fe1b826b4326b0a2c9278cf899fe07ab94589"
+
+
+@pytest.mark.parametrize("token, text, guard", [
+    ("A6", "(+1 +2 +3)(+4 +5)", None), ("B5", "(+1 -2)(+3 +4 +5)", None),
+    ("B7", "(+1 +2 +3)(-4 -5)(+6 -7)", 40000)])
+def test_reports_of_one_element_share_their_strings(token, text, guard):
+    rs = system(token)
+    ctxs = _maximal_contexts(rs)
+    w = to_root_perm(parse(text, rs.components[0].degree), rs)
+    first, second = (excess_report(rs, w, ctxs, guard=guard) for _ in range(2))
+    assert first == second
+    # one interned record holds the element, statistics, rows and witnesses
+    assert first.record is second.record
+    assert all("|" not in x and "|" not in y for x, y in first.witnesses)
+    assert first.witnesses and (first.parabolic or token == "B5")

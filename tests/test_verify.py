@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -211,3 +212,20 @@ def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
         "parabolic": "all", "guard": 5000, "strategy": "direct",
         "sample_pairs": 10000, "seed": 20260809}
     assert res.to_payload()["checks"][1] == res.to_payload()["checks"][5]
+
+
+def test_one_conjugation_search_serves_both_class_theorems(monkeypatch):
+    # the package exports the function excess, which shadows the module
+    excess_module = sys.modules["coxex.excess"]
+    calls = []
+    search = excess_module._conjugation_orbits
+
+    def counted(*args):
+        calls.append(args[2].name)
+        return search(*args)
+
+    monkeypatch.setattr(excess_module, "_conjugation_orbits", counted)
+    res = _suite(["B3", "H3"], theorems=("jset-equivalence", "zero-excess-classes"))
+    assert res.failures_total == 0
+    assert [c.status for c in res.checks] == ["pass"] * 4
+    assert calls == ["B3", "H3"]
