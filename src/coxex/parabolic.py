@@ -37,18 +37,16 @@ class ParabolicContext:
 
 
 def parabolic_context(rs: RootSystem, J) -> ParabolicContext:
+    """Phi_J from the root system's support masks: root i lies in Phi_J
+    when its mask has no bit outside J."""
     Jset = frozenset(J)
     if not all(0 <= j < rs.rank for j in Jset):
         # named by 1-based generator numbers, as in J_display and the CLI
         raise ValueError(f"generator subset {sorted(j + 1 for j in Jset)} "
                          f"out of range for rank {rs.rank}")
-    idxs = []
-    mask = 0
-    for i in range(rs.num_positive):
-        if set(rs.coeff_support(i)) <= Jset:
-            idxs.append(i)
-            mask |= 1 << i
-    return ParabolicContext(rs, tuple(sorted(Jset)), tuple(idxs), mask)
+    outside = ~sum(1 << j for j in Jset)
+    idxs = tuple(i for i, m in enumerate(rs.support_masks()) if not m & outside)
+    return ParabolicContext(rs, tuple(sorted(Jset)), idxs, sum(1 << i for i in idxs))
 
 
 def all_generator_subsets(rs: RootSystem) -> list[tuple[int, ...]]:

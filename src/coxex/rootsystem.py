@@ -160,6 +160,7 @@ class RootSystem:
         self._bfs = None  # never set; perfbench/tracer.py reads it
         self._involutions = None  # filled by elements.involution_tables
         self._point_tables = None  # filled by signedperm.point_tables
+        self._supports = None  # filled by support_masks
         self.gen_tables = tuple(tuple(t) for t in gen_tables)
         _check_tables(self.components, self.gen_tables, self.simple_indices)
 
@@ -203,6 +204,14 @@ class RootSystem:
         c = self.coeffs[i]
         d = self.field_degree
         return tuple(j for j in range(self.rank) if any(c[j * d:(j + 1) * d]))
+
+    def support_masks(self) -> tuple[int, ...]:
+        """For each positive root, its `coeff_support` as a bitmask, bit j
+        for simple root j; computed on first use."""
+        if self._supports is None:
+            self._supports = tuple(sum(1 << j for j in self.coeff_support(i))
+                                   for i in range(self.num_positive))
+        return self._supports
 
     def reflection_table(self, i: int) -> tuple[int, ...]:
         """Root permutation of the reflection through positive root i."""

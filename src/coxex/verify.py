@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -107,21 +108,32 @@ class CheckResult:
 @dataclass(slots=True)
 class SuiteResult:
     """A run's outcome.  Callers may keep many results, so it holds only
-    what its config does not fix: the effective guard, and for each check
-    that ran, in order, its passes, failures, counterexamples and notes, one
-    flat tuple (`ran`).  `checks` and `to_payload` build the rest from the
-    config on demand."""
+    what its config does not fix: the effective guard; `record`, one line
+    for each check that ran, in order, with its passes, failures and notes
+    as JSON, interned so that identical runs share one string; and `bad`,
+    (position in `record`, counterexamples) for each check that stored any,
+    empty when every check passed.  `checks` and `to_payload` build the rest
+    from the config on demand."""
 
     config: SuiteConfig
     limit: int
-    ran: tuple
+    record: str
+    bad: tuple
     wall_clock_s: float
+
+    def _ran(self):
+        """(passes, failures, counterexamples, notes) of each check that ran."""
+        bad = dict(self.bad)
+        for pos, line in enumerate(self.record.splitlines()):
+            passes, failures, notes = line.split(" ", 2)
+            yield (int(passes), int(failures), bad.get(pos, ()),
+                   json.loads(notes) if notes else NO_NOTES)
 
     @property
     def checks(self) -> list[CheckResult]:
         out = []
         names = ["x".join(d.name for d in comps) for comps in self.config.descriptors]
-        ran = zip(*[iter(self.ran)] * 4)
+        ran = self._ran()
         for i, name, reason in _plan(self.config):
             descriptor = names[i]
             if reason is not None:
@@ -134,7 +146,7 @@ class SuiteResult:
 
     @property
     def failures_total(self) -> int:
-        return sum(self.ran[1::4])
+        return sum(failures for _, failures, _, _ in self._ran())
 
     def to_payload(self) -> dict:
         config = self.config
@@ -659,13 +671,85 @@ def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
     return bgh.bit_count() == bg.bit_count() + len(roots_of_h) - 2 * (bginv & bh).bit_count()
 
 
+def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
+    """The keys g * n + h of the pairs that fail `_lemma22_from_row`, over
+    every pair of an enumerated group, with one packed evaluation per h.
+
+    Each g owns a field of `width` bits in a big int, g = 0 at the bottom.
+    `terms[i]` holds, in field g, entry i of g's row (`_lemma22_row`) plus,
+    at bit `top`, 1 if root i + 1 lies in N(g^-1).  Entries of distinct
+    roots are distinct bits, and at most npos sentinels sum below `top`, so
+    the sum T of terms[i] over N(h) holds in every field the removed roots,
+    the added roots shifted up by npos, the sentinel count, and at `top` the
+    count c = |N(g^-1) & N(h)|, with no carry between fields.  B & ~T, with
+    T >> npos under the mask `mid`, is then the predicted N(gh) of every g,
+    a sentinel showing as a bit at npos or above.  The lengths sit at
+    `top - 1`, above it: l(g) + l(h) on the predicted side, and on the
+    actual side l(gh) plus T under the mask `counts`, c << top = 2 c <<
+    (top - 1).
+
+    The actual fields come from the simple-root keys of all g in one byte
+    string, an entry v written as the byte v + npos, which one `translate`
+    through h's table carries to the keys of every gh; a split and a dict
+    give each gh's field.  The set identity and the length identity are then
+    one comparison of two big ints.  Only a failing h is decoded field by
+    field.  Keys as bytes need npos <= 127.  N(h) is read from bits[h], and
+    every length is a bit count, as in `_lemma22_from_row`."""
+    n, npos = len(perms), len(perms[0])
+    k = npos.bit_length()  # npos < 2**k: a count of npos fits k bits
+    top = 2 * npos + k
+    nbytes = (top + k + 9) // 8  # l(gh) + 2 c <= 3 npos needs k + 2 bits at top - 1
+    width = 8 * nbytes
+
+    def packed(fields):
+        return int.from_bytes(b"".join([f.to_bytes(nbytes, "little") for f in fields]),
+                              "little")
+
+    mid = packed([(1 << npos + k) - 1] * n)
+    counts = packed([((1 << k) - 1) << top] * n)
+    ones = packed([1 << top - 1] * n)
+    rows = [_lemma22_row(perms[gii], bits[gii]) for gii in inverse]
+    terms = [packed([row[i] | (bits[gii] >> i & 1) << top for row, gii in zip(rows, inverse)])
+             for i in range(npos)]
+    lengths = [b.bit_count() for b in bits]
+    B = packed(bits)
+    L = packed([lg << top - 1 for lg in lengths])
+    sep = bytes([2 * npos + 1])
+    keys = [bytes([p[i] + npos for i in simple]) for p in perms]
+    blob = sep.join(keys)
+    actual = {key: (b | lg << top - 1).to_bytes(nbytes, "little")
+              for key, b, lg in zip(keys, bits, lengths)}
+    tail = bytes(range(2 * npos + 1, 256))
+    failed = set()
+    for hi, bh in enumerate(bits):
+        h = perms[hi]
+        roots = [i for i in range(npos) if bh >> i & 1]
+        T = sum(map(terms.__getitem__, roots))
+        predicted = (B & ~T | T >> npos & mid) + L + len(roots) * ones
+        table = bytes([npos - v for v in reversed(h)]) + bytes([npos]) \
+            + bytes([npos + v for v in h]) + tail
+        gh = b"".join(map(actual.__getitem__, blob.translate(table).split(sep)))
+        wrong = predicted ^ int.from_bytes(gh, "little") + (T & counts)
+        if wrong:
+            field = (1 << width) - 1
+            failed.update(gi * n + hi for gi in range(n) if wrong >> gi * width & field)
+    return failed
+
+
 def _run_inversion_identity(gd, config, notes):
     """Lemma 2.2 on sampled pairs, with N(gh) the bits of gh's own table.
-    Every draw counts, but each distinct pair is evaluated once, from one
-    row per g (`_lemma22_from_row`).  When |W|^2 <= sample_pairs, every pair
-    is evaluated and nothing is drawn, since a draw's verdict is its pair's.
-    Only when a pair fails are the draws made, to count and store its
-    failures in draw order; every other draw passes."""
+
+    Every draw counts, and its verdict is its pair's, so each pair is
+    evaluated once.  When |W|^2 <= 4 sample_pairs (and npos <= 127, for byte
+    keys), every pair is evaluated, with one packed evaluation per h
+    (`_lemma22_every_pair`): there a pair costs far less than a draw, and
+    the evaluation decides which draws fail.
+    Above that, each distinct draw is evaluated once, from one row per g
+    (`_lemma22_from_row`).  Only when a pair fails are the draws made, to
+    count and store their failures in draw order; every other draw passes.
+    A failing pair that no draw hits then counts once, after the draws, so
+    a check never passes over a failure it evaluated.  `passes` and the
+    `sampled_pairs` note are those of the draws either way."""
     perms, bits, inverse = gd.perms, gd.bits, gd.inverse
     n = len(gd)
     seed = f"{config.seed}:{gd.rs.name}"
@@ -674,33 +758,42 @@ def _run_inversion_identity(gd, config, notes):
         drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
         return zip(drawn, drawn)
 
-    # the keys g * n + h of the pairs, ascending: equal g are runs
-    if n * n <= config.sample_pairs:
-        keys = range(n * n)
+    if n * n <= 4 * config.sample_pairs and gd.rs.num_positive <= 127:
+        failed = _lemma22_every_pair(perms, inverse, bits, gd.rs.simple_indices)
     else:
+        failed = set()
+        product = _keyed_product(gd)
+        roots_of: list = [None] * n  # hi -> the bit indices of N(h)
+        # the distinct drawn keys g * n + h, ascending: equal g are runs
         keys = sorted({gi * n + hi for gi, hi in draws()})
-    product = _keyed_product(gd)
-    roots_of: list = [None] * n  # hi -> the bit indices of N(h)
-    failed = set()
-    for gi, same_g in groupby(keys, n.__rfloordiv__):
-        gii = inverse[gi]
-        bg, bginv = bits[gi], bits[gii]
-        row = _lemma22_row(perms[gii], bginv)
-        base = gi * n
-        for key in same_g:
-            hi = key - base
-            roots = roots_of[hi]
-            if roots is None:
-                roots = roots_of[hi] = [i for i, v in enumerate(perms[hi]) if v < 0]
-            if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[product(gi, hi)], roots):
-                failed.add(key)
+        for gi, same_g in groupby(keys, n.__rfloordiv__):
+            gii = inverse[gi]
+            bg, bginv = bits[gi], bits[gii]
+            row = _lemma22_row(perms[gii], bginv)
+            base = gi * n
+            for key in same_g:
+                hi = key - base
+                roots = roots_of[hi]
+                if roots is None:
+                    roots = roots_of[hi] = [i for i, v in enumerate(perms[hi]) if v < 0]
+                if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[product(gi, hi)],
+                                         roots):
+                    failed.add(key)
     t = _Tally()
+
+    def describe(gi, hi):
+        return (f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                "set identity violated", "N(gh) decomposition")
+    undrawn = set(failed)
     if failed:
         for gi, hi in draws():
-            if gi * n + hi in failed:
-                t.check(False, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
-                                        "set identity violated", "N(gh) decomposition"))
+            key = gi * n + hi
+            if key in failed:
+                undrawn.discard(key)
+                t.check(False, lambda: describe(gi, hi))
     t.passes += config.sample_pairs - t.failures  # so far only failed draws
+    for key in sorted(undrawn):
+        t.check(False, lambda: describe(*divmod(key, n)))
     for xi in gd.involutions:
         t.check(_involution_reversal_holds(gd.perms[xi]), lambda: (
             gd.display(xi), "-", "N(x) != -N(x)x", "N(x) = -N(x)x"))
@@ -864,7 +957,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             raise GuardExceeded(
                 f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
         systems.append(rs)
-    ran: list = []  # SuiteResult.ran
+    lines: list[str] = []  # SuiteResult.record
+    bad: list = []  # SuiteResult.bad
     current = gd = None
     for i, name, reason in _plan(config):
         if reason is not None:
@@ -874,5 +968,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             current, gd = i, GroupData(systems[i], guard=limit)
         notes: dict = {}
         tally = THEOREMS[name].runner(gd, config, notes)
-        ran += (tally.passes, tally.failures, tally.bad, notes or NO_NOTES)
-    return SuiteResult(config, limit, tuple(ran), time.monotonic() - t0)
+        if tally.bad:
+            bad.append((len(lines), tally.bad))
+        text = json.dumps(notes, sort_keys=True) if notes else ""
+        lines.append(f"{tally.passes} {tally.failures} {text}")
+    return SuiteResult(config, limit, sys.intern("\n".join(lines)), tuple(bad),
+                       time.monotonic() - t0)

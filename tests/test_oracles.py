@@ -338,9 +338,10 @@ def test_deduplicated_identity_matches_per_sample_loop(token):
         assert t.failures == 0
 
 
-@pytest.mark.parametrize("sample_pairs", [100, 10000])
+@pytest.mark.parametrize("sample_pairs", [100, 144, 10000])
 def test_drawn_and_every_pair_paths_match_per_sample_loop(sample_pairs):
-    # A3 has 576 pairs: 100 samples are drawn, 10,000 evaluate every pair
+    # A3 has 576 pairs: 100 samples are drawn; 144, the edge of the rule
+    # |W|^2 <= 4 sample_pairs, and 10,000 evaluate every pair
     gd = data("A3")
     for seed in (20260809, 1, 5):
         config = make_config([], seed=seed, sample_pairs=sample_pairs)
@@ -352,11 +353,11 @@ def test_drawn_and_every_pair_paths_match_per_sample_loop(sample_pairs):
         assert notes == {"sampled_pairs": sample_pairs}
 
 
-@pytest.mark.parametrize("token", ["A3", "B3", "I2(5)", "A1xA1xA1"])
+@pytest.mark.parametrize("token", ["A3", "B3", "A4", "H3", "D4", "I2(5)", "A1xA1xA1"])
 def test_every_pair_path_draws_nothing_when_every_pair_passes(token, monkeypatch):
     gd = data(token)
     config = make_config([])
-    assert len(gd) ** 2 <= config.sample_pairs
+    assert len(gd) ** 2 <= 4 * config.sample_pairs
     ref = _per_sample_identity(gd, config)
 
     def refuse(*args):
@@ -407,14 +408,14 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     n = len(gd)
     failing = {(gi, hi) for gi in (1, 5, 9) for hi in (0, 2, 7, 11)}
     failing_bits = {(gd.bits[gi], gd.bits[hi]) for gi, hi in failing}
-    kernel = verify._lemma22_from_row
+    kernel = verify._lemma22_every_pair
     core = verify._lemma22_core
     calls = []
 
-    def patched(row, bg, bginv, bh, bgh, roots_of_h):
-        calls.append((bg, bh))
-        return (bg, bh) not in failing_bits and kernel(row, bg, bginv, bh, bgh, roots_of_h)
-    monkeypatch.setattr(verify, "_lemma22_from_row", patched)
+    def patched(perms, inverse, bits, simple):
+        calls.append(len(perms))
+        return kernel(perms, inverse, bits, simple) | {gi * n + hi for gi, hi in failing}
+    monkeypatch.setattr(verify, "_lemma22_every_pair", patched)
     # the per-sample reference below evaluates with the core: it fails the same pairs
     monkeypatch.setattr(verify, "_lemma22_core", lambda g_inv, bg, bginv, bh, bgh: (
         (bg, bh) not in failing_bits and core(g_inv, bg, bginv, bh, bgh)))
@@ -423,8 +424,9 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     rng = random.Random(f"{config.seed}:{gd.rs.name}")
     drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs)]
     failed = [pair for pair in drawn if pair in failing]
-    # n * n <= sample_pairs: the kernel runs once on every pair, drawn or not
-    assert len(calls) == n * n < len(drawn)
+    # n * n <= 4 sample_pairs: the packed kernel runs once, over every pair
+    assert calls == [n] and n * n < len(drawn)
+    assert set(failed) == failing  # each failing pair is drawn: none counts undrawn
     assert len(failed) > MAX_COUNTEREXAMPLES
     assert t.failures == len(failed)
     assert t.passes == len(drawn) - len(failed) + len(gd.involutions)
@@ -434,6 +436,111 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
         for gi, hi in failed[:MAX_COUNTEREXAMPLES]] + [TRUNCATED]
     ref = _per_sample_identity(gd, config)
     assert (t.passes, t.failures, t.bad) == (ref.passes, ref.failures, ref.bad)
+
+
+def test_failing_pair_that_no_draw_hits_counts_once(monkeypatch):
+    # B3 at seed 1: 26 of its 2,304 pairs are evaluated but never drawn
+    gd = data("B3")
+    n = len(gd)
+    config = make_config([], seed=1)
+    rng = random.Random(f"1:{gd.rs.name}")
+    drawn = {(rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs)}
+    undrawn = sorted({(gi, hi) for gi in range(n) for hi in range(n)} - drawn)
+    assert len(undrawn) == 26
+    gi, hi = undrawn[3]
+    kernel = verify._lemma22_every_pair
+    monkeypatch.setattr(verify, "_lemma22_every_pair", lambda *args: (
+        kernel(*args) | {gi * n + hi}))
+    t = verify._run_inversion_identity(gd, config, {})
+    assert t.failures == 1
+    assert t.passes == config.sample_pairs + len(gd.involutions)
+    assert t.bad == (verify.Counterexample(f"({gd.display(gi)}, {gd.display(hi)})", "-",
+                                           "set identity violated", "N(gh) decomposition"),)
+    res = run_suite(make_config([descriptor("B3")], theorems=("inversion-set-identity",),
+                                seed=1))
+    assert res.failures_total == 1 and res.checks[0].status == "fail"
+
+
+def _bit_indices(b):
+    return [i for i in range(b.bit_length()) if b >> i & 1]
+
+
+def _row_failures(perms, inverse, bits, product):
+    """The keys g * n + h of the pairs that `_lemma22_from_row` fails, one
+    pair at a time, N(h) read from bits[h] as the packed kernel reads it."""
+    n = len(perms)
+    roots_of = [_bit_indices(b) for b in bits]
+    failed = set()
+    for gi in range(n):
+        gii = inverse[gi]
+        row = verify._lemma22_row(perms[gii], bits[gii])
+        for hi in range(n):
+            if not verify._lemma22_from_row(row, bits[gi], bits[gii], bits[hi],
+                                            bits[product(gi, hi)], roots_of[hi]):
+                failed.add(gi * n + hi)
+    return failed
+
+
+def _set_part_holds(perms, inverse, bits, product, gi, hi) -> bool:
+    """Whether the predicted N(gh) of `_lemma22_from_row` is the actual one,
+    whatever the lengths say."""
+    npos = len(perms[0])
+    gii = inverse[gi]
+    row = verify._lemma22_row(perms[gii], bits[gii])
+    total = sum(row[i] for i in range(npos) if bits[hi] >> i & 1)
+    predicted = bits[gi] & ~(total & (1 << npos) - 1) | total >> npos
+    return predicted == bits[product(gi, hi)]
+
+
+@pytest.mark.parametrize("token", SWEEP_GROUPS + ("I2(100)",))
+def test_packed_kernel_fails_exactly_the_pairs_the_row_kernel_fails(token):
+    # I2(100) has 40,000 pairs, the edge of |W|^2 <= 4 sample_pairs, and npos 100
+    gd = data(token)
+    perms, inverse, bits = gd.perms, gd.inverse, gd.bits
+    n, npos = len(gd), gd.rs.num_positive
+    simple = gd.rs.simple_indices
+    product = verify._keyed_product(gd)
+
+    def both(bits):
+        packed = verify._lemma22_every_pair(perms, inverse, bits, simple)
+        assert packed == _row_failures(perms, inverse, bits, product), token
+        return packed
+    assert both(bits) == set()
+    # one corrupted bit: a root outside N(x) joins it
+    x = 1
+    j = max(i for i in range(npos) if not bits[x] >> i & 1)
+    assert both([b | (i == x) << j for i, b in enumerate(bits)])
+    # one corrupted length: g drops a root of N(g); h = g^-1 cancels all of
+    # N(g), so the pair's set identity holds and only its length fails.  g
+    # must not be an involution, whose bits are also those of g^-1 (A1xA1xA1
+    # has no other element)
+    g = next((i for i in range(n) if inverse[i] != i), None)
+    if g is not None:
+        mutated = [b ^ (i == g) << (bits[g].bit_length() - 1) for i, b in enumerate(bits)]
+        failed = both(mutated)
+        assert g * n + inverse[g] in failed
+        assert _set_part_holds(perms, inverse, mutated, product, g, inverse[g])
+    # one table whose row fires the sentinel: N(x) misses a root j that x
+    # sends negative, so the row of x^-1 holds the sentinel there, and gains
+    # one that x keeps positive, so |N(x)| stays.  Outside the dihedral
+    # groups some pairs then fail by the sentinel alone
+    x = 1
+    j = bits[x].bit_length() - 1
+    mutated = [b ^ (i == x) * (1 << j | 1 << (~bits[x] & bits[x] + 1).bit_length() - 1)
+               for i, b in enumerate(bits)]
+    row = verify._lemma22_row(perms[x], mutated[x])
+    assert row[j] == 1 << 2 * npos
+    failed = both(mutated)
+    unguarded = [0 if entry == 1 << 2 * npos else entry for entry in row]
+    g = inverse[x]
+
+    def holds(row, hi):
+        bh = mutated[hi]
+        return verify._lemma22_from_row(row, mutated[g], mutated[x], bh,
+                                        mutated[product(g, hi)], _bit_indices(bh))
+    alone = {g * n + hi for hi in range(n) if holds(unguarded, hi) and not holds(row, hi)}
+    assert alone <= failed
+    assert alone or gd.rs.family == "I2", token
 
 
 def _loop_product(a, b):

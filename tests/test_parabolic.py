@@ -79,3 +79,19 @@ def test_identity_always_member():
     ident = identity_element(rs)
     for J in all_generator_subsets(rs):
         assert parabolic_context(rs, J).contains(ident)
+
+
+@pytest.mark.parametrize("token", ["A3", "A4", "B3", "D4", "H3", "I2(5)", "I2(6)", "I2(7)",
+                                   "I2(8)", "A2xA1", "A1xA1xA1", "D12", "E6"])
+def test_support_masks_match_coefficient_supports(token):
+    # the context's roots, from one support mask per root, against the roots
+    # whose set of supporting simple roots lies inside J, on every J
+    rs = system(token)
+    masks = rs.support_masks()
+    assert masks is rs.support_masks()  # computed once
+    supports = [set(rs.coeff_support(i)) for i in range(rs.num_positive)]
+    for J in all_generator_subsets(rs):
+        want = tuple(i for i, support in enumerate(supports) if support <= set(J))
+        ctx = parabolic_context(rs, J)
+        assert ctx.indices == want, (token, J)
+        assert ctx.mask == sum(1 << i for i in want)

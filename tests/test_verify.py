@@ -198,8 +198,8 @@ def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
     res = run_suite(config)
     monkeypatch.delenv("COXEX_GUARD")
     assert res.config is config and res.limit == 5000
-    # four fields a check that ran; a skip is rebuilt from the config
-    assert len(res.ran) == 4 * 4
+    # one record line a check that ran; a skip is rebuilt from the config
+    assert len(res.record.splitlines()) == 4 and res.bad == ()
     assert [(c.descriptor, c.theorem, c.status) for c in res.checks] == [
         ("B3", "excess-additivity", "skip"), ("B3", "inversion-set-identity", "pass"),
         ("A2xA1", "excess-additivity", "pass"), ("A2xA1", "inversion-set-identity", "pass"),
@@ -229,3 +229,30 @@ def test_one_conjugation_search_serves_both_class_theorems(monkeypatch):
     assert res.failures_total == 0
     assert [c.status for c in res.checks] == ["pass"] * 4
     assert calls == ["B3", "H3"]
+
+
+def test_identical_runs_share_one_record():
+    # a result keeps one interned record string, and counterexamples only
+    # for checks that failed
+    config = make_config([descriptor("B3"), descriptor("I2(5)")], parabolic="all")
+    one, two = run_suite(config), run_suite(config)
+    assert one.record is two.record
+    assert one.bad == two.bad == ()
+    assert one.to_json().split('"wall_clock_s"')[0] == two.to_json().split('"wall_clock_s"')[0]
+    assert one.csv_rows() == two.csv_rows()
+
+
+def test_failing_checks_keep_their_counterexamples_by_position(monkeypatch):
+    # every e_J = e check of parabolic-excess fails on B3; the checks around
+    # it pass and store nothing
+    monkeypatch.setattr(GroupData, "excess_in",
+                        lambda self, wi, mask: self.excess_of(wi) + 2)
+    res = _suite(["B3"], theorems=("parabolic-reflection-excess", "parabolic-excess",
+                                   "zero-excess-classes"))
+    assert [pos for pos, _ in res.bad] == [1]
+    checks = res.checks
+    assert [c.status for c in checks] == ["pass", "fail", "pass"]
+    assert checks[1].counterexamples == res.bad[0][1]
+    assert len(checks[1].counterexamples) == checks[1].failures == 73
+    assert checks[2].notes == {"classes": 10}
+    assert res.failures_total == checks[1].failures > 0
