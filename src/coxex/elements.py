@@ -9,7 +9,7 @@ from the simple-root coefficients in every family.
 from __future__ import annotations
 
 import os
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .rootsystem import RootSystem
 
@@ -22,15 +22,15 @@ class GuardExceeded(RuntimeError):
 
 
 def effective_guard(guard: int | None) -> int:
-    if guard is not None:
-        return guard
-    env = os.environ.get(GUARD_ENV)
-    if not env:
-        return DEFAULT_GUARD
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
+    if guard is None:
+        env = os.environ.get(GUARD_ENV)
+        try:
+            guard = int(env) if env else DEFAULT_GUARD
+        except ValueError:
+            raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
+    if guard < 1:
+        raise ValueError("guard must be at least 1")
+    return guard
 
 
 def apply_table(table, signed_index: int) -> int:
@@ -50,6 +50,28 @@ def signed_lookup(p) -> tuple[int, ...]:
     v for v in +-1..len(p), a negative v indexing from the end, and
     ext[0] = 0.  One lookup per entry then composes p after another table."""
     return (0,) + tuple(p) + tuple([-v for v in reversed(p)])
+
+
+def simple_key(p, simple) -> str:
+    """An element is determined by its simple-root images, so its key is p
+    read at `simple`, each v as the code point v + npos (npos = len(p), so
+    0 <= v + npos <= 2 npos).  Packed keys are joined by `key_sep`."""
+    npos = len(p)
+    return "".join([chr(p[i] + npos) for i in simple])
+
+
+def key_sep(npos: int) -> str:
+    """The separator of packed keys: the code point 2 npos + 1."""
+    return chr(2 * npos + 1)
+
+
+def key_table(p) -> str:
+    """The `str.translate` table that sends code point v + npos to
+    p(v) + npos, and so the key of x to that of xp.  The separator lies past
+    its end and stays, so one translate carries all packed keys at once."""
+    npos = len(p)
+    return ("".join([chr(npos - v) for v in reversed(p)]) + chr(npos)
+            + "".join([chr(npos + v) for v in p]))
 
 
 def invert_table(p):
@@ -231,25 +253,29 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     # these lookups; a negation would make a new int object per entry below
     # -5, the end of CPython's small-int cache
     lookups = [signed_lookup(rs.gen_tables[r]) for r in names]
-    # an element is fixed by its simple-root images, and those of p * s are
-    # ext_s read at those of p: the key of a product costs rank lookups, and
-    # only a new element has its table built.  Keys come from itemgetters
-    # over the same number of entries, so in rank 1 every key is a bare int.
-    simple = rs.simple_indices
+    # one translate of a level's keys through s gives the keys of its
+    # products by s, and only a new element has its table built; zip lists
+    # them element by element, generators in order, so the first found wins
+    tables = [key_table(rs.gen_tables[r]) for r in names]
+    sep = key_sep(rs.num_positive)
     ident = identity_table(rs.num_positive)
     perms = [ident]
     words = [()]
-    seen = {itemgetter(*simple)(ident)}
-    for p, w in zip(perms, words):  # both lists grow while they are read
-        key_of = itemgetter(*[p[i] for i in simple])
-        for r, ext in zip(names, lookups):
-            k = key_of(ext)
-            if k not in seen:
-                seen.add(k)
-                perms.append(tuple([ext[v] for v in p]))
-                words.append(w + (r,))
-                if len(perms) > limit:
-                    raise GuardExceeded(f"enumeration exceeded guard {limit}")
+    level = [simple_key(ident, rs.simple_indices)]
+    seen = set(level)
+    while level:  # the level's elements are the last n of perms
+        packed, n = sep.join(level), len(level)
+        level = []
+        for p, w, *ks in zip(perms[-n:], words[-n:],
+                             *[packed.translate(t).split(sep) for t in tables]):
+            for r, ext, k in zip(names, lookups, ks):
+                if k not in seen:
+                    seen.add(k)
+                    level.append(k)
+                    perms.append(tuple([ext[v] for v in p]))
+                    words.append(w + (r,))
+                    if len(perms) > limit:
+                        raise GuardExceeded(f"enumeration exceeded guard {limit}")
     return perms, words, {p: i for i, p in enumerate(perms)}
 
 
@@ -257,14 +283,10 @@ class InvolutionTables:
     """The involutions of W, packed for a filter that runs in C.
 
     `tables` holds the involution tables, sorted; a table's index is its
-    handle.  An element is determined by where it sends the simple roots, so
-    its key is those rank images, each entry v written as the code point
-    v + npos (npos positive roots, so 0 <= v + npos <= 2 npos).  `packed`
-    holds the keys in handle order, separated by `sep`, the code point
-    2 npos + 1, and `at_key` maps each key to its handle: a table is an
-    involution exactly when its key is in `at_key`.  A translation table of
-    2 npos + 2 characters that sends v + npos to w(v) + npos, and `sep` to
-    itself, therefore carries every key through w in one `str.translate`.
+    handle.  `packed` holds their keys (`simple_key`) in handle order,
+    separated by `sep`, and `at_key` maps each key to its handle: a table is
+    an involution exactly when its key is in `at_key`.  One `str.translate`
+    of `packed` through `key_table(w)` therefore carries every key through w.
 
     `bits` and `lr` hold an involution's inversion bitset and reflection
     length by handle, None until `fill` computes them: E8 has 199,952
@@ -274,10 +296,9 @@ class InvolutionTables:
     __slots__ = ("tables", "packed", "sep", "at_key", "bits", "lr")
 
     def __init__(self, rs: RootSystem, tables):
-        npos = rs.num_positive
-        keys = ["".join([chr(p[i] + npos) for i in rs.simple_indices]) for p in tables]
+        keys = [simple_key(p, rs.simple_indices) for p in tables]
         self.tables = tables
-        self.sep = chr(2 * npos + 1)
+        self.sep = key_sep(rs.num_positive)
         self.packed = self.sep.join(keys)
         self.at_key = {k: i for i, k in enumerate(keys)}
         self.bits: list = [None] * len(tables)
@@ -343,7 +364,7 @@ def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[Gro
     """Orbits under conjugation, each sorted by table for determinism, in
     the order of their first element in BFS order."""
     perms, _, _ = bfs_tables(rs, guard)
-    at_key = {itemgetter(*rs.simple_indices)(p): i for i, p in enumerate(perms)}
+    at_key = {simple_key(p, rs.simple_indices): i for i, p in enumerate(perms)}
     orbits, _ = _conjugation_orbits(perms, at_key, rs)
     return [[GroupElement(rs, t) for t in sorted(perms[i] for i in orbit)]
             for orbit in orbits]
@@ -353,28 +374,23 @@ def _conjugation_orbits(perms, at_key, rs):
     """The conjugacy classes of an enumerated group, by breadth-first search
     under w -> s w s over the generators s.
 
-    `at_key` maps an element's simple-root images to its index in `perms`,
-    as `GroupData.at_key` does (a bare int in rank 1).  Returns (orbits,
-    parent): each orbit lists indices in BFS order from the first of its
-    elements in `perms`, and the orbits come in that order; parent[i] is
-    (j, r) with i = s_r j s_r and j before i in its orbit, None for the
-    first.  The image of simple root k under s w s is s's image of
-    w(s(alpha_k)): w's table read at the roots +-s(alpha_k), then one
-    signed lookup in s, negated where s(alpha_k) is negative.  Conjugation
-    by s is an involution, so once i = s j s is found, s i s = j is not
-    computed again.
+    `at_key` maps an element's key (`simple_key`) to its index in `perms`,
+    as `GroupData.at_key` does.  Returns (orbits, parent): each orbit lists
+    indices in BFS order from the first of its elements in `perms`, and the
+    orbits come in that order; parent[i] is (j, r) with i = s_r j s_r and j
+    before i in its orbit, None for the first.  The image of simple root k
+    under s w s is s's image of w(s(alpha_k)): w's table read at the roots
+    +-s(alpha_k), then one signed lookup in s, negated where s(alpha_k) is
+    negative, written as a key's code point.  Conjugation by s is an
+    involution, so once i = s j s is found, s i s = j is not computed again.
     """
     gens = []
     for r, g in enumerate(rs.gen_tables):
         images = [g[i] for i in rs.simple_indices]
-        ext = signed_lookup(g)
-        neg = tuple([ext[-v] for v in range(len(ext))])  # neg[v] = ext[-v]
-        if rs.rank == 1:  # read the one entry twice so that map gets a tuple
-            images *= 2
-        gens.append((r, 1 << r, itemgetter(*[abs(v) - 1 for v in images]),
-                     [ext if v > 0 else neg for v in images]))
-    # a key is a tuple, or in rank 1 the bare int first of the pair read
-    key = next if rs.rank == 1 else tuple
+        codes = [chr(v + rs.num_positive) for v in signed_lookup(g)]
+        neg = [codes[-v] for v in range(len(codes))]  # neg[v] = codes[-v]
+        gens.append((r, 1 << r, [abs(v) - 1 for v in images],
+                     [codes if v > 0 else neg for v in images]))
     parent: list = [None] * len(perms)
     seen = [False] * len(perms)
     known = [0] * len(perms)  # bit r: the conjugate by s_r is already seen
@@ -390,7 +406,7 @@ def _conjugation_orbits(perms, at_key, rs):
             for r, bit, at, lookups in gens:
                 if skip & bit:
                     continue
-                ci = at_key[key(map(getitem, lookups, at(p)))]
+                ci = at_key["".join(map(getitem, lookups, map(p.__getitem__, at)))]
                 known[ci] |= bit
                 if not seen[ci]:
                     seen[ci] = True

@@ -34,14 +34,13 @@ x -> sx (s, x commuting) or x -> sxs (Richardson-Springer 1990), with their
 simple-root images as keys.  An element is determined by those images, so
 xw is an involution exactly when its rank images of the simple roots form a
 key, and that key's index is the handle of xw.  The cache packs every key
-into one string, a root v as the code point v + npos, and a query carries
-them all through w by one `str.translate` with a table built from w's
-signed lookup, then splits the result and looks each piece up, so the
-filter runs no Python code per involution and composes no table.  An
-involution's bits and l_R are cached on its first use.  The sweep engine
-`GroupData` keys the same way: it finds xy for every pair of involutions by
-carrying x's simple-root images through y's lookup into a key -> index dict
-of the enumerated group, in one pass in (x, y) order.
+(`elements.simple_key`) into one string, and a query carries them all
+through w by one `str.translate` (`elements.key_table`), then splits the
+result and looks each piece up, so the filter runs no Python code per
+involution and composes no table.  An involution's bits and l_R are cached
+on its first use.  The sweep engine `GroupData` keys the same way: for each
+involution x, one translate of every involution's key through x gives the
+key of each y x, looked up in a key -> index dict of the enumerated group.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -64,8 +63,8 @@ from .elements import (GroupElement, GuardExceeded, _conjugation_orbits,
                        bfs_tables, bits_of_table, compose_tables,
                        effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
-                       is_involution_table, reduced_word, signed_lookup,
-                       word_text)
+                       is_involution_table, key_sep, key_table, reduced_word,
+                       signed_lookup, simple_key, word_text)
 from .parabolic import ParabolicContext
 from .rootsystem import RootSystem
 from .signedperm import (SignedCycle, SignedPermutation, _check_model,
@@ -121,14 +120,10 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
     when the simple-root images of xw, those of x carried on by w, are the
     key of an involution, whose handle is then that of y = xw.  Every key
     is carried at once, by one `str.translate` of the packed keys through
-    w's signed lookup (see `elements.InvolutionTables`).
+    `elements.key_table(w)` (see `elements.InvolutionTables`).
     """
     inv = involution_tables(rs, guard)
-    npos = rs.num_positive
-    ext = signed_lookup(w.perm)
-    # code point v + npos goes to w(v) + npos, for v = -npos..npos in order
-    table = "".join([chr(v + npos) for v in ext[npos + 1:] + ext[:npos + 1]]) + inv.sep
-    ys = list(map(inv.at_key.get, inv.packed.translate(table).split(inv.sep)))
+    ys = list(map(inv.at_key.get, inv.packed.translate(key_table(w.perm)).split(inv.sep)))
     pairs = tuple(compress(zip(count(), ys), map(is_not, ys, repeat(None))))
     inv.fill(rs, [x for x, _ in pairs])
     return InvolutionSet(rs, "exhaustive", pairs, inv.tables, inv.bits, inv.lr)
@@ -492,7 +487,7 @@ class GroupData:
     `pairs[w]` lists the (x, y) with x, y involutions and xy = w, sorted, so
     x runs over I_w.  Every statistic reads them through the kernels that
     serve `InvolutionSet`, with `bits` and `lr` indexed by element.
-    `at_key` maps an element's simple-root images to its index.
+    `at_key` maps an element's key (`elements.simple_key`) to its index.
     """
 
     def __init__(self, rs: RootSystem, guard: int | None = None):
@@ -500,24 +495,22 @@ class GroupData:
         perms, words, index = bfs_tables(rs, guard)
         self.perms = perms
         self.words = words
-        self.index = index
         self.bits = [bits_of_table(p) for p in perms]
         self.lengths = [b.bit_count() for b in self.bits]
-        self.inverse = [index[invert_table(p)] for p in perms]
+        self.inverse = inverse = [index[invert_table(p)] for p in perms]
+        del index  # at_key is the one element dict kept
         self.involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
-        # an element is determined by its simple-root images, and those of xy
-        # are x's carried through y's lookup; both itemgetters give a bare
-        # int, not a 1-tuple, in rank 1
         simple = rs.simple_indices
-        key = itemgetter(*simple)
-        self.at_key = at_key = {key(p): i for i, p in enumerate(perms)}
-        lookups = [signed_lookup(perms[yi]) for yi in self.involutions]
+        self.at_key = at_key = {simple_key(p, simple): i for i, p in enumerate(perms)}
+        # one translate of every involution's key through x gives the keys of
+        # all y x, and x y is the inverse of y x
+        sep = key_sep(rs.num_positive)
+        packed = sep.join([simple_key(perms[yi], simple) for yi in self.involutions])
         pairs: list[list[tuple[int, int]]] = [[] for _ in perms]
         for xi in self.involutions:  # x, then y, ascending: no sort needed
-            px = perms[xi]
-            carry = itemgetter(*[px[i] for i in simple])
-            for yi, ext in zip(self.involutions, lookups):
-                pairs[at_key[carry(ext)]].append((xi, yi))
+            yx = packed.translate(key_table(perms[xi])).split(sep)
+            for yi, wi in zip(self.involutions, map(at_key.__getitem__, yx)):
+                pairs[inverse[wi]].append((xi, yi))
         self.pairs = pairs
         # l_R of each involution from its trace; None elsewhere
         self.lr: list = [None] * len(perms)

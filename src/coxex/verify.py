@@ -13,14 +13,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter, mul
+from operator import mul
 from struct import unpack
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
 from .elements import (GuardExceeded, bfs_tables, bits_of_table,
                        compose_tables, effective_guard, identity_table,
-                       invert_table, signed_lookup)
+                       invert_table, key_sep, key_table, simple_key)
 from .excess import (DnCondition, GroupData, dn_condition_check,
                      inverting_signed_involutions, overlap_check,
                      spartan_support_check, swapcycle_check)
@@ -48,8 +48,7 @@ class SuiteConfig:
     seed: int = 20260809
 
     def __post_init__(self):
-        if effective_guard(self.guard) < 1:
-            raise ValueError("guard must be at least 1")
+        effective_guard(self.guard)  # refuses a guard below 1
         if self.strategy not in ("direct", "maximal-reduction"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         for name in self.theorems:
@@ -333,8 +332,8 @@ def _run_cuspidal_full(gd, config, notes):
 
 
 def _run_centre_full(gd, config, notes):
-    minus_one = tuple(-(i + 1) for i in range(gd.rs.num_positive))
-    if minus_one not in gd.index:
+    minus_one = [-(i + 1) for i in range(gd.rs.num_positive)]
+    if simple_key(minus_one, gd.rs.simple_indices) not in gd.at_key:
         raise RuntimeError("central inversion expected but not found")
     full = gd.rs.full_mask()
     t = _Tally()
@@ -413,7 +412,7 @@ def _run_excess_additivity(gd, config, notes):
             proj = list(identity_table(rs.num_positive))
             for i in ctx.indices:
                 proj[i] = p[i]
-            pi = gd.index[tuple(proj)]
+            pi = gd.at_key[simple_key(proj, rs.simple_indices)]
             e_sum += gd.excess_in(pi, ctx.mask)
             E_sum += gd.refl_excess_in(pi, ctx.mask)
         ok = gd.excess_of(wi) == e_sum and gd.refl_excess_of(wi) == E_sum
@@ -511,33 +510,31 @@ def _run_structured_iw(gd, config, notes):
 
 
 def _reflection_distances(rs):
-    """Reflection length of every element, by BFS over products of
-    reflections, keyed by simple-root images: those of pt are p's read
-    through t's lookup."""
-    lookups = [signed_lookup(rs.reflection_table(i)) for i in range(rs.num_positive)]
-    start = tuple([i + 1 for i in rs.simple_indices])
+    """Reflection length of every element by key (`elements.simple_key`),
+    by BFS over products of reflections: one translate of the frontier's
+    packed keys through each reflection t gives the keys of every pt."""
+    tables = [key_table(rs.reflection_table(i)) for i in range(rs.num_positive)]
+    sep = key_sep(rs.num_positive)
+    start = simple_key(identity_table(rs.num_positive), rs.simple_indices)
     dist = {start: 0}
     frontier = [start]
     while frontier:
-        nxt = []
-        for k in frontier:
-            d = dist[k] + 1
-            for ext in lookups:
-                q = tuple([ext[v] for v in k])
-                if q not in dist:
-                    dist[q] = d
-                    nxt.append(q)
-        frontier = nxt
+        d = dist[frontier[0]] + 1
+        packed = sep.join(frontier)
+        frontier = []
+        for table in tables:
+            for k in packed.translate(table).split(sep):
+                if k not in dist:
+                    dist[k] = d
+                    frontier.append(k)
     return dist
 
 
 def _run_reflection_length_oracle(gd, config, notes):
-    simple = gd.rs.simple_indices
     dist = _reflection_distances(gd.rs)
     t = _Tally()
-    for wi in range(len(gd)):
-        p = gd.perms[wi]
-        bfs = dist[tuple([p[i] for i in simple])]
+    for key, wi in gd.at_key.items():
+        bfs = dist[key]
         carter = gd.reflection_length(wi)
         t.check(bfs == carter, lambda: (gd.display(wi), "-", f"carter={carter}",
                                         f"bfs={bfs}"))
@@ -592,21 +589,17 @@ def _involution_reversal_holds(p) -> bool:
 
 
 def _keyed_product(gd):
-    """(gi, hi) -> the index of gh, found by its simple-root images, g's
-    carried through h's lookup, in `gd.at_key`.  A carry or lookup is built
-    on first use only; both itemgetters give a bare int, not a 1-tuple, in
-    rank 1."""
+    """(gi, hi) -> the index of gh, found by g's key translated through h
+    (`elements.key_table`) in `gd.at_key`.  A translation table is built
+    on first use only."""
     perms, at_key = gd.perms, gd.at_key
-    simple = gd.rs.simple_indices
-    carries: list = [None] * len(perms)
-    lookups: list = [None] * len(perms)
+    keys = list(at_key)  # in index order
+    tables: list = [None] * len(perms)
 
     def product(gi, hi):
-        if carries[gi] is None:
-            carries[gi] = itemgetter(*[perms[gi][i] for i in simple])
-        if lookups[hi] is None:
-            lookups[hi] = signed_lookup(perms[hi])
-        return at_key[carries[gi](lookups[hi])]
+        if tables[hi] is None:
+            tables[hi] = key_table(perms[hi])
+        return at_key[keys[gi].translate(tables[hi])]
     return product
 
 
@@ -688,13 +681,12 @@ def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
     actual side l(gh) plus T under the mask `counts`, c << top = 2 c <<
     (top - 1).
 
-    The actual fields come from the simple-root keys of all g in one byte
-    string, an entry v written as the byte v + npos, which one `translate`
-    through h's table carries to the keys of every gh; a split and a dict
-    give each gh's field.  The set identity and the length identity are then
-    one comparison of two big ints.  Only a failing h is decoded field by
-    field.  Keys as bytes need npos <= 127.  N(h) is read from bits[h], and
-    every length is a bit count, as in `_lemma22_from_row`."""
+    The actual fields come from the packed keys of all g, which one
+    translate through h (`elements.key_table`) carries to those of every gh;
+    a split and a dict give each gh's field.  The set identity and the
+    length identity are then one comparison of two big ints.  Only a failing
+    h is decoded field by field.  N(h) is read from bits[h], and every
+    length is a bit count, as in `_lemma22_from_row`."""
     n, npos = len(perms), len(perms[0])
     k = npos.bit_length()  # npos < 2**k: a count of npos fits k bits
     top = 2 * npos + k
@@ -714,21 +706,17 @@ def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
     lengths = [b.bit_count() for b in bits]
     B = packed(bits)
     L = packed([lg << top - 1 for lg in lengths])
-    sep = bytes([2 * npos + 1])
-    keys = [bytes([p[i] + npos for i in simple]) for p in perms]
+    sep = key_sep(npos)
+    keys = [simple_key(p, simple) for p in perms]
     blob = sep.join(keys)
     actual = {key: (b | lg << top - 1).to_bytes(nbytes, "little")
               for key, b, lg in zip(keys, bits, lengths)}
-    tail = bytes(range(2 * npos + 1, 256))
     failed = set()
     for hi, bh in enumerate(bits):
-        h = perms[hi]
         roots = [i for i in range(npos) if bh >> i & 1]
         T = sum(map(terms.__getitem__, roots))
         predicted = (B & ~T | T >> npos & mid) + L + len(roots) * ones
-        table = bytes([npos - v for v in reversed(h)]) + bytes([npos]) \
-            + bytes([npos + v for v in h]) + tail
-        gh = b"".join(map(actual.__getitem__, blob.translate(table).split(sep)))
+        gh = b"".join(map(actual.__getitem__, blob.translate(key_table(perms[hi])).split(sep)))
         wrong = predicted ^ int.from_bytes(gh, "little") + (T & counts)
         if wrong:
             field = (1 << width) - 1
@@ -740,10 +728,9 @@ def _run_inversion_identity(gd, config, notes):
     """Lemma 2.2 on sampled pairs, with N(gh) the bits of gh's own table.
 
     Every draw counts, and its verdict is its pair's, so each pair is
-    evaluated once.  When |W|^2 <= 4 sample_pairs (and npos <= 127, for byte
-    keys), every pair is evaluated, with one packed evaluation per h
-    (`_lemma22_every_pair`): there a pair costs far less than a draw, and
-    the evaluation decides which draws fail.
+    evaluated once.  When |W|^2 <= 4 sample_pairs, every pair is evaluated,
+    with one packed evaluation per h (`_lemma22_every_pair`): there a pair
+    costs far less than a draw, and the evaluation decides which draws fail.
     Above that, each distinct draw is evaluated once, from one row per g
     (`_lemma22_from_row`).  Only when a pair fails are the draws made, to
     count and store their failures in draw order; every other draw passes.
@@ -758,7 +745,7 @@ def _run_inversion_identity(gd, config, notes):
         drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
         return zip(drawn, drawn)
 
-    if n * n <= 4 * config.sample_pairs and gd.rs.num_positive <= 127:
+    if n * n <= 4 * config.sample_pairs:
         failed = _lemma22_every_pair(perms, inverse, bits, gd.rs.simple_indices)
     else:
         failed = set()
@@ -831,7 +818,7 @@ def _run_parabolic_length(gd, config, notes):
         perms, words, _ = bfs_tables(gd.rs, gens=tuple(J))
         jd = " ".join(str(j) for j in ctx.J_display)
         for p, wrd in zip(perms, words):
-            wi = gd.index[p]
+            wi = gd.at_key[simple_key(p, gd.rs.simple_indices)]
             ok = ctx.contains_table(gd.bits[wi]) and gd.lengths[wi] == len(wrd)
             t.check(ok, lambda: (gd.display(wi), jd, f"ambient length {gd.lengths[wi]}",
                                  f"subgroup word length {len(wrd)}"))

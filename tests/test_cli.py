@@ -213,6 +213,22 @@ def test_malformed_guard_env_is_one_error_line(monkeypatch, argv):
     assert exc.value.code == "error: COXEX_GUARD='abc' is not an integer"
 
 
+@pytest.mark.parametrize("argv", [
+    ("excess", "--type", "A3", "--word", "1 2"),
+    ("group", "info", "--type", "B3"),
+    ("verify", "--type", "A2", "--theorem", "zero-excess-classes")])
+@pytest.mark.parametrize("guard", ["0", "-5"])
+def test_guard_below_one_is_one_error_line(monkeypatch, argv, guard):
+    # the same refusal from the option and from the environment
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--guard", guard])
+    assert exc.value.code == "error: guard must be at least 1"
+    monkeypatch.setenv("COXEX_GUARD", guard)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == "error: guard must be at least 1"
+
+
 def test_repro_subcommand(capsys):
     code, out, _ = run_cli(capsys, "repro", "sym5-table")
     assert code == 0

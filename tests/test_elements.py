@@ -153,7 +153,7 @@ def _table_bfs(rs, gens=None):
     return perms, words, index
 
 
-# the groups of scripts/run_theorem_sweeps.py, rank 1 (bare-int keys) and E6
+# the groups of scripts/run_theorem_sweeps.py, rank 1 and E6
 @pytest.mark.parametrize("token", [
     "A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4", "I2(5)", "I2(6)",
     "I2(7)", "I2(8)", "A2xA1", "A1xA1xA1", "A1", "E6"])
@@ -244,8 +244,9 @@ def test_reflection_length_examples():
     gd = data("A4")
     rs = gd.rs
     w = to_root_perm(parse("(+2 +3 +5)", 5), rs)
+    index = {p: i for i, p in enumerate(gd.perms)}
     for p, want in ((gd.perms[0], 0), (rs.reflection_table(0), 1), (w.perm, 2)):
-        assert gd.reflection_length(gd.index[p]) == want
+        assert gd.reflection_length(index[p]) == want
         assert rs.rank - fixed_dim(GroupElement(rs, p)) == want
 
 

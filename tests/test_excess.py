@@ -7,7 +7,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,7 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             compose_tables, element_from_word, invert_table,
                             involution_reflection_length, involution_tables,
                             is_involution_table, reduced_word, reflection,
-                            signed_lookup, word_text)
+                            signed_lookup, simple_key, word_text)
 from coxex.linalg import action_matrix, columns, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
 from coxex.excess import inverting_involution_count
@@ -395,8 +394,19 @@ def test_structured_report_formats_the_kept_signed_members(monkeypatch):
 @pytest.mark.parametrize("token", ["A1", "B3", "H3", "A2xA1"])
 def test_group_data_keeps_its_key_dict(token):
     gd = data(token)
-    key = itemgetter(*gd.rs.simple_indices)
-    assert gd.at_key == {key(p): i for i, p in enumerate(gd.perms)}
+    simple = gd.rs.simple_indices
+    assert gd.at_key == {simple_key(p, simple): i for i, p in enumerate(gd.perms)}
+
+
+# the groups of scripts/run_theorem_sweeps.py
+@pytest.mark.parametrize("token", ["A3", "A4", "B3", "D4", "H3", "I2(5)", "I2(6)",
+                                   "I2(7)", "I2(8)", "A2xA1", "A1xA1xA1"])
+def test_involution_keys_are_group_data_keys(token):
+    # one element has one key, whichever cache holds it
+    gd = data(token)
+    inv = involution_tables(gd.rs)
+    for key, handle in inv.at_key.items():
+        assert gd.perms[gd.at_key[key]] == inv.tables[handle]
 
 
 def test_involutions_inverting_picks_a_path():
@@ -557,10 +567,11 @@ def test_subgroup_data_reflection_excess_matches_ambient(token):
     # in W_J, against the ambient tables under J's mask
     gd = data(token)
     rs = gd.rs
+    index = {p: i for i, p in enumerate(gd.perms)}
     for J in maximal_generator_subsets(rs):
-        perms, _, index = bfs_tables(rs, gens=J)
+        perms, _, sub_index = bfs_tables(rs, gens=J)
         bits = [bits_of_table(p) for p in perms]
-        pairs = _full_table_pairs(perms, index)
+        pairs = _full_table_pairs(perms, sub_index)
         lr = {x: (len(J) - _trace_on(rs, perms[x], J)) // 2
               for lst in pairs for x, _ in lst}
         mask = parabolic_context(rs, J).mask
@@ -568,18 +579,19 @@ def test_subgroup_data_reflection_excess_matches_ambient(token):
             defects = [(lr[x] + lr[y], 2 * (bits[x] & bits[y]).bit_count())
                        for x, y in pairs[si]]
             lw = min(s for s, _ in defects)
-            wi = gd.index[p]
+            wi = index[p]
             assert gd.excess_in(wi, mask) == min(d for _, d in defects)
             assert gd.refl_excess_in(wi, mask) == min(d for s, d in defects if s == lw)
 
 
-# every group the suite builds GroupData for, and rank 1
+# every group the suite builds GroupData for, rank 1 and E6
 @pytest.mark.parametrize("token", [
     "A1", "A2", "A3", "A4", "B3", "B4", "D4", "D5", "F4", "H3",
-    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1"])
+    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6"])
 def test_keyed_pair_pass_matches_full_table_loop(token):
     gd = data(token)
-    assert gd.pairs == _full_table_pairs(gd.perms, gd.index)
+    index = {p: i for i, p in enumerate(gd.perms)}
+    assert gd.pairs == _full_table_pairs(gd.perms, index)
 
 
 def test_excess_report_d12():

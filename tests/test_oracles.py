@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from conftest import data, descriptor, system
 from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
 from coxex.elements import (_conjugation_orbits, compose_tables, conjugacy_classes,
-                            element_from_word, identity_table, invert_table)
+                            element_from_word, identity_table, invert_table,
+                            simple_key)
 from coxex import verify
 from coxex.linalg import (action_matrix, columns, exact_nullspace, fixed_vector_basis,
                           fixes_all, packed_basis, packed_difference)
@@ -190,13 +191,13 @@ def test_keyed_reflection_bfs_matches_tables(token):
     by_table = _table_distances(rs)
     assert len(by_key) == len(by_table) == rs.order()
     for p, d in by_table.items():
-        assert by_key[tuple(p[i] for i in rs.simple_indices)] == d
+        assert by_key[simple_key(p, rs.simple_indices)] == d
         assert by_table[invert_table(p)] == d
 
 
 def test_rank_one_suite_payload_is_pinned():
-    # A1's simple-root keys are bare ints in the keyed product; the digest
-    # is that of every theorem's payload before the runners went on keys
+    # the digest is that of every theorem's payload before the runners went
+    # on keys
     res = run_suite(make_config([descriptor("A1")]))
     payload = json.dumps(res.to_payload(), sort_keys=True)
     assert (hashlib.sha256(payload.encode()).hexdigest()
@@ -492,9 +493,10 @@ def _set_part_holds(perms, inverse, bits, product, gi, hi) -> bool:
     return predicted == bits[product(gi, hi)]
 
 
-@pytest.mark.parametrize("token", SWEEP_GROUPS + ("I2(100)",))
+@pytest.mark.parametrize("token", SWEEP_GROUPS + ("I2(100)", "I2(128)"))
 def test_packed_kernel_fails_exactly_the_pairs_the_row_kernel_fails(token):
-    # I2(100) has 40,000 pairs, the edge of |W|^2 <= 4 sample_pairs, and npos 100
+    # I2(100) has 40,000 pairs, the edge of |W|^2 <= 4 sample_pairs, and npos
+    # 100; I2(128) has npos 128, so its keys hold code points above 255
     gd = data(token)
     perms, inverse, bits = gd.perms, gd.inverse, gd.bits
     n, npos = len(gd), gd.rs.num_positive
@@ -622,7 +624,8 @@ def test_keyed_orbits_match_table_orbits(token):
     gd = data(token)
     gens = gd.rs.gen_tables
     orbits, parent = _conjugation_orbits(gd.perms, gd.at_key, gd.rs)
-    ref = _table_conjugation_orbits(gd.perms, gd.index, gens)
+    index = {p: i for i, p in enumerate(gd.perms)}
+    ref = _table_conjugation_orbits(gd.perms, index, gens)
     assert [sorted(gd.perms[i] for i in orbit) for orbit in orbits] == ref
     # every element but an orbit's first is s p s for a parent p found before it
     for orbit in orbits:
@@ -637,7 +640,8 @@ def test_keyed_orbits_match_table_orbits(token):
 @pytest.mark.parametrize("token", ["A1", "A3", "B3", "H3", "I2(7)", "A2xA1"])
 def test_conjugacy_classes_keep_their_output(token):
     gd = data(token)
-    ref = _table_conjugation_orbits(gd.perms, gd.index, gd.rs.gen_tables)
+    index = {p: i for i, p in enumerate(gd.perms)}
+    ref = _table_conjugation_orbits(gd.perms, index, gd.rs.gen_tables)
     assert [[w.perm for w in cls] for cls in conjugacy_classes(gd.rs)] == ref
 
 

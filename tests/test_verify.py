@@ -189,6 +189,14 @@ def test_passing_checks_format_nothing(monkeypatch):
     assert sum(c.passes for c in res.checks) > 0
 
 
+def test_config_refuses_a_guard_below_one(monkeypatch):
+    with pytest.raises(ValueError, match="guard must be at least 1"):
+        make_config([descriptor("A2")], guard=0)
+    monkeypatch.setenv("COXEX_GUARD", "-1")
+    with pytest.raises(ValueError, match="guard must be at least 1"):
+        make_config([descriptor("A2")])
+
+
 def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
     # the guard of the run, read from the environment, is kept with it
     monkeypatch.setenv("COXEX_GUARD", "5000")
