@@ -9,6 +9,7 @@ from the simple-root coefficients in every family.
 from __future__ import annotations
 
 import os
+from math import comb, factorial
 from operator import getitem
 
 from .rootsystem import RootSystem
@@ -234,6 +235,52 @@ def inversion_set_of_set(elements) -> int:
 def _check_order(rs: RootSystem, limit: int) -> None:
     if rs.order() > limit:
         raise GuardExceeded(f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
+
+
+# the involutions of the exceptional types (identity included)
+_FIXED_INVOLUTIONS = {"H3": 32, "H4": 572, "F4": 140, "E6": 892, "E7": 10_208,
+                      "E8": 199_952}
+
+
+def involution_count(rs: RootSystem) -> int:
+    """The involutions of W, the identity included, in closed form: the
+    product over the components.  A_n has the telephone number T(n + 1).
+    An involution of W(B_n) swaps k pairs of points, each in 2 ways, and
+    fixes or negates each other point; in W(D_n) the negated points are
+    even in number.  I2(m) has its m reflections, the identity, and -1 when
+    m is even."""
+    out = 1
+    for d in rs.components:
+        fam = d.family
+        if fam in _FIXED_INVOLUTIONS:
+            out *= _FIXED_INVOLUTIONS[fam]
+        elif fam == "I2":
+            out *= d.m + 1 + (d.m % 2 == 0)
+        elif fam == "A":
+            t, u = 1, 1  # T(k - 1), T(k)
+            for k in range(1, d.rank + 1):
+                t, u = u, u + k * t
+            out *= u
+        else:
+            n, total = d.rank, 0
+            for k in range(n // 2 + 1):
+                pairings = comb(n, 2 * k) * factorial(2 * k) // (2 ** k * factorial(k))
+                rest = n - 2 * k
+                signs = 2 ** rest if fam == "B" else 2 ** max(rest - 1, 0)
+                total += pairings * 2 ** k * signs
+            out *= total
+    return out
+
+
+def check_pair_pass(rs: RootSystem, guard: int | None = None) -> None:
+    """Refuse a pair pass over every involution pair of W above the guard,
+    after the |W| check of `bfs_tables`; nothing is enumerated."""
+    limit = effective_guard(guard)
+    _check_order(rs, limit)
+    k = involution_count(rs)
+    if k * k > limit:
+        raise GuardExceeded(f"{k}^2 = {k * k} involution pairs of W({rs.name}) "
+                            f"exceed guard {limit}")
 
 
 def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] | None = None):

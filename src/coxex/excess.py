@@ -58,14 +58,15 @@ from functools import lru_cache
 from itertools import compress, count, product, repeat
 from math import factorial
 from operator import is_not, itemgetter
+from typing import NamedTuple
 
 from .elements import (GroupElement, GuardExceeded, _conjugation_orbits,
-                       bfs_tables, bits_of_table, compose_tables,
-                       effective_guard, invert_table,
+                       bfs_tables, bits_of_table, check_pair_pass,
+                       compose_tables, effective_guard, invert_table,
                        involution_reflection_length, involution_tables,
                        is_involution_table, key_sep, key_table, reduced_word,
                        signed_lookup, simple_key, word_text)
-from .parabolic import ParabolicContext
+from .parabolic import ParabolicContext, parabolic_context
 from .rootsystem import RootSystem
 from .signedperm import (SignedCycle, SignedPermutation, _check_model,
                          cycle_as_permutation, from_root_perm, point_tables)
@@ -105,6 +106,17 @@ class SpartanPair:
     defect: int
 
 
+class SignedFields(NamedTuple):
+    """The bitmasks the spartan runners read of an A/B/D element, bit p
+    standing for point p: `support` the points moved or negated
+    (`positive_support`), `negated` the points p sent to -p, and `straddle`
+    the m that one of its 2-cycles (a, b) straddles, a <= m < b."""
+
+    support: int
+    negated: int
+    straddle: int
+
+
 class DnCondition(enum.Enum):
     M_EQUALS_N = "m_equals_n"
     HAS_ONE_CYCLE = "has_one_cycle"
@@ -130,24 +142,35 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
 
 
 def _cycle_types(images) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """The cycles of a signed permutation, fixed points included, as point
-    tuples in cycle order, grouped by (length, sign type)."""
+    """The cycles of a signed permutation w, fixed points included, grouped
+    by (length k, sign type), each as its orbit (p0, w(p0), ...,
+    w^(k-1)(p0)) of signed points from its least point p0; w^k(p0) is p0
+    times the sign type."""
     types: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
-        points = []
-        sign = 1
-        p = start
+        if seen[start]:
+            continue
+        orbit = []
+        p, sign = start, 1  # w^j(p0) = sign p
         while not seen[p]:
             seen[p] = True
-            points.append(p)
+            orbit.append(sign * p)
             v = images[p - 1]
             if v < 0:
-                sign = -sign
-            p = abs(v)
-        if points:
-            types.setdefault((len(points), sign), []).append(tuple(points))
+                p, sign = -v, -sign
+            else:
+                p = v
+        types.setdefault((len(orbit), sign), []).append(tuple(orbit))
     return types
+
+
+@lru_cache(maxsize=None)
+def _type_count(k: int, m: int, f: int) -> int:
+    """The members of one cycle type's factor: m cycles of length k, each
+    reversed in f ways or swapped in pairs in 2k ways a pair."""
+    return sum(factorial(m) // (factorial(j) * factorial(m - 2 * j) * 2 ** j)
+               * f ** (m - 2 * j) * (2 * k) ** j for j in range(m // 2 + 1))
 
 
 def _count(types, ambient: str) -> int:
@@ -155,10 +178,8 @@ def _count(types, ambient: str) -> int:
     def count(t):
         out = 1
         for (k, sign), cycles in types.items():
-            m = len(cycles)
-            f = 2 * k if t > 0 or (sign > 0 and k % 2 == 0) else 0
-            out *= sum(factorial(m) // (factorial(j) * factorial(m - 2 * j) * 2 ** j)
-                       * f ** (m - 2 * j) * (2 * k) ** j for j in range(m // 2 + 1))
+            out *= _type_count(k, len(cycles),
+                               2 * k if t > 0 or (sign > 0 and k % 2 == 0) else 0)
         return out
     return count(1) if ambient == "B" else (count(1) + count(-1)) // 2
 
@@ -213,6 +234,20 @@ def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
     known first (`inverting_involution_count`) and checked against the
     guard.
     """
+    trusted = SignedPermutation._trusted
+    return [trusted(x) for x in _inverting_signed_images(sp, ambient, guard)]
+
+
+def _inverting_signed_images(sp: SignedPermutation, ambient: str = "B",
+                             guard: int | None = None,
+                             blocks: dict | None = None) -> list[tuple[int, ...]]:
+    """The images of `inverting_signed_involutions`, sorted, unwrapped.
+
+    A block, the images of x at the points of c and d for each choice of r,
+    depends only on w restricted to those points: on the orbits of c and d
+    (`_cycle_types`) and their sign type, which key it, so callers that
+    enumerate I_w for many elements may share `blocks`.
+    """
     if ambient not in ("B", "D"):
         raise ValueError("ambient must be 'B' or 'D'")
     if ambient == "D" and not sp.is_positive():
@@ -222,62 +257,63 @@ def inverting_signed_involutions(sp: SignedPermutation, ambient: str = "B",
     size = _count(types, ambient)
     if size > limit:
         raise GuardExceeded(f"|I_w| = {size} exceeds guard {limit}")
-    ext = signed_lookup(sp.images)
-    ext_inv = signed_lookup(invert_table(sp.images))
     by_parity = ambient == "D"
-    blocks: dict = {}
+    if blocks is None:
+        blocks = {}
 
-    def block(c, d):
+    def block(c, d, sign):
         """(points, choices by parity): the images of x at c's points, and at
-        d's when d is another cycle, for each of the 2k images r."""
-        key = (c[0], d[0])
+        d's when d is another cycle, for each of the 2k images r.
+
+        With c and d given as orbits, w^-j(p0) is back[j] and w^t(d0) is
+        fwd[t].  The images r are e fwd[i], i < k, e = +-1, so w^j(r) is
+        e fwd[i + j], and the choice of -r negates every image of the choice
+        of r.  Position m of the images is c's point m, then d's: back[j]
+        is at -j mod k, and fwd[t] at t mod k in d.  A swap negates as many
+        points of d as of c, so its choices are all even."""
+        key = (by_parity, sign, c, d)
         if key not in blocks:
-            points = c if d is c else c + d
-            slot = {p: i for i, p in enumerate(points)}
-            back = [c[0]]  # w^-j(p0)
-            for _ in range(len(c) - 1):
-                back.append(ext_inv[back[-1]])
+            k = len(c)
+            back = (c[0],) + tuple([sign * v for v in c[:0:-1]])
+            fwd = d + tuple([sign * v for v in d[:-1]])
             choices: tuple[list, list] = ([], [])
-            for r in d + tuple([-p for p in d]):
-                images = [0] * len(points)
-                v = r
-                for u in back:  # x(u) = v, and x(v) = u when d is not c
-                    images[slot[abs(u)]] = v if u > 0 else -v
-                    if d is not c:
-                        images[slot[abs(v)]] = u if v > 0 else -u
-                    v = ext[v]
-                parity = sum(v < 0 for v in images) & 1 if by_parity else 0
-                choices[parity].append(tuple(images))
-            blocks[key] = (points, choices)
+            for i in range(k):
+                x = [0] * (k if d is c else 2 * k)
+                for j, u in enumerate(back):  # x(u) = v
+                    v = fwd[i + j]
+                    x[-j % k] = v if u > 0 else -v
+                    if d is not c:  # and x(v) = u
+                        x[k + (i + j) % k] = u if v > 0 else -u
+                negated = sum(v < 0 for v in x) & 1 if by_parity and d is c else 0
+                choices[negated].append(tuple(x))
+                choices[negated ^ len(x) & by_parity].append(tuple([-v for v in x]))
+            blocks[key] = (tuple(map(abs, c if d is c else c + d)), choices)
         return blocks[key]
 
-    per_type = [[[block(cycles[a], cycles[b]) for a, b in matching]
+    per_type = [[[block(cycles[a], cycles[b], sign) for a, b in matching]
                  for matching in _involutive_matchings(len(cycles))]
-                for cycles in types.values()]
+                for (_, sign), cycles in types.items()]
     natural = list(range(1, sp.degree + 1))
     members = []
     for matchings in product(*per_type):
         chosen = [b for matching in matchings for b in matching]
-        # partial images by parity of the points negated so far
-        partial: tuple[list, list] = ([()], [])
+        # partial images that negate an even and an odd number of points so
+        # far; the last block keeps the even members only
+        even, odd = [()], []
         order = []
-        for i, (points, choices) in enumerate(chosen):
+        for points, (c0, c1) in chosen[:-1]:
             order += points
-            last = i == len(chosen) - 1
-            grown: tuple[list, list] = ([], [])
-            for p in (0, 1):
-                for q in (0, 1):
-                    if partial[p] and choices[q] and not (last and p != q):
-                        grown[p ^ q].extend([a + b for a in partial[p] for b in choices[q]])
-            partial = grown
-        found = partial[0]
+            even, odd = ([a + b for a in even for b in c0] + [a + b for a in odd for b in c1],
+                         [a + b for a in even for b in c1] + [a + b for a in odd for b in c0])
+        points, (c0, c1) = chosen[-1]
+        order += points
+        found = [a + b for a in even for b in c0] + [a + b for a in odd for b in c1]
         if order != natural:
             where = {p: i for i, p in enumerate(order)}
             found = map(itemgetter(*[where[p] for p in natural]), found)
         members.extend(found)
     members.sort()
-    trusted = SignedPermutation._trusted
-    return [trusted(x) for x in members]
+    return members
 
 
 def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,
@@ -289,7 +325,7 @@ def inverting_involutions_structured(rs: RootSystem, sp: SignedPermutation,
     if fam not in ("B", "D"):
         raise ValueError("structured enumeration needs a type B or D system")
     _check_model(rs, sp)
-    signed = [x.images for x in inverting_signed_involutions(sp, fam, guard)]
+    signed = _inverting_signed_images(sp, fam, guard)
     handle = {x: i for i, x in enumerate(signed)}
     pairs = [(i, handle[compose_tables(x, sp.images)]) for i, x in enumerate(signed)]
     roots, grid = point_tables(rs)
@@ -399,7 +435,9 @@ def n_of_inverting_set(iw: InvolutionSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# structural predicates on spartan pairs (signed-permutation level)
+# structural predicates on spartan pairs (signed-permutation level); the
+# sweep runners evaluate them from `GroupData.signed_fields`, and these
+# forms are the references that path is tested against
 
 def spartan_support_check(x: SignedPermutation, y: SignedPermutation,
                           w: SignedPermutation, family: str) -> bool:
@@ -413,6 +451,15 @@ def spartan_support_check(x: SignedPermutation, y: SignedPermutation,
             return False
         return all(y.images[i - 1] == -i and x.images[i - 1] == -i for i in dy)
     raise ValueError(f"no support rule for family {family!r}")
+
+
+def _support_holds(fx, fy, fw, family: str) -> bool:
+    """`spartan_support_check` on the bitmasks of `SignedFields`."""
+    if family == "D":
+        d = fy.support & ~fw.support
+        return (d & (d - 1) == 0 and fx.support & ~fw.support == d
+                and d & ~(fx.negated & fy.negated) == 0)
+    return (fx.support | fy.support) & ~fw.support == 0
 
 
 def overlap_check(x: SignedPermutation, y: SignedPermutation, m: int) -> bool:
@@ -433,6 +480,46 @@ def _all_cycles(sp: SignedPermutation) -> list[SignedCycle]:
     cycles.extend(SignedCycle((p,), (1,))
                   for p in range(1, sp.degree + 1) if p not in moved)
     return cycles
+
+
+def _cycles(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The (points, signs) of the cycles `_all_cycles` lists, in one pass
+    over the images: those of `SignedPermutation.cycles`, then the fixed
+    points."""
+    seen = [False] * (len(images) + 1)
+    cycles, fixed = [], []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        if images[start - 1] == start:
+            fixed.append(((start,), (1,)))
+            continue
+        points, signs = [], []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            v = images[p - 1]
+            points.append(p)
+            signs.append(1 if v > 0 else -1)
+            p = abs(v)
+        cycles.append((tuple(points), tuple(signs)))
+    return (*cycles, *fixed)
+
+
+def _signed_fields(cycles) -> SignedFields:
+    """`SignedFields` from an element's `_cycles`."""
+    support = negated = straddle = 0
+    for points, signs in cycles:
+        if len(points) == 1:
+            if signs[0] < 0:
+                support |= 1 << points[0]
+                negated |= 1 << points[0]
+            continue
+        for p in points:
+            support |= 1 << p
+        if len(points) == 2:
+            straddle |= (1 << points[1]) - (1 << points[0])
+    return SignedFields(support, negated, straddle)
 
 
 def swapcycle_check(x: SignedPermutation, y: SignedPermutation,
@@ -457,6 +544,39 @@ def swapcycle_check(x: SignedPermutation, y: SignedPermutation,
     return True
 
 
+def _swap_candidates(cycles) -> list[tuple[tuple[int, ...], dict[int, int]]]:
+    """The (c1, c2) on which `swapcycle_check` can fail: c1 all-positive and
+    c2 another cycle of its length that starts at or after c1's end, from
+    w's cycles as (points, signs).  Each is given as c1's points and c2^-1
+    on the signed points of c2."""
+    out = []
+    for c1, signs1 in cycles:
+        if -1 in signs1:
+            continue
+        end = max(c1)
+        for c2, signs2 in cycles:
+            if c2 is c1 or len(c2) != len(c1) or min(c2) < end:
+                continue
+            inverse = {}
+            for q, s, r in zip(c2, signs2, c2[1:] + c2[:1]):
+                inverse[s * r], inverse[-s * r] = q, -q  # c2 sends q to s r
+            out.append((c1, inverse))
+    return out
+
+
+def _swaps_interleave(candidates, y) -> bool:
+    """`swapcycle_check` from w's `_swap_candidates` and y's images.
+
+    y^-1 c1 y sends y(p) to y(c1(p)), so it is c2^-1 exactly when c2^-1
+    sends y(p) to y(c1(p)) at every point p of c1; a y(p) off c2's signed
+    points has no entry, so y carries c1 onto c2 as well."""
+    for points, inverse in candidates:
+        if all(inverse.get(y[p - 1]) == y[q - 1]
+               for p, q in zip(points, points[1:] + points[:1])):
+            return False
+    return True
+
+
 def dn_condition_check(w: SignedPermutation, m: int) -> DnCondition:
     """Which hypothesis (if any) makes parabolic excess collapse on a
     Sym(1..m) x D(m+1..n) split; w must respect the split."""
@@ -477,6 +597,25 @@ def dn_condition_check(w: SignedPermutation, m: int) -> DnCondition:
     return DnCondition.NONE
 
 
+def _dn_condition(cycles, n: int, m: int) -> DnCondition:
+    """`dn_condition_check` from w's `_cycles`.  A cycle starts at its least
+    point, so it lies in {m+1..n} when its first point does, and straddles
+    the split when only its last point past m does."""
+    if m == n:
+        return DnCondition.M_EQUALS_N
+    block = []  # (length, odd number of minus signs) of the cycles past m
+    for points, signs in cycles:
+        if points[0] > m:
+            block.append((len(points), signs.count(-1) % 2))
+        elif max(points) > m:
+            raise ValueError(f"element does not respect the split at m={m}")
+    if any(k == 1 for k, _ in block):
+        return DnCondition.HAS_ONE_CYCLE
+    if all(k % 2 == 0 and not odd for k, odd in block):
+        return DnCondition.EVEN_POSITIVE_CYCLES
+    return DnCondition.NONE
+
+
 # ---------------------------------------------------------------------------
 # exhaustive sweep engine
 
@@ -488,10 +627,17 @@ class GroupData:
     x runs over I_w.  Every statistic reads them through the kernels that
     serve `InvolutionSet`, with `bits` and `lr` indexed by element.
     `at_key` maps an element's key (`elements.simple_key`) to its index.
+    A group whose pair pass exceeds the guard is refused before anything is
+    enumerated (`elements.check_pair_pass`).
+
+    What several runners read is built once, on first use: an element's
+    signed permutation and `SignedFields`, its spartan pairs, and the
+    context and members of each parabolic subgroup.
     """
 
     def __init__(self, rs: RootSystem, guard: int | None = None):
         self.rs = rs
+        check_pair_pass(rs, guard)
         perms, words, index = bfs_tables(rs, guard)
         self.perms = perms
         self.words = words
@@ -521,6 +667,9 @@ class GroupData:
         self._rexc: dict[int, int] = {}
         self._niw: dict[int, int] = {}
         self._sps: list = [None] * len(perms)
+        self._fields: list = [None] * len(perms)
+        self._spartans: list = [None] * len(perms)
+        self._parabolics: dict = {}
         self._orbits = None
 
     def __len__(self):
@@ -540,6 +689,22 @@ class GroupData:
         if self._sps[i] is None:
             self._sps[i] = from_root_perm(self.element(i))
         return self._sps[i]
+
+    def signed_fields(self, i: int) -> SignedFields:
+        f = self._fields[i]
+        if f is None:
+            f = self._fields[i] = _signed_fields(_cycles(self.signed_perm(i).images))
+        return f
+
+    def parabolic(self, J) -> tuple[ParabolicContext, list[int]]:
+        """The context of W_J and its members in index order."""
+        J = tuple(J)
+        if J not in self._parabolics:
+            ctx = parabolic_context(self.rs, J)
+            outside = ~ctx.mask
+            self._parabolics[J] = (ctx, [i for i, b in enumerate(self.bits)
+                                         if not b & outside])
+        return self._parabolics[J]
 
     def display(self, i: int) -> str:
         if self.rs.family in ("A", "B", "D"):
@@ -580,8 +745,12 @@ class GroupData:
     def refl_excess_in(self, wi: int, mask: int) -> int:
         return _least_defect(self.jset_of(wi), self.bits, mask)
 
-    def spartan_of(self, wi: int) -> list[tuple[int, int]]:
-        return _spartan(self.pairs[wi], self.bits, self.perms, self.excess_of(wi))
+    def spartan_of(self, wi: int) -> tuple[tuple[int, int], ...]:
+        # kept as a tuple of int pairs, which the garbage collector untracks
+        if self._spartans[wi] is None:
+            self._spartans[wi] = tuple(_spartan(self.pairs[wi], self.bits, self.perms,
+                                                self.excess_of(wi)))
+        return self._spartans[wi]
 
     def niw_bits(self, wi: int) -> int:
         if wi not in self._niw:

@@ -85,9 +85,14 @@ def split_values(rs: RootSystem) -> list[int]:
     raise ValueError("split parabolics are defined for families A, B, D")
 
 
-def split_context(rs: RootSystem, m: int) -> ParabolicContext:
-    """Maximal parabolic of the form Sym(1..m) x W(m+1..n): drop generator m."""
+def split_subset(rs: RootSystem, m: int) -> tuple[int, ...]:
+    """The J of the maximal parabolic Sym(1..m) x W(m+1..n): all generators
+    but generator m."""
     if m not in split_values(rs):
         raise ValueError(f"no split parabolic at m={m} for {rs.name}")
-    J = tuple(j for j in range(rs.rank) if j != m - 1)
-    return parabolic_context(rs, J)
+    return tuple(j for j in range(rs.rank) if j != m - 1)
+
+
+def split_context(rs: RootSystem, m: int) -> ParabolicContext:
+    """Maximal parabolic of the form Sym(1..m) x W(m+1..n): drop generator m."""
+    return parabolic_context(rs, split_subset(rs, m))

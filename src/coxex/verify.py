@@ -18,16 +18,16 @@ from struct import unpack
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
-from .elements import (GuardExceeded, bfs_tables, bits_of_table,
-                       compose_tables, effective_guard, identity_table,
-                       invert_table, key_sep, key_table, simple_key)
-from .excess import (DnCondition, GroupData, dn_condition_check,
-                     inverting_signed_involutions, overlap_check,
-                     spartan_support_check, swapcycle_check)
+from .elements import (bits_of_table, check_pair_pass, compose_tables,
+                       effective_guard, identity_table, invert_table, key_sep,
+                       key_table, simple_key)
+from .excess import (DnCondition, GroupData, _cycles, _dn_condition,
+                     _inverting_signed_images, _support_holds,
+                     _swap_candidates, _swaps_interleave)
 from .linalg import (action_matrix, columns, fixed_vector_basis, packed_basis,
                      packed_difference)
 from .parabolic import (generator_subsets, maximal_generator_subsets,
-                        parabolic_context, split_context, split_values)
+                        split_subset, split_values)
 from .rootsystem import RootSystem, build_root_system
 
 MAX_COUNTEREXAMPLES = 100
@@ -213,18 +213,14 @@ class _Tally:
             self.bad += (TRUNCATED,)
 
 
-def _members(gd: GroupData, mask: int):
-    return [i for i, b in enumerate(gd.bits) if b & ~mask == 0]
-
-
 # --------------------------------------------------------------- runners ---
 
 def _run_parabolic_reflection_excess(gd, config, notes):
     t = _Tally()
     for J in generator_subsets(gd.rs, config.parabolic):
-        ctx = parabolic_context(gd.rs, J)
+        ctx, members = gd.parabolic(J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
-        for wi in _members(gd, ctx.mask):
+        for wi in members:
             ej = gd.refl_excess_in(wi, ctx.mask)
             e = gd.refl_excess_of(wi)
             t.check(ej == e, lambda: (gd.display(wi), jd, f"E_J={ej}", f"E={e}"))
@@ -234,9 +230,9 @@ def _run_parabolic_reflection_excess(gd, config, notes):
 def _run_parabolic_excess_direct(gd, config, notes):
     t = _Tally()
     for J in generator_subsets(gd.rs, config.parabolic):
-        ctx = parabolic_context(gd.rs, J)
+        ctx, members = gd.parabolic(J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
-        for wi in _members(gd, ctx.mask):
+        for wi in members:
             ej = gd.excess_in(wi, ctx.mask)
             e = gd.excess_of(wi)
             t.check(ej == e, lambda: (gd.display(wi), jd, f"e_J={ej}", f"e={e}"))
@@ -248,10 +244,11 @@ def _run_parabolic_excess_dn(gd, config, notes):
     notes["mode"] = "dn-conditional"
     gaps = 0
     t = _Tally()
+    n = gd.rs.rank
     for m in split_values(gd.rs):
-        ctx = split_context(gd.rs, m)
-        for wi in _members(gd, ctx.mask):
-            cond = dn_condition_check(gd.signed_perm(wi), m)
+        ctx, members = gd.parabolic(split_subset(gd.rs, m))
+        for wi in members:
+            cond = _dn_condition(_cycles(gd.signed_perm(wi).images), n, m)
             ej = gd.excess_in(wi, ctx.mask)
             e = gd.excess_of(wi)
             if ej != e:
@@ -273,16 +270,15 @@ def _run_parabolic_excess_reduction(gd, config, notes):
     notes["mode"] = "maximal-reduction"
     t = _Tally()
     for J in maximal_generator_subsets(gd.rs):
-        maskJ = parabolic_context(gd.rs, J).mask
-        members = _members(gd, maskJ)
+        ctx, members = gd.parabolic(J)
+        maskJ = ctx.mask
         e_J = {wi: gd.excess_in(wi, maskJ) for wi in members}
         jd = " ".join(str(j + 1) for j in J)
         for kbits in range(1 << len(J)):
             K = tuple(J[i] for i in range(len(J)) if kbits >> i & 1)
-            maskK = parabolic_context(gd.rs, K).mask
-            for wi in members:
-                if gd.bits[wi] & ~maskK:
-                    continue
+            ctxK, membersK = gd.parabolic(K)  # inside W_J, in the same order
+            maskK = ctxK.mask
+            for wi in membersK:
                 ek = gd.excess_in(wi, maskK)
                 ej = e_J[wi]
                 t.check(ek == ej, lambda: (
@@ -345,13 +341,14 @@ def _run_centre_full(gd, config, notes):
 
 
 def _run_spartan_support(gd, config, notes):
+    """`excess.spartan_support_check` on the masks of `SignedFields`."""
     fam = gd.rs.family
+    fields = gd.signed_fields
     t = _Tally()
     for wi in range(len(gd)):
-        w_sp = gd.signed_perm(wi)
+        fw = fields(wi)
         for xi, yi in gd.spartan_of(wi):
-            ok = spartan_support_check(gd.signed_perm(xi), gd.signed_perm(yi),
-                                       w_sp, fam)
+            ok = _support_holds(fields(xi), fields(yi), fw, fam)
             t.check(ok, lambda: (gd.display(wi), "-",
                                  f"pair ({gd.display(xi)}, {gd.display(yi)})",
                                  "support rule holds"))
@@ -359,12 +356,14 @@ def _run_spartan_support(gd, config, notes):
 
 
 def _run_spartan_overlap(gd, config, notes):
+    """`excess.overlap_check`: bit m of the `straddle` masks of x and y."""
+    fields = gd.signed_fields
     t = _Tally()
     for m in split_values(gd.rs):
-        ctx = split_context(gd.rs, m)
-        for wi in _members(gd, ctx.mask):
+        _, members = gd.parabolic(split_subset(gd.rs, m))
+        for wi in members:
             for xi, yi in gd.spartan_of(wi):
-                ok = overlap_check(gd.signed_perm(xi), gd.signed_perm(yi), m)
+                ok = not (fields(xi).straddle | fields(yi).straddle) >> m & 1
                 t.check(ok, lambda: (gd.display(wi), f"m={m}",
                                      f"pair ({gd.display(xi)}, {gd.display(yi)})",
                                      "2-cycles respect the split"))
@@ -372,11 +371,12 @@ def _run_spartan_overlap(gd, config, notes):
 
 
 def _run_spartan_swapcycle(gd, config, notes):
+    """`excess.swapcycle_check` from w's `_swap_candidates`, read once a w."""
     t = _Tally()
     for wi in range(len(gd)):
-        w_sp = gd.signed_perm(wi)
+        candidates = _swap_candidates(_cycles(gd.signed_perm(wi).images))
         for xi, yi in gd.spartan_of(wi):
-            ok = swapcycle_check(gd.signed_perm(xi), gd.signed_perm(yi), w_sp)
+            ok = _swaps_interleave(candidates, gd.signed_perm(yi).images)
             t.check(ok, lambda: (gd.display(wi), "-",
                                  f"pair ({gd.display(xi)}, {gd.display(yi)})",
                                  "swapped cycles overlap"))
@@ -402,7 +402,7 @@ def _run_excess_additivity(gd, config, notes):
     for d in rs.components:
         blocks.append(tuple(range(offset, offset + d.rank)))
         offset += d.rank
-    ctxs = [parabolic_context(rs, J) for J in blocks]
+    ctxs = [gd.parabolic(J)[0] for J in blocks]
     t = _Tally()
     for wi in range(len(gd)):
         p = gd.perms[wi]
@@ -496,13 +496,16 @@ def _run_jset_equivalence(gd, config, notes):
 
 
 def _run_structured_iw(gd, config, notes):
+    """Each element's I_w from its own cycle-type product; the blocks, which
+    depend on w only at their points, are shared across the elements."""
     fam = gd.rs.family
     images = {xi: gd.signed_perm(xi).images for xi in gd.involutions}
+    limit = effective_guard(None)  # the guard of the public enumeration
+    blocks: dict = {}
     t = _Tally()
     for wi in range(len(gd)):
         exhaustive = {images[xi] for xi, _ in gd.pairs[wi]}
-        structured = {x.images for x in
-                      inverting_signed_involutions(gd.signed_perm(wi), fam)}
+        structured = set(_inverting_signed_images(gd.signed_perm(wi), fam, limit, blocks))
         t.check(exhaustive == structured, lambda: (
             gd.display(wi), "-", f"|structured|={len(structured)}",
             f"|exhaustive|={len(exhaustive)}"))
@@ -664,7 +667,7 @@ def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
     return bgh.bit_count() == bg.bit_count() + len(roots_of_h) - 2 * (bginv & bh).bit_count()
 
 
-def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
+def _lemma22_every_pair(perms, inverse, bits, keys) -> set[int]:
     """The keys g * n + h of the pairs that fail `_lemma22_from_row`, over
     every pair of an enumerated group, with one packed evaluation per h.
 
@@ -681,8 +684,9 @@ def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
     actual side l(gh) plus T under the mask `counts`, c << top = 2 c <<
     (top - 1).
 
-    The actual fields come from the packed keys of all g, which one
-    translate through h (`elements.key_table`) carries to those of every gh;
+    The actual fields come from the packed keys of all g (`keys`, by index,
+    as `GroupData.at_key` lists them), which one translate through h
+    (`elements.key_table`) carries to those of every gh;
     a split and a dict give each gh's field.  The set identity and the
     length identity are then one comparison of two big ints.  Only a failing
     h is decoded field by field.  N(h) is read from bits[h], and every
@@ -707,7 +711,6 @@ def _lemma22_every_pair(perms, inverse, bits, simple) -> set[int]:
     B = packed(bits)
     L = packed([lg << top - 1 for lg in lengths])
     sep = key_sep(npos)
-    keys = [simple_key(p, simple) for p in perms]
     blob = sep.join(keys)
     actual = {key: (b | lg << top - 1).to_bytes(nbytes, "little")
               for key, b, lg in zip(keys, bits, lengths)}
@@ -746,7 +749,7 @@ def _run_inversion_identity(gd, config, notes):
         return zip(drawn, drawn)
 
     if n * n <= 4 * config.sample_pairs:
-        failed = _lemma22_every_pair(perms, inverse, bits, gd.rs.simple_indices)
+        failed = _lemma22_every_pair(perms, inverse, bits, list(gd.at_key))
     else:
         failed = set()
         product = _keyed_product(gd)
@@ -810,18 +813,34 @@ def _run_length_reduced_word(gd, config, notes):
 
 
 def _run_parabolic_length(gd, config, notes):
+    """W_J closed by a BFS on keys alone: one translate of a level's keys
+    through each generator of J gives the next level, in the order of
+    `elements.bfs_tables`, so an element's word length in W_J is its
+    depth."""
+    rs = gd.rs
+    sep = key_sep(rs.num_positive)
+    start = simple_key(identity_table(rs.num_positive), rs.simple_indices)
     t = _Tally()
-    for J in generator_subsets(gd.rs, config.parabolic):
+    for J in generator_subsets(rs, config.parabolic):
         if not J:
             continue
-        ctx = parabolic_context(gd.rs, J)
-        perms, words, _ = bfs_tables(gd.rs, gens=tuple(J))
+        ctx, _ = gd.parabolic(J)
+        tables = [key_table(rs.gen_tables[r]) for r in J]
         jd = " ".join(str(j) for j in ctx.J_display)
-        for p, wrd in zip(perms, words):
-            wi = gd.at_key[simple_key(p, gd.rs.simple_indices)]
-            ok = ctx.contains_table(gd.bits[wi]) and gd.lengths[wi] == len(wrd)
-            t.check(ok, lambda: (gd.display(wi), jd, f"ambient length {gd.lengths[wi]}",
-                                 f"subgroup word length {len(wrd)}"))
+        level, seen, depth = [start], {start}, 0
+        while level:
+            for wi in map(gd.at_key.__getitem__, level):
+                ok = ctx.contains_table(gd.bits[wi]) and gd.lengths[wi] == depth
+                t.check(ok, lambda: (gd.display(wi), jd, f"ambient length {gd.lengths[wi]}",
+                                     f"subgroup word length {depth}"))
+            packed = sep.join(level)
+            level = []
+            for ks in zip(*[packed.translate(table).split(sep) for table in tables]):
+                for k in ks:
+                    if k not in seen:
+                        seen.add(k)
+                        level.append(k)
+            depth += 1
     return t
 
 
@@ -940,9 +959,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     systems: list[RootSystem] = []
     for comps in config.descriptors:
         rs = build_root_system(comps)
-        if rs.order() > limit:
-            raise GuardExceeded(
-                f"|W({rs.name})| = {rs.order()} exceeds guard {limit}")
+        check_pair_pass(rs, limit)
         systems.append(rs)
     lines: list[str] = []  # SuiteResult.record
     bad: list = []  # SuiteResult.bad

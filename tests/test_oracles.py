@@ -413,9 +413,9 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     core = verify._lemma22_core
     calls = []
 
-    def patched(perms, inverse, bits, simple):
+    def patched(perms, inverse, bits, keys):
         calls.append(len(perms))
-        return kernel(perms, inverse, bits, simple) | {gi * n + hi for gi, hi in failing}
+        return kernel(perms, inverse, bits, keys) | {gi * n + hi for gi, hi in failing}
     monkeypatch.setattr(verify, "_lemma22_every_pair", patched)
     # the per-sample reference below evaluates with the core: it fails the same pairs
     monkeypatch.setattr(verify, "_lemma22_core", lambda g_inv, bg, bginv, bh, bgh: (
@@ -500,11 +500,11 @@ def test_packed_kernel_fails_exactly_the_pairs_the_row_kernel_fails(token):
     gd = data(token)
     perms, inverse, bits = gd.perms, gd.inverse, gd.bits
     n, npos = len(gd), gd.rs.num_positive
-    simple = gd.rs.simple_indices
+    keys = list(gd.at_key)  # by index
     product = verify._keyed_product(gd)
 
     def both(bits):
-        packed = verify._lemma22_every_pair(perms, inverse, bits, simple)
+        packed = verify._lemma22_every_pair(perms, inverse, bits, keys)
         assert packed == _row_failures(perms, inverse, bits, product), token
         return packed
     assert both(bits) == set()

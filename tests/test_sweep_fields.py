@@ -1,0 +1,267 @@
+"""The per-element signed data and per-subset parabolic data of `GroupData`,
+the sweep runners that read them, and the pair-pass guard.
+
+The public predicates (`spartan_support_check`, `overlap_check`,
+`swapcycle_check`, `dn_condition_check`) and `inverting_signed_involutions`
+are the references: every fast form is held to them on every element of the
+groups below, and on pairs that break the rules."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from conftest import data, descriptor, system
+from coxex import (GroupData, GuardExceeded, dn_condition_check,
+                   inverting_involutions, make_config, overlap_check,
+                   run_suite, spartan_pairs, spartan_support_check,
+                   split_context, swapcycle_check)
+from coxex.elements import involution_count, involution_tables
+from coxex.excess import (_all_cycles, _cycles, _dn_condition, _inverting_signed_images,
+                          _support_holds, _swap_candidates, _swaps_interleave,
+                          inverting_signed_involutions)
+from coxex.parabolic import split_values
+from coxex.signedperm import SignedPermutation
+from coxex import verify
+
+# the package exports the function excess, which shadows the module
+excess_module = sys.modules["coxex.excess"]
+
+SIGNED_GROUPS = ("A3", "A4", "A5", "B3", "B4", "B5", "D4", "D5")
+
+
+def _points(mask: int) -> set[int]:
+    return {p for p in range(1, mask.bit_length()) if mask >> p & 1}
+
+
+def _outcome(f, *args):
+    """f's value, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("token", SIGNED_GROUPS)
+def test_signed_fields_match_the_signed_permutation(token):
+    gd = data(token)
+    n = gd.rs.components[0].degree
+    for i in range(len(gd)):
+        sp = gd.signed_perm(i)
+        f = gd.signed_fields(i)
+        assert _cycles(sp.images) == tuple((c.points, c.signs) for c in _all_cycles(sp))
+        assert _points(f.support) == sp.positive_support()
+        assert _points(f.negated) == {p for p in range(1, n + 1) if sp.images[p - 1] == -p}
+        identity = SignedPermutation.identity(n)
+        assert _points(f.straddle) == {m for m in range(1, n)
+                                       if not overlap_check(sp, identity, m)}
+
+
+@pytest.mark.parametrize("token", SIGNED_GROUPS)
+def test_spartan_pairs_and_their_verdicts_match_the_references(token):
+    gd = data(token)
+    rs, fam = gd.rs, gd.rs.family
+    n = rs.components[0].degree
+    for wi in range(len(gd)):
+        w = gd.signed_perm(wi)
+        fw = gd.signed_fields(wi)
+        spartan = gd.spartan_of(wi)
+        assert spartan is gd.spartan_of(wi)  # cached
+        # the exhaustive InvolutionSet path gives the same pairs, in order
+        ref = spartan_pairs(gd.element(wi), inverting_involutions(rs, gd.element(wi)))
+        assert [(gd.perms[x], gd.perms[y]) for x, y in spartan] == [
+            (p.x.perm, p.y.perm) for p in ref]
+        candidates = _swap_candidates(_cycles(w.images))
+        for xi, yi in spartan:
+            x, y = gd.signed_perm(xi), gd.signed_perm(yi)
+            fx, fy = gd.signed_fields(xi), gd.signed_fields(yi)
+            assert _support_holds(fx, fy, fw, fam) == spartan_support_check(x, y, w, fam)
+            for m in range(1, n):
+                assert (not (fx.straddle | fy.straddle) >> m & 1) == overlap_check(x, y, m)
+            assert _swaps_interleave(candidates, y.images) == swapcycle_check(x, y, w)
+        if fam == "D":  # outside the split subgroup both refuse w
+            for m in split_values(rs):
+                assert (_outcome(_dn_condition, _cycles(w.images), n, m)
+                        == _outcome(dn_condition_check, w, m))
+
+
+@pytest.mark.parametrize("token", ["A3", "B3", "D4"])
+def test_fast_predicates_reject_what_the_references_reject(token):
+    # every factorization pair of every element, spartan or not: many break
+    # the rules, and each verdict is the reference's
+    gd = data(token)
+    rs, fam = gd.rs, gd.rs.family
+    n = rs.components[0].degree
+    rejected = Counter()
+    for wi in range(len(gd)):
+        w, fw = gd.signed_perm(wi), gd.signed_fields(wi)
+        candidates = _swap_candidates(_cycles(w.images))
+        for xi, yi in gd.pairs[wi]:
+            x, y = gd.signed_perm(xi), gd.signed_perm(yi)
+            fx, fy = gd.signed_fields(xi), gd.signed_fields(yi)
+            support = spartan_support_check(x, y, w, fam)
+            assert _support_holds(fx, fy, fw, fam) == support
+            swap = swapcycle_check(x, y, w)
+            assert _swaps_interleave(candidates, y.images) == swap
+            overlap = [overlap_check(x, y, m) for m in range(1, n)]
+            assert [not (fx.straddle | fy.straddle) >> m & 1 for m in range(1, n)] == overlap
+            rejected.update(support=not support, swap=not swap, overlap=not all(overlap))
+    assert all(rejected[k] for k in ("support", "swap", "overlap")), rejected
+
+
+def _reference_support(gd, config, notes):
+    t = verify._Tally()
+    for wi in range(len(gd)):
+        for xi, yi in gd.spartan_of(wi):
+            ok = spartan_support_check(gd.signed_perm(xi), gd.signed_perm(yi),
+                                       gd.signed_perm(wi), gd.rs.family)
+            t.check(ok, lambda: (gd.display(wi), "-",
+                                 f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                 "support rule holds"))
+    return t
+
+
+def _reference_overlap(gd, config, notes):
+    t = verify._Tally()
+    for m in split_values(gd.rs):
+        mask = split_context(gd.rs, m).mask
+        for wi in [i for i, b in enumerate(gd.bits) if b & ~mask == 0]:
+            for xi, yi in gd.spartan_of(wi):
+                ok = overlap_check(gd.signed_perm(xi), gd.signed_perm(yi), m)
+                t.check(ok, lambda: (gd.display(wi), f"m={m}",
+                                     f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                     "2-cycles respect the split"))
+    return t
+
+
+def _reference_swapcycle(gd, config, notes):
+    t = verify._Tally()
+    for wi in range(len(gd)):
+        for xi, yi in gd.spartan_of(wi):
+            ok = swapcycle_check(gd.signed_perm(xi), gd.signed_perm(yi), gd.signed_perm(wi))
+            t.check(ok, lambda: (gd.display(wi), "-",
+                                 f"pair ({gd.display(xi)}, {gd.display(yi)})",
+                                 "swapped cycles overlap"))
+    return t
+
+
+@pytest.mark.parametrize("runner, reference", [
+    (verify._run_spartan_support, _reference_support),
+    (verify._run_spartan_overlap, _reference_overlap),
+    (verify._run_spartan_swapcycle, _reference_swapcycle)])
+@pytest.mark.parametrize("token", ["B3", "D4"])
+def test_spartan_runners_fail_perturbed_pairs_as_the_references_do(token, runner, reference):
+    # every pair of I_w stands in for the spartan pairs, so that the rules
+    # break; counts and counterexample text are the reference runner's
+    gd = GroupData(system(token))
+    gd.spartan_of = gd.pairs.__getitem__
+    config = make_config([])
+    new, ref = runner(gd, config, {}), reference(gd, config, {})
+    assert ref.failures > 0
+    assert (new.passes, new.failures, new.bad) == (ref.passes, ref.failures, ref.bad)
+
+
+def test_dn_runner_fails_perturbed_excess_as_the_reference_does(monkeypatch):
+    # e_J is raised on every other member, so the conditional checks fail
+    gd = GroupData(system("D4"))
+    excess_in = gd.excess_in
+    monkeypatch.setattr(gd, "excess_in", lambda wi, mask: excess_in(wi, mask) + 2 * (wi % 2))
+    notes: dict = {}
+    new = verify._run_parabolic_excess_dn(gd, make_config([]), notes)
+    ref = verify._Tally()
+    for m in split_values(gd.rs):
+        mask = split_context(gd.rs, m).mask
+        for wi in [i for i, b in enumerate(gd.bits) if b & ~mask == 0]:
+            cond = dn_condition_check(gd.signed_perm(wi), m)
+            ej, e = gd.excess_in(wi, mask), gd.excess_of(wi)
+            if cond.value != "none":
+                ref.check(ej == e, lambda: (gd.display(wi), f"m={m}",
+                                            f"e_J={ej} ({cond.value})", f"e={e}"))
+    assert ref.failures > 0
+    assert (new.passes, new.failures, new.bad) == (ref.passes, ref.failures, ref.bad)
+    assert notes["unconditional_gaps_observed"] >= ref.failures
+
+
+@pytest.mark.parametrize("token", ["B3", "B4", "B5", "D4", "D5"])
+def test_shared_block_memo_gives_each_elements_own_members(token):
+    ambient, n = token[0], int(token[1:])
+    gd = data(token)
+    shared: dict = {}
+    for i in range(len(gd)):
+        sp = gd.signed_perm(i)
+        alone = _inverting_signed_images(sp, ambient)
+        assert alone == [x.images for x in inverting_signed_involutions(sp, ambient)]
+        assert _inverting_signed_images(sp, ambient, blocks=shared) == alone
+    # one memo may serve both ambients: the parity split is part of a key
+    both: dict = {}
+    for i in range(0, len(gd), 7):
+        sp = gd.signed_perm(i)
+        if sp.is_positive():
+            for amb in ("B", "D"):
+                assert (_inverting_signed_images(sp, amb, blocks=both)
+                        == _inverting_signed_images(sp, amb))
+
+
+def test_one_suite_builds_each_elements_signed_data_and_each_context_once(monkeypatch):
+    conversions, decompositions, contexts = Counter(), Counter(), Counter()
+    from_root_perm = excess_module.from_root_perm
+    cycles = SignedPermutation.cycles
+    parabolic_context = excess_module.parabolic_context
+
+    def counted_conversion(w, *args):
+        conversions[w.perm] += 1
+        return from_root_perm(w, *args)
+
+    def counted_cycles(sp):
+        decompositions[sp.images] += 1
+        return cycles(sp)
+
+    def counted_context(rs, J):
+        contexts[tuple(J)] += 1
+        return parabolic_context(rs, J)
+    monkeypatch.setattr(excess_module, "from_root_perm", counted_conversion)
+    monkeypatch.setattr(SignedPermutation, "cycles", counted_cycles)
+    for module in ("coxex.excess", "coxex.parabolic"):
+        monkeypatch.setattr(sys.modules[module], "parabolic_context", counted_context)
+    res = run_suite(make_config([descriptor("D4")], parabolic="all"))
+    assert res.failures_total == 0
+    assert len(conversions) == 192 and max(conversions.values()) == 1
+    assert max(decompositions.values(), default=1) == 1
+    assert len(contexts) == 16 and max(contexts.values()) == 1
+
+
+# ------------------------------------------------------------ pair-pass guard
+
+@pytest.mark.parametrize("token", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "D4", "D5",
+    "D6", "F4", "H3", "H4", "E6", "A2xA1"] + [f"I2({m})" for m in range(5, 13)])
+def test_involution_count_closed_forms_match_the_closure(token):
+    rs = system(token)
+    assert involution_count(rs) == len(involution_tables(rs).tables)
+
+
+def test_involution_counts_of_the_groups_refused_at_the_default_guard():
+    # each passes the |W| guard of 10^7; its pair pass would not finish
+    counts = {t: involution_count(system(t)) for t in ("A9", "B7", "D7", "D8", "E7")}
+    assert counts == {"A9": 9496, "B7": 6512, "D7": 3256, "D8": 17040, "E7": 10208}
+    assert all(system(t).order() <= 10 ** 7 < k * k for t, k in counts.items())
+
+
+def test_pair_pass_is_refused_before_any_bfs(monkeypatch):
+    # B4: |W| = 384 passes a guard of 1,000, and 76^2 = 5,776 pairs do not
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("enumerated")
+    monkeypatch.setattr(excess_module, "bfs_tables", no_bfs)
+    message = r"^76\^2 = 5776 involution pairs of W\(B4\) exceed guard 1000$"
+    with pytest.raises(GuardExceeded, match=message):
+        GroupData(system("B4"), guard=1000)
+    with pytest.raises(GuardExceeded, match=message):
+        run_suite(make_config([descriptor("A2"), descriptor("B4")], guard=1000))
+    # the |W| check keeps its message, and comes first
+    with pytest.raises(GuardExceeded, match=r"^\|W\(B4\)\| = 384 exceeds guard 100$"):
+        run_suite(make_config([descriptor("B4")], guard=100))
+    monkeypatch.setenv("COXEX_GUARD", "5775")
+    with pytest.raises(GuardExceeded, match="exceed guard 5775$"):
+        GroupData(system("B4"))
+    monkeypatch.undo()
+    assert len(GroupData(system("B4"), guard=5776)) == 384
