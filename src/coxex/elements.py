@@ -286,10 +286,10 @@ def check_pair_pass(rs: RootSystem, guard: int | None = None) -> None:
 def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] | None = None):
     """Enumerate by breadth-first closure under right multiplication.
 
-    Returns (perms, words, index) with perms in discovery order and one
-    reduced word (0-based generator indices) per element.  Nothing is
-    cached: every call enumerates afresh.  For the full generating set the
-    guard is checked against |W| first.
+    Returns (perms, words, at_key): perms in discovery order, one reduced
+    word (0-based generator indices) each, and at_key, key (`simple_key`) ->
+    index in index order.  Nothing is cached: every call enumerates afresh.
+    For the full generating set the guard is checked against |W| first.
     """
     full = gens is None
     limit = effective_guard(guard)
@@ -309,21 +309,21 @@ def bfs_tables(rs: RootSystem, guard: int | None = None, gens: tuple[int, ...] |
     perms = [ident]
     words = [()]
     level = [simple_key(ident, rs.simple_indices)]
-    seen = set(level)
+    at_key = {level[0]: 0}
     while level:  # the level's elements are the last n of perms
         packed, n = sep.join(level), len(level)
         level = []
         for p, w, *ks in zip(perms[-n:], words[-n:],
                              *[packed.translate(t).split(sep) for t in tables]):
             for r, ext, k in zip(names, lookups, ks):
-                if k not in seen:
-                    seen.add(k)
+                if k not in at_key:
+                    at_key[k] = len(perms)
                     level.append(k)
                     perms.append(tuple([ext[v] for v in p]))
                     words.append(w + (r,))
                     if len(perms) > limit:
                         raise GuardExceeded(f"enumeration exceeded guard {limit}")
-    return perms, words, {p: i for i, p in enumerate(perms)}
+    return perms, words, at_key
 
 
 class InvolutionTables:
@@ -410,8 +410,7 @@ def reduced_words(rs: RootSystem, guard: int | None = None) -> dict:
 def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[GroupElement]]:
     """Orbits under conjugation, each sorted by table for determinism, in
     the order of their first element in BFS order."""
-    perms, _, _ = bfs_tables(rs, guard)
-    at_key = {simple_key(p, rs.simple_indices): i for i, p in enumerate(perms)}
+    perms, _, at_key = bfs_tables(rs, guard)
     orbits, _ = _conjugation_orbits(perms, at_key, rs)
     return [[GroupElement(rs, t) for t in sorted(perms[i] for i in orbit)]
             for orbit in orbits]

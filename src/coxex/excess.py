@@ -40,7 +40,7 @@ result and looks each piece up, so the filter runs no Python code per
 involution and composes no table.  An involution's bits and l_R are cached
 on its first use.  The sweep engine `GroupData` keys the same way: for each
 involution x, one translate of every involution's key through x gives the
-key of each y x, looked up in a key -> index dict of the enumerated group.
+index of each y x, and of its inverse x y, by the group's key -> index dict.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -62,10 +63,10 @@ from typing import NamedTuple
 
 from .elements import (GroupElement, GuardExceeded, _conjugation_orbits,
                        bfs_tables, bits_of_table, check_pair_pass,
-                       compose_tables, effective_guard, invert_table,
+                       compose_tables, effective_guard,
                        involution_reflection_length, involution_tables,
                        is_involution_table, key_sep, key_table, reduced_word,
-                       signed_lookup, simple_key, word_text)
+                       signed_lookup, word_text)
 from .parabolic import ParabolicContext, parabolic_context
 from .rootsystem import RootSystem
 from .signedperm import (SignedCycle, SignedPermutation, _check_model,
@@ -627,8 +628,10 @@ class GroupData:
     x runs over I_w.  Every statistic reads them through the kernels that
     serve `InvolutionSet`, with `bits` and `lr` indexed by element.
     `at_key` maps an element's key (`elements.simple_key`) to its index.
-    A group whose pair pass exceeds the guard is refused before anything is
-    enumerated (`elements.check_pair_pass`).
+    Every element is yx for some involutions x, y (Carter 1972), and xy is
+    its inverse, so `inverse` is read off the pairs' products.  A group whose
+    pair pass exceeds the guard is refused before anything is enumerated
+    (`elements.check_pair_pass`).
 
     What several runners read is built once, on first use: an element's
     signed permutation and `SignedFields`, its spartan pairs, and the
@@ -638,25 +641,34 @@ class GroupData:
     def __init__(self, rs: RootSystem, guard: int | None = None):
         self.rs = rs
         check_pair_pass(rs, guard)
-        perms, words, index = bfs_tables(rs, guard)
+        perms, words, at_key = bfs_tables(rs, guard)
         self.perms = perms
         self.words = words
+        self.at_key = at_key
         self.bits = [bits_of_table(p) for p in perms]
         self.lengths = [b.bit_count() for b in self.bits]
-        self.inverse = inverse = [index[invert_table(p)] for p in perms]
-        del index  # at_key is the one element dict kept
-        self.involutions = [i for i, p in enumerate(perms) if is_involution_table(p)]
-        simple = rs.simple_indices
-        self.at_key = at_key = {simple_key(p, simple): i for i, p in enumerate(perms)}
-        # one translate of every involution's key through x gives the keys of
-        # all y x, and x y is the inverse of y x
+        self.involutions = invs = [i for i, p in enumerate(perms) if is_involution_table(p)]
+        # one translate of every involution's key through x gives row x: entry
+        # j indexes y_j x, whose inverse x y_j is entry i of row j.  The first
+        # rows meet every element (E6: 409 of 892); ints are at_key's objects.
         sep = key_sep(rs.num_positive)
-        packed = sep.join([simple_key(perms[yi], simple) for yi in self.involutions])
+        packed = sep.join(map(list(at_key).__getitem__, invs))
+        rows = [array("i", map(at_key.__getitem__, packed.translate(key_table(perms[xi])).split(sep)))
+                for xi in invs]
+        ints = list(at_key.values())
+        inverse_of: dict[int, int] = {}
+        for i, row in enumerate(rows):
+            inverse_of.update(zip(map(ints.__getitem__, row),
+                                  map(ints.__getitem__, map(itemgetter(i), rows))))
+            if len(inverse_of) == len(ints):
+                break
+        self.inverse = inverse = list(map(inverse_of.__getitem__, ints))
+        del inverse_of, ints
         pairs: list[list[tuple[int, int]]] = [[] for _ in perms]
-        for xi in self.involutions:  # x, then y, ascending: no sort needed
-            yx = packed.translate(key_table(perms[xi])).split(sep)
-            for yi, wi in zip(self.involutions, map(at_key.__getitem__, yx)):
+        for i, xi in enumerate(invs):  # x, then y, ascending: no sort needed
+            for yi, wi in zip(invs, rows[i]):
                 pairs[inverse[wi]].append((xi, yi))
+            rows[i] = None  # placed: release the row
         self.pairs = pairs
         # l_R of each involution from its trace; None elsewhere
         self.lr: list = [None] * len(perms)

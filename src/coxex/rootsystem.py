@@ -488,17 +488,42 @@ def load_root_system(path) -> RootSystem:
     return root_system_from_json(doc)
 
 
-_FIELDS = {"descriptor", "exact", "roots", "coeffs", "simple_indices", "generator_tables"}
+# each field's JSON shape, and the words a refusal names it by.  A shape is
+# a type or a tuple of types, matched exactly (a bool is no int), a list of
+# the shape of every entry, or a dict of the shape of each key.
+_FIELDS = {
+    "descriptor": ([{"family": str, "rank": int, "m": (int, type(None))}],
+                   "a list of {family, rank, m} objects"),
+    "exact": (bool, "true or false"),
+    "roots": ([[(int, str)]], "a list of lists of ints or strings"),
+    "coeffs": ([[(int, str)]], "a list of lists of ints or strings"),
+    "simple_indices": ([int], "a list of ints"),
+    "generator_tables": ([[int]], "a list of lists of ints"),
+}
+
+
+def _fits(v, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(v, list) and all(_fits(x, shape[0]) for x in v)
+    if isinstance(shape, dict):
+        return isinstance(v, dict) and all(k in v and _fits(v[k], s) for k, s in shape.items())
+    return type(v) in (shape if isinstance(shape, tuple) else (shape,))
 
 
 def root_system_from_json(doc: dict) -> RootSystem:
-    """Load a saved root system, refusing with ValueError one whose roots or
-    generator tables do not describe the group its descriptor names."""
+    """Load a saved root system, refusing with ValueError a document of the
+    wrong shape, or one whose roots or generator tables do not describe the
+    group its descriptor names."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a root-system file holds a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    missing = sorted(_FIELDS - doc.keys())
+    missing = sorted(_FIELDS.keys() - doc.keys())
     if missing:
         raise ValueError(f"root-system file lacks {missing}")
+    for name, (shape, text) in _FIELDS.items():
+        if not _fits(doc[name], shape):
+            raise ValueError(f'"{name}" must be {text}')
     components = [from_spec((d["family"], d["rank"], d["m"])) for d in doc["descriptor"]]
     m, psi, d = _ring(components)
     simple_indices = doc["simple_indices"]

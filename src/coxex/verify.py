@@ -12,9 +12,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from operator import mul
-from struct import unpack
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
@@ -215,27 +215,19 @@ class _Tally:
 
 # --------------------------------------------------------------- runners ---
 
-def _run_parabolic_reflection_excess(gd, config, notes):
+def _run_parabolic_equality(gd, config, notes, reflection=False):
+    """e_J(w) = e(w) for every w in each selected W_J, or with `reflection`
+    E_J(w) = E(w): the two theorems differ only in the excess they read."""
+    excess_in, excess_of, e = ((gd.refl_excess_in, gd.refl_excess_of, "E") if reflection
+                               else (gd.excess_in, gd.excess_of, "e"))
     t = _Tally()
     for J in generator_subsets(gd.rs, config.parabolic):
         ctx, members = gd.parabolic(J)
         jd = " ".join(str(j) for j in ctx.J_display) or "-"
         for wi in members:
-            ej = gd.refl_excess_in(wi, ctx.mask)
-            e = gd.refl_excess_of(wi)
-            t.check(ej == e, lambda: (gd.display(wi), jd, f"E_J={ej}", f"E={e}"))
-    return t
-
-
-def _run_parabolic_excess_direct(gd, config, notes):
-    t = _Tally()
-    for J in generator_subsets(gd.rs, config.parabolic):
-        ctx, members = gd.parabolic(J)
-        jd = " ".join(str(j) for j in ctx.J_display) or "-"
-        for wi in members:
-            ej = gd.excess_in(wi, ctx.mask)
-            e = gd.excess_of(wi)
-            t.check(ej == e, lambda: (gd.display(wi), jd, f"e_J={ej}", f"e={e}"))
+            ej = excess_in(wi, ctx.mask)
+            ew = excess_of(wi)
+            t.check(ej == ew, lambda: (gd.display(wi), jd, f"{e}_J={ej}", f"{e}={ew}"))
     return t
 
 
@@ -297,7 +289,7 @@ def _run_parabolic_excess(gd, config, notes):
         return _run_parabolic_excess_dn(gd, config, notes)
     if config.strategy == "maximal-reduction":
         return _run_parabolic_excess_reduction(gd, config, notes)
-    return _run_parabolic_excess_direct(gd, config, notes)
+    return _run_parabolic_equality(gd, config, notes)
 
 
 def _run_nw_subset_niw(gd, config, notes):
@@ -311,33 +303,29 @@ def _run_nw_subset_niw(gd, config, notes):
     return t
 
 
-def _run_cuspidal_full(gd, config, notes):
+def _niw_full(gd, members):
+    """N(I_w) is every positive root, for each w in members."""
     full = gd.rs.full_mask()
-    rank = gd.rs.rank
     t = _Tally()
-    cuspidal = 0
-    for wi in range(len(gd)):
-        if gd.reflection_length(wi) != rank:
-            continue
-        cuspidal += 1
+    for wi in members:
         t.check(gd.niw_bits(wi) == full, lambda: (
             gd.display(wi), "-", f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
             f"all {gd.rs.num_positive}"))
-    notes["cuspidal_elements"] = cuspidal
     return t
+
+
+def _run_cuspidal_full(gd, config, notes):
+    rank = gd.rs.rank
+    cuspidal = [wi for wi in range(len(gd)) if gd.reflection_length(wi) == rank]
+    notes["cuspidal_elements"] = len(cuspidal)
+    return _niw_full(gd, cuspidal)
 
 
 def _run_centre_full(gd, config, notes):
     minus_one = [-(i + 1) for i in range(gd.rs.num_positive)]
     if simple_key(minus_one, gd.rs.simple_indices) not in gd.at_key:
         raise RuntimeError("central inversion expected but not found")
-    full = gd.rs.full_mask()
-    t = _Tally()
-    for wi in range(len(gd)):
-        t.check(gd.niw_bits(wi) == full, lambda: (
-            gd.display(wi), "-", f"|N(I_w)|={gd.niw_bits(wi).bit_count()}",
-            f"all {gd.rs.num_positive}"))
-    return t
+    return _niw_full(gd, range(len(gd)))
 
 
 def _run_spartan_support(gd, config, notes):
@@ -395,26 +383,29 @@ def _run_excess_even_symmetric(gd, config, notes):
     return t
 
 
-def _run_excess_additivity(gd, config, notes):
-    rs = gd.rs
+def _factor_projections(gd):
+    """(wi, [(pi, mask) per direct factor]) in index order: a factor W_J has
+    the generators a..b-1, and the key of w's projection pi onto it is the
+    identity's with w's code points at a..b-1."""
+    at_key = gd.at_key
+    ident = next(iter(at_key))  # the identity comes first
     blocks = []
-    offset = 0
-    for d in rs.components:
-        blocks.append(tuple(range(offset, offset + d.rank)))
-        offset += d.rank
-    ctxs = [gd.parabolic(J)[0] for J in blocks]
+    a = 0
+    for d in gd.rs.components:
+        b = a + d.rank
+        blocks.append((a, b, gd.parabolic(range(a, b))[0].mask))
+        a = b
+    for key, wi in at_key.items():
+        yield wi, [(at_key[ident[:a] + key[a:b] + ident[b:]], mask) for a, b, mask in blocks]
+
+
+def _run_excess_additivity(gd, config, notes):
     t = _Tally()
-    for wi in range(len(gd)):
-        p = gd.perms[wi]
-        e_sum = 0
-        E_sum = 0
-        for ctx in ctxs:
-            proj = list(identity_table(rs.num_positive))
-            for i in ctx.indices:
-                proj[i] = p[i]
-            pi = gd.at_key[simple_key(proj, rs.simple_indices)]
-            e_sum += gd.excess_in(pi, ctx.mask)
-            E_sum += gd.refl_excess_in(pi, ctx.mask)
+    for wi, projections in _factor_projections(gd):
+        e_sum = E_sum = 0
+        for pi, mask in projections:
+            e_sum += gd.excess_in(pi, mask)
+            E_sum += gd.refl_excess_in(pi, mask)
         ok = gd.excess_of(wi) == e_sum and gd.refl_excess_of(wi) == E_sum
         t.check(ok, lambda: (
             gd.display(wi), "-",
@@ -606,34 +597,6 @@ def _keyed_product(gd):
     return product
 
 
-def _randbelow_many(rng, n: int, count: int) -> list[int]:
-    """[rng.randrange(n) for _ in range(count)], read from whole 32-bit words.
-
-    randrange(n) draws getrandbits(k), k = n.bit_length(), until the value
-    is below n, and getrandbits(k <= 32) is the top k bits of the next
-    32-bit word.  getrandbits(32 * m) packs the next m words, least
-    significant first, so one shift and one mask leave the top k bits of
-    each word in its own 32 bits.  A round asks for as many words as values
-    are missing, so no word is drawn that randrange would not draw, and rng
-    ends in the state randrange would leave.  n >= 2**32 is refused: there
-    randrange reads several words per value.
-    """
-    if not 1 <= n < 1 << 32:
-        raise ValueError(f"n = {n} is outside 1..2**32 - 1")
-    k = n.bit_length()
-    top = ((1 << k) - 1).to_bytes(4, "little")
-    out: list[int] = []
-    while len(out) < count:
-        m = count - len(out)
-        words = rng.getrandbits(32 * m) >> (32 - k) & int.from_bytes(top * m, "little")
-        raw = words.to_bytes(4 * m, "little")
-        if k <= 8:  # a value is its word's first byte: drop those >= n in C
-            out += raw[::4].translate(None, bytes(range(n, 256)))
-        else:
-            out += [v for v in unpack(f"<{m}I", raw) if v < n]
-    return out
-
-
 def _lemma22_row(g_inv, bginv) -> list[int]:
     """What each root of N(h) contributes to Lemma 2.2 for this g: entry i
     is for positive root i + 1, whose image under g^-1 is s = g_inv[i].
@@ -745,8 +708,8 @@ def _run_inversion_identity(gd, config, notes):
     seed = f"{config.seed}:{gd.rs.name}"
 
     def draws():
-        drawn = iter(_randbelow_many(random.Random(seed), n, 2 * config.sample_pairs))
-        return zip(drawn, drawn)
+        rng = random.Random(seed)
+        return ((rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs))
 
     if n * n <= 4 * config.sample_pairs:
         failed = _lemma22_every_pair(perms, inverse, bits, list(gd.at_key))
@@ -875,7 +838,7 @@ def _register(name, title, runner, applicable=None):
 
 _register("parabolic-reflection-excess",
           "reflection excess is insensitive to standard parabolic restriction",
-          _run_parabolic_reflection_excess)
+          partial(_run_parabolic_equality, reflection=True))
 _register("parabolic-excess",
           "excess is insensitive to standard parabolic restriction "
           "(conditional on splits for type D)",

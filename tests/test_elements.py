@@ -10,7 +10,7 @@ from coxex.elements import (GroupElement, bfs_tables, compose_tables,
                             element_from_word, enumerate_group, generator,
                             involution_reflection_length, involution_tables,
                             identity_table, is_involution_table, reduced_word,
-                            reflection, signed_lookup)
+                            reflection, signed_lookup, simple_key)
 from coxex.linalg import action_matrix
 from coxex.signedperm import parse, to_root_perm
 
@@ -135,7 +135,8 @@ def test_involution_closure_matches_bfs_filter(token, monkeypatch):
 
 
 def _table_bfs(rs, gens=None):
-    """The BFS that builds and looks up the full table of every product."""
+    """The BFS that builds and looks up the full table of every product,
+    with the key index (`simple_key`) of its own perms."""
     names = range(rs.rank) if gens is None else gens
     lookups = [signed_lookup(rs.gen_tables[r]) for r in names]
     ident = identity_table(rs.num_positive)
@@ -150,7 +151,7 @@ def _table_bfs(rs, gens=None):
                 perms.append(q)
                 words.append(w + (r,))
         i += 1
-    return perms, words, index
+    return perms, words, {simple_key(p, rs.simple_indices): i for i, p in enumerate(perms)}
 
 
 # the groups of scripts/run_theorem_sweeps.py, rank 1 and E6
@@ -159,13 +160,17 @@ def _table_bfs(rs, gens=None):
     "I2(7)", "I2(8)", "A2xA1", "A1xA1xA1", "A1", "E6"])
 def test_keyed_bfs_matches_table_bfs(token):
     rs = _fresh(token)
-    assert bfs_tables(rs) == _table_bfs(rs)
+    perms, words, at_key = bfs_tables(rs)
+    assert (perms, words, at_key) == _table_bfs(rs)
+    assert list(at_key.values()) == list(range(len(perms)))  # in index order
 
 
 def test_keyed_bfs_matches_table_bfs_on_a_generator_subset():
     rs = _fresh("B4")
     for gens in ((0, 2), (3,), (1, 2, 3)):
-        assert bfs_tables(rs, gens=gens) == _table_bfs(rs, gens)
+        perms, words, at_key = bfs_tables(rs, gens=gens)
+        assert (perms, words, at_key) == _table_bfs(rs, gens)
+        assert list(at_key.values()) == list(range(len(perms)))
 
 
 def test_involution_tables_share_int_objects():

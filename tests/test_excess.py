@@ -569,9 +569,9 @@ def test_subgroup_data_reflection_excess_matches_ambient(token):
     rs = gd.rs
     index = {p: i for i, p in enumerate(gd.perms)}
     for J in maximal_generator_subsets(rs):
-        perms, _, sub_index = bfs_tables(rs, gens=J)
+        perms = bfs_tables(rs, gens=J)[0]
         bits = [bits_of_table(p) for p in perms]
-        pairs = _full_table_pairs(perms, sub_index)
+        pairs = _full_table_pairs(perms, {p: i for i, p in enumerate(perms)})
         lr = {x: (len(J) - _trace_on(rs, perms[x], J)) // 2
               for lst in pairs for x, _ in lst}
         mask = parabolic_context(rs, J).mask
@@ -592,6 +592,17 @@ def test_keyed_pair_pass_matches_full_table_loop(token):
     gd = data(token)
     index = {p: i for i, p in enumerate(gd.perms)}
     assert gd.pairs == _full_table_pairs(gd.perms, index)
+
+
+# the groups of scripts/run_theorem_sweeps.py, and E6
+@pytest.mark.parametrize("token", [
+    "A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4",
+    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6"])
+def test_inverse_read_off_the_pair_products_matches_table_inversion(token):
+    gd = data(token)
+    index = {p: i for i, p in enumerate(gd.perms)}
+    assert len(gd.inverse) == len(gd)
+    assert gd.inverse == [index[invert_table(p)] for p in gd.perms]
 
 
 def test_excess_report_d12():

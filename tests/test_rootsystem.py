@@ -299,6 +299,24 @@ def test_load_refuses_malformed_structure(tmp_path):
             "repeat up to sign")
 
 
+# each of these once escaped as AttributeError, TypeError or KeyError, or
+# loaded; the message names the field
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: [d], "JSON object, not list"),
+    (lambda d: d.update(descriptor="B3"), '"descriptor" must be a list'),
+    (lambda d: d["descriptor"][0].pop("m"), '"descriptor" must be a list'),
+    (lambda d: d.update(roots=5), '"roots" must be a list of lists'),
+    (lambda d: d.update(simple_indices="012"), '"simple_indices" must be a list of ints'),
+    (lambda d: d.update(exact="no"), '"exact" must be true or false'),
+], ids=["list", "descriptor-string", "descriptor-without-m", "roots-int",
+        "simple-indices-string", "exact-string"])
+def test_load_refuses_wrong_json_types(edit, message, tmp_path):
+    doc = _saved("B3", tmp_path)
+    doc = edit(doc) or doc
+    with pytest.raises(ValueError, match=message):
+        root_system_from_json(doc)
+
+
 @pytest.mark.parametrize("token", ["H3", "I2(7)"])
 def test_load_refuses_float_table_that_is_not_the_reflection(token, tmp_path):
     # H and I2 files, once float and now integer coefficients over

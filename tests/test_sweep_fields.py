@@ -20,7 +20,7 @@ from coxex.elements import involution_count, involution_tables
 from coxex.excess import (_all_cycles, _cycles, _dn_condition, _inverting_signed_images,
                           _support_holds, _swap_candidates, _swaps_interleave,
                           inverting_signed_involutions)
-from coxex.parabolic import split_values
+from coxex.parabolic import generator_subsets, parabolic_context, split_values
 from coxex.signedperm import SignedPermutation
 from coxex import verify
 
@@ -180,6 +180,53 @@ def test_dn_runner_fails_perturbed_excess_as_the_reference_does(monkeypatch):
     assert ref.failures > 0
     assert (new.passes, new.failures, new.bad) == (ref.passes, ref.failures, ref.bad)
     assert notes["unconditional_gaps_observed"] >= ref.failures
+
+
+@pytest.mark.parametrize("theorem, accessor, of, letter", [
+    ("parabolic-excess", "excess_in", "excess_of", "e"),
+    ("parabolic-reflection-excess", "refl_excess_in", "refl_excess_of", "E")])
+def test_parabolic_equality_runners_fail_perturbed_excess_as_the_reference_does(
+        theorem, accessor, of, letter, monkeypatch):
+    # the parabolic excess is raised on every other member; the two
+    # registered theorems share one loop and differ in the letter e or E
+    gd = GroupData(system("B3"))
+    excess_in = getattr(gd, accessor)
+    monkeypatch.setattr(gd, accessor, lambda wi, mask: excess_in(wi, mask) + 2 * (wi % 2))
+    config = make_config([])
+    new = verify.THEOREMS[theorem].runner(gd, config, {})
+    ref = verify._Tally()
+    for J in generator_subsets(gd.rs, config.parabolic):
+        ctx = parabolic_context(gd.rs, J)
+        jd = " ".join(str(j) for j in ctx.J_display) or "-"
+        for wi in [i for i, b in enumerate(gd.bits) if b & ~ctx.mask == 0]:
+            ej, e = getattr(gd, accessor)(wi, ctx.mask), getattr(gd, of)(wi)
+            ref.check(ej == e, lambda: (gd.display(wi), jd, f"{letter}_J={ej}", f"{letter}={e}"))
+    assert ref.failures > 0
+    assert (new.passes, new.failures, new.bad) == (ref.passes, ref.failures, ref.bad)
+    # the first failure: the generator r1 = (+1 +2) in W_{1}, of excess 0
+    assert new.bad[0] == verify.Counterexample("(+1 +2)", "1", f"{letter}_J=2", f"{letter}=0")
+
+
+@pytest.mark.parametrize("theorem", ["cuspidal-full-inversions", "centre-full-inversions"])
+def test_full_niw_runners_fail_perturbed_niw_as_the_reference_does(theorem, monkeypatch):
+    # a root is dropped from N(I_w) on every other element; the two theorems
+    # share one loop and differ in the elements they check
+    gd = GroupData(system("B3"))
+    niw_bits = gd.niw_bits
+    monkeypatch.setattr(gd, "niw_bits", lambda wi: niw_bits(wi) & ~(wi % 2))
+    notes: dict = {}
+    new = verify.THEOREMS[theorem].runner(gd, make_config([]), notes)
+    full, npos = gd.rs.full_mask(), gd.rs.num_positive
+    cuspidal = theorem.startswith("cuspidal")
+    ref = verify._Tally()
+    for wi in range(len(gd)):
+        if cuspidal and gd.reflection_length(wi) != gd.rs.rank:
+            continue
+        ref.check(gd.niw_bits(wi) == full, lambda: (
+            gd.display(wi), "-", f"|N(I_w)|={gd.niw_bits(wi).bit_count()}", f"all {npos}"))
+    assert ref.failures > 0
+    assert (new.passes, new.failures, new.bad) == (ref.passes, ref.failures, ref.bad)
+    assert notes == ({"cuspidal_elements": ref.passes + ref.failures} if cuspidal else {})
 
 
 @pytest.mark.parametrize("token", ["B3", "B4", "B5", "D4", "D5"])

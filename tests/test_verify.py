@@ -8,8 +8,9 @@ import pytest
 from conftest import descriptor, system
 from coxex import GroupData, GuardExceeded, make_config, run_suite, theorem_names
 from coxex.descriptors import CoxeterDescriptor
-from coxex.elements import bfs_tables
-from coxex.parabolic import all_generator_subsets
+from coxex import verify
+from coxex.elements import bfs_tables, identity_table
+from coxex.parabolic import all_generator_subsets, parabolic_context
 from coxex.verify import MAX_COUNTEREXAMPLES, THEOREMS, TRUNCATED
 
 
@@ -130,6 +131,34 @@ def test_additivity_requires_reducible():
         theorems=("excess-additivity",)))
     assert prod.checks[0].status == "pass"
     assert prod.failures_total == 0
+
+
+def _table_projection(gd, wi, J):
+    """The index of w's projection onto the factor W_J: the identity's
+    table with w's entries at the roots of W_J."""
+    rs = gd.rs
+    proj = list(identity_table(rs.num_positive))
+    for i in parabolic_context(rs, J).indices:
+        proj[i] = gd.perms[wi][i]
+    return gd.perms.index(tuple(proj))
+
+
+@pytest.mark.parametrize("token", ["A2xA1", "A1xA1xA1", "A2xB3", "A1xD4", "B2xA2xA1"])
+def test_key_projection_matches_table_projection(token):
+    gd = GroupData(system(token))
+    blocks = []
+    a = 0
+    for d in gd.rs.components:
+        blocks.append(tuple(range(a, a + d.rank)))
+        a += d.rank
+    seen = []
+    for wi, projections in verify._factor_projections(gd):
+        seen.append(wi)
+        assert projections == [(_table_projection(gd, wi, J), parabolic_context(gd.rs, J).mask)
+                               for J in blocks]
+    assert seen == list(range(len(gd)))
+    check = verify._run_excess_additivity(gd, make_config([]), {})
+    assert (check.passes, check.failures) == (len(gd), 0)
 
 
 def test_theorem_1_1_on_f4():
