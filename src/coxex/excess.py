@@ -507,19 +507,18 @@ def _cycles(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return (*cycles, *fixed)
 
 
-def _signed_fields(cycles) -> SignedFields:
-    """`SignedFields` from an element's `_cycles`."""
+def _fields_of(images) -> SignedFields:
+    """`SignedFields` from an element's images: p is moved or negated when
+    w(p) != p, and (p, q), p < q, is a 2-cycle when q = |w(p)|, p = |w(q)|."""
     support = negated = straddle = 0
-    for points, signs in cycles:
-        if len(points) == 1:
-            if signs[0] < 0:
-                support |= 1 << points[0]
-                negated |= 1 << points[0]
-            continue
-        for p in points:
+    for p, v in enumerate(images, 1):
+        if v != p:
             support |= 1 << p
-        if len(points) == 2:
-            straddle |= (1 << points[1]) - (1 << points[0])
+            q = abs(v)
+            if q == p:
+                negated |= 1 << p
+            elif q > p and abs(images[q - 1]) == p:
+                straddle |= (1 << q) - (1 << p)
     return SignedFields(support, negated, straddle)
 
 
@@ -633,9 +632,11 @@ class GroupData:
     pair pass exceeds the guard is refused before anything is enumerated
     (`elements.check_pair_pass`).
 
-    What several runners read is built once, on first use: an element's
-    signed permutation and `SignedFields`, its spartan pairs, and the
-    context and members of each parabolic subgroup.
+    What several runners read is built once, on first use: `right[r]`, the
+    index of each w s_r, so the BFS parent of w_i is right[s][i] for the
+    last s of words[i]; every element's signed permutation, each its
+    parent's read through one generator's; an element's `SignedFields` and
+    spartan pairs; and the context and members of each parabolic subgroup.
     """
 
     def __init__(self, rs: RootSystem, guard: int | None = None):
@@ -678,7 +679,8 @@ class GroupData:
         self._exc: dict[int, int] = {}
         self._rexc: dict[int, int] = {}
         self._niw: dict[int, int] = {}
-        self._sps: list = [None] * len(perms)
+        self._right: list[array] | None = None
+        self._sps: list | None = None
         self._fields: list = [None] * len(perms)
         self._spartans: list = [None] * len(perms)
         self._parabolics: dict = {}
@@ -694,18 +696,41 @@ class GroupData:
             self._orbits = _conjugation_orbits(self.perms, self.at_key, self.rs)
         return self._orbits
 
+    @property
+    def right(self) -> list[array]:
+        """right[r][i] is the index of w_i s_r: one translate of every key
+        through s_r (`elements.key_table`), each looked up in `at_key`.  Kept
+        in an attribute set in __init__: a cached_property writes through
+        __dict__, which slows later method calls on the instance."""
+        if self._right is None:
+            at_key = self.at_key
+            sep = key_sep(self.rs.num_positive)
+            packed = sep.join(at_key)
+            self._right = [array("i", map(at_key.__getitem__,
+                                          packed.translate(key_table(g)).split(sep)))
+                           for g in self.rs.gen_tables]
+        return self._right
+
     def element(self, i: int) -> GroupElement:
         return GroupElement(self.rs, self.perms[i])
 
     def signed_perm(self, i: int) -> SignedPermutation:
-        if self._sps[i] is None:
-            self._sps[i] = from_root_perm(self.element(i))
+        if self._sps is None:
+            # w s has w's images read through s's, so only the identity and
+            # the generators go through `from_root_perm`
+            gens = [signed_lookup(from_root_perm(GroupElement(self.rs, g)).images)
+                    for g in self.rs.gen_tables]
+            images = [from_root_perm(self.element(0)).images]
+            for j, word in enumerate(self.words[1:], 1):
+                r = word[-1]
+                images.append(tuple(map(gens[r].__getitem__, images[self.right[r][j]])))
+            self._sps = list(map(SignedPermutation._trusted, images))
         return self._sps[i]
 
     def signed_fields(self, i: int) -> SignedFields:
         f = self._fields[i]
         if f is None:
-            f = self._fields[i] = _signed_fields(_cycles(self.signed_perm(i).images))
+            f = self._fields[i] = _fields_of(self.signed_perm(i).images)
         return f
 
     def parabolic(self, J) -> tuple[ParabolicContext, list[int]]:

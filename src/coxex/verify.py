@@ -12,15 +12,14 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
-from .elements import (bits_of_table, check_pair_pass, compose_tables,
-                       effective_guard, identity_table, invert_table, key_sep,
-                       key_table, simple_key)
+from .elements import (bits_of_table, check_pair_pass, effective_guard,
+                       identity_table, key_sep, key_table, simple_key)
 from .excess import (DnCondition, GroupData, _cycles, _dn_condition,
                      _inverting_signed_images, _support_holds,
                      _swap_candidates, _swaps_interleave)
@@ -486,15 +485,21 @@ def _run_jset_equivalence(gd, config, notes):
     return t
 
 
+MAX_BLOCKS = 2048  # about 3 MB; B5 makes 1,598 blocks, B6 15,790
+
+
 def _run_structured_iw(gd, config, notes):
     """Each element's I_w from its own cycle-type product; the blocks, which
-    depend on w only at their points, are shared across the elements."""
+    depend on w only at their points, are shared across the elements until
+    there are more than MAX_BLOCKS of them."""
     fam = gd.rs.family
     images = {xi: gd.signed_perm(xi).images for xi in gd.involutions}
     limit = effective_guard(None)  # the guard of the public enumeration
     blocks: dict = {}
     t = _Tally()
     for wi in range(len(gd)):
+        if len(blocks) > MAX_BLOCKS:
+            blocks.clear()
         exhaustive = {images[xi] for xi, _ in gd.pairs[wi]}
         structured = set(_inverting_signed_images(gd.signed_perm(wi), fam, limit, blocks))
         t.check(exhaustive == structured, lambda: (
@@ -535,39 +540,6 @@ def _run_reflection_length_oracle(gd, config, notes):
     return t
 
 
-def _lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
-    """Lemma 2.2 on N(gh) from the table of g^-1 and the inversion bitsets
-    of g, g^-1, h and gh.  Bit i stands for positive root i + 1, whose image
-    under g^-1 is g_inv[i].  One pass over N(h): a root that g^-1 sends
-    negative must lie in N(g^-1), and the negative of its image leaves N(g);
-    any other root outside N(g^-1) adds its image to N(g).  The runner
-    evaluates the same from a row per g (`_lemma22_from_row`); this form is
-    the reference the tests hold it to."""
-    removed = 0
-    added = 0
-    b = bh
-    while b:
-        low = b & -b
-        s = g_inv[low.bit_length() - 1]
-        if s < 0:
-            if not low & bginv:
-                return False  # image must stay positive here
-            removed |= 1 << (-s - 1)
-        elif not low & bginv:
-            added |= 1 << (s - 1)
-        b ^= low
-    if bgh != (bg & ~removed) | added:
-        return False
-    lg, lh, lgh = bg.bit_count(), bh.bit_count(), bgh.bit_count()
-    return lgh == lg + lh - 2 * (bginv & bh).bit_count()
-
-
-def _lemma22_holds(g, h) -> bool:
-    g_inv = invert_table(g)
-    return _lemma22_core(g_inv, bits_of_table(g), bits_of_table(g_inv),
-                         bits_of_table(h), bits_of_table(compose_tables(g, h)))
-
-
 def _involution_reversal_holds(p) -> bool:
     bits = bits_of_table(p)
     image = 0
@@ -582,47 +554,42 @@ def _involution_reversal_holds(p) -> bool:
     return image == bits
 
 
-def _keyed_product(gd):
-    """(gi, hi) -> the index of gh, found by g's key translated through h
-    (`elements.key_table`) in `gd.at_key`.  A translation table is built
-    on first use only."""
-    perms, at_key = gd.perms, gd.at_key
-    keys = list(at_key)  # in index order
-    tables: list = [None] * len(perms)
+def _product(gd, gi: int, hi: int) -> int:
+    """The index of gh: g carried through h's word by `GroupData.right`."""
+    right = gd.right
+    for r in gd.words[hi]:
+        gi = right[r][gi]
+    return gi
 
-    def product(gi, hi):
-        if tables[hi] is None:
-            tables[hi] = key_table(perms[hi])
-        return at_key[keys[gi].translate(tables[hi])]
-    return product
+
+@lru_cache(maxsize=None)
+def _lemma22_entries(npos: int) -> tuple[dict[int, int], dict[int, int]]:
+    """What a root of N(h) contributes to Lemma 2.2 for a g, by its image s
+    under g^-1, when it lies inside N(g^-1) and when outside.  Inside with
+    s < 0, the bit of root -s, which leaves N(g); outside with s > 0, the
+    bit of root s, which joins N(g), shifted up by npos, the number of
+    positive roots; outside with s < 0, the sentinel 1 << 2 npos; inside
+    with s > 0, 0.  Distinct roots give distinct bits below the sentinel,
+    so a sum over N(h) is the union of their contributions."""
+    signed = [*range(-npos, 0), *range(1, npos + 1)]
+    return ({s: 1 << -s - 1 if s < 0 else 0 for s in signed},
+            {s: 1 << 2 * npos if s < 0 else 1 << npos + s - 1 for s in signed})
 
 
 def _lemma22_row(g_inv, bginv) -> list[int]:
-    """What each root of N(h) contributes to Lemma 2.2 for this g: entry i
-    is for positive root i + 1, whose image under g^-1 is s = g_inv[i].
-    Inside N(g^-1) with s < 0, it is the bit of root -s, which leaves N(g);
-    outside N(g^-1) with s > 0, the bit of root s, which joins N(g),
-    shifted up by npos, the number of positive roots; outside N(g^-1) with
-    s < 0, the sentinel 1 << 2 npos; otherwise 0.  Distinct roots give
-    distinct bits below the sentinel, so a sum over N(h) is the union of
-    their contributions."""
-    npos = len(g_inv)
-    sentinel = 1 << 2 * npos
-    row = []
-    for i, s in enumerate(g_inv):
-        inside = bginv >> i & 1
-        if s < 0:
-            row.append(1 << (-s - 1) if inside else sentinel)
-        else:
-            row.append(0 if inside else 1 << (npos + s - 1))
-    return row
+    """Entry i is what positive root i + 1, whose image under g^-1 is
+    g_inv[i], contributes (`_lemma22_entries`)."""
+    inside, outside = _lemma22_entries(len(g_inv))
+    return [inside[s] if bginv >> i & 1 else outside[s] for i, s in enumerate(g_inv)]
 
 
 def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
-    """`_lemma22_core` from the row of g (`_lemma22_row`); roots_of_h are
-    the bit indices of bh, so their count is |N(h)|.  A sentinel in the sum
-    sets a bit at npos or above in the predicted N(gh), which bgh never
-    has."""
+    """Lemma 2.2 on N(gh) from the row of g (`_lemma22_row`) and the
+    inversion bitsets of g, g^-1, h and gh: the predicted N(gh), and
+    l(gh) = l(g) + l(h) - 2 |N(g^-1) & N(h)|.  roots_of_h are the bit
+    indices of bh, so their count is |N(h)|.  A sentinel in the sum sets a
+    bit at npos or above in the predicted N(gh), which bgh never has.  The
+    tests hold it to a pass over N(h) root by root."""
     total = sum(map(row.__getitem__, roots_of_h))
     npos = len(row)
     if bgh != (bg & ~(total & ((1 << npos) - 1))) | total >> npos:
@@ -630,7 +597,7 @@ def _lemma22_from_row(row, bg, bginv, bh, bgh, roots_of_h) -> bool:
     return bgh.bit_count() == bg.bit_count() + len(roots_of_h) - 2 * (bginv & bh).bit_count()
 
 
-def _lemma22_every_pair(perms, inverse, bits, keys) -> set[int]:
+def _lemma22_every_pair(perms, inverse, bits, words, right) -> set[int]:
     """The keys g * n + h of the pairs that fail `_lemma22_from_row`, over
     every pair of an enumerated group, with one packed evaluation per h.
 
@@ -647,13 +614,16 @@ def _lemma22_every_pair(perms, inverse, bits, keys) -> set[int]:
     actual side l(gh) plus T under the mask `counts`, c << top = 2 c <<
     (top - 1).
 
-    The actual fields come from the packed keys of all g (`keys`, by index,
-    as `GroupData.at_key` lists them), which one translate through h
-    (`elements.key_table`) carries to those of every gh;
-    a split and a dict give each gh's field.  The set identity and the
-    length identity are then one comparison of two big ints.  Only a failing
-    h is decoded field by field.  N(h) is read from bits[h], and every
-    length is a bit count, as in `_lemma22_from_row`."""
+    The h are taken in BFS order (`words`), and h = h' s for its parent h'.
+    The products gh of every g are then the right multiplication table of s
+    (`GroupData.right`) read at those of h', and one itemgetter of them
+    reads the actual fields by index.  T is that of h' plus the terms of
+    the roots in N(h) but not in N(h'), less those in N(h') but not in N(h),
+    one term in all when the bitsets are true.  Only the last two lengths
+    are kept.  The set identity and the length identity are then one
+    comparison of two big ints.  Only a failing h is decoded field by
+    field.  N(h) is read from bits[h], and every length is a bit count, as
+    in `_lemma22_from_row`."""
     n, npos = len(perms), len(perms[0])
     k = npos.bit_length()  # npos < 2**k: a count of npos fits k bits
     top = 2 * npos + k
@@ -667,23 +637,46 @@ def _lemma22_every_pair(perms, inverse, bits, keys) -> set[int]:
     mid = packed([(1 << npos + k) - 1] * n)
     counts = packed([((1 << k) - 1) << top] * n)
     ones = packed([1 << top - 1] * n)
-    rows = [_lemma22_row(perms[gii], bits[gii]) for gii in inverse]
-    terms = [packed([row[i] | (bits[gii] >> i & 1) << top for row, gii in zip(rows, inverse)])
-             for i in range(npos)]
+    # column i of the g^-1 tables packs as if root i + 1 lay inside every
+    # N(g^-1) and as if outside; bit i of N(g^-1), spread, picks per field
+    inside_bits = packed([bits[gii] for gii in inverse])
+    low, spread = packed([1] * n), (1 << width) - 1
+    encoded = [{s: v.to_bytes(nbytes, "little") for s, v in entries.items()}
+               for entries in _lemma22_entries(npos)]
+    terms = []
+    for i, column in enumerate(zip(*[perms[gii] for gii in inverse])):
+        inside, outside = [int.from_bytes(b"".join(map(e.__getitem__, column)), "little")
+                           for e in encoded]
+        at = inside_bits >> i & low
+        terms.append(inside & at * spread | outside & ~(at * spread) | at << top)
     lengths = [b.bit_count() for b in bits]
     B = packed(bits)
     L = packed([lg << top - 1 for lg in lengths])
-    sep = key_sep(npos)
-    blob = sep.join(keys)
-    actual = {key: (b | lg << top - 1).to_bytes(nbytes, "little")
-              for key, b, lg in zip(keys, bits, lengths)}
+    actual = [(b | lg << top - 1).to_bytes(nbytes, "little") for b, lg in zip(bits, lengths)]
+
+    def total(b):
+        """The sum of terms[i] over the bits i of b."""
+        out = 0
+        while b:
+            i = b.bit_length() - 1
+            out += terms[i]
+            b ^= 1 << i
+        return out
+    # h -> (the itemgetter of the gh of every g, T), for the last two lengths
+    prev, level, depth = {}, {0: (itemgetter(*range(n)), total(bits[0]))}, 0
     failed = set()
     for hi, bh in enumerate(bits):
-        roots = [i for i in range(npos) if bh >> i & 1]
-        T = sum(map(terms.__getitem__, roots))
-        predicted = (B & ~T | T >> npos & mid) + L + len(roots) * ones
-        gh = b"".join(map(actual.__getitem__, blob.translate(key_table(perms[hi])).split(sep)))
-        wrong = predicted ^ int.from_bytes(gh, "little") + (T & counts)
+        word = words[hi]
+        if len(word) > depth:
+            prev, level, depth = level, {}, len(word)
+        if word:
+            s = right[word[-1]]
+            get, T = prev[s[hi]]
+            bp = bits[s[hi]]
+            level[hi] = itemgetter(*get(s)), T + total(bh & ~bp) - total(bp & ~bh)
+        get, T = level[hi]
+        predicted = (B & ~T | T >> npos & mid) + L + bh.bit_count() * ones
+        wrong = predicted ^ int.from_bytes(b"".join(get(actual)), "little") + (T & counts)
         if wrong:
             field = (1 << width) - 1
             failed.update(gi * n + hi for gi in range(n) if wrong >> gi * width & field)
@@ -712,10 +705,9 @@ def _run_inversion_identity(gd, config, notes):
         return ((rng.randrange(n), rng.randrange(n)) for _ in range(config.sample_pairs))
 
     if n * n <= 4 * config.sample_pairs:
-        failed = _lemma22_every_pair(perms, inverse, bits, list(gd.at_key))
+        failed = _lemma22_every_pair(perms, inverse, bits, gd.words, gd.right)
     else:
         failed = set()
-        product = _keyed_product(gd)
         roots_of: list = [None] * n  # hi -> the bit indices of N(h)
         # the distinct drawn keys g * n + h, ascending: equal g are runs
         keys = sorted({gi * n + hi for gi, hi in draws()})
@@ -729,7 +721,7 @@ def _run_inversion_identity(gd, config, notes):
                 roots = roots_of[hi]
                 if roots is None:
                     roots = roots_of[hi] = [i for i, v in enumerate(perms[hi]) if v < 0]
-                if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[product(gi, hi)],
+                if not _lemma22_from_row(row, bg, bginv, bits[hi], bits[_product(gd, gi, hi)],
                                          roots):
                     failed.add(key)
     t = _Tally()
@@ -776,33 +768,29 @@ def _run_length_reduced_word(gd, config, notes):
 
 
 def _run_parabolic_length(gd, config, notes):
-    """W_J closed by a BFS on keys alone: one translate of a level's keys
-    through each generator of J gives the next level, in the order of
-    `elements.bfs_tables`, so an element's word length in W_J is its
-    depth."""
-    rs = gd.rs
-    sep = key_sep(rs.num_positive)
-    start = simple_key(identity_table(rs.num_positive), rs.simple_indices)
+    """W_J closed by a BFS on `GroupData.right` for the generators of J, in
+    the order of `elements.bfs_tables`, so an element's word length in W_J
+    is its depth."""
     t = _Tally()
-    for J in generator_subsets(rs, config.parabolic):
+    for J in generator_subsets(gd.rs, config.parabolic):
         if not J:
             continue
         ctx, _ = gd.parabolic(J)
-        tables = [key_table(rs.gen_tables[r]) for r in J]
+        tables = [gd.right[r] for r in J]
         jd = " ".join(str(j) for j in ctx.J_display)
-        level, seen, depth = [start], {start}, 0
+        level, seen, depth = [0], {0}, 0
         while level:
-            for wi in map(gd.at_key.__getitem__, level):
+            for wi in level:
                 ok = ctx.contains_table(gd.bits[wi]) and gd.lengths[wi] == depth
                 t.check(ok, lambda: (gd.display(wi), jd, f"ambient length {gd.lengths[wi]}",
                                      f"subgroup word length {depth}"))
-            packed = sep.join(level)
-            level = []
-            for ks in zip(*[packed.translate(table).split(sep) for table in tables]):
-                for k in ks:
-                    if k not in seen:
-                        seen.add(k)
-                        level.append(k)
+            nxt = []
+            for wi in level:
+                for table in tables:
+                    if table[wi] not in seen:
+                        seen.add(table[wi])
+                        nxt.append(table[wi])
+            level = nxt
             depth += 1
     return t
 

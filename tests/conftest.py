@@ -4,6 +4,7 @@ from functools import lru_cache
 
 from coxex import GroupData, build_root_system, parse_descriptor
 from coxex.descriptors import CoxeterDescriptor
+from coxex.elements import bits_of_table, compose_tables, invert_table, key_table
 from coxex.linalg import action_matrix, fixed_vector_basis
 
 
@@ -34,3 +35,52 @@ def fixed_dim(w) -> int:
     """Dimension of w's fixed space over Q(c): its Q-basis has d vectors
     for each dimension."""
     return len(fixed_basis(w)) // w.system.field_degree
+
+
+def lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
+    """Lemma 2.2 on N(gh) from the table of g^-1 and the inversion bitsets
+    of g, g^-1, h and gh.  Bit i stands for positive root i + 1, whose image
+    under g^-1 is g_inv[i].  One pass over N(h): a root that g^-1 sends
+    negative must lie in N(g^-1), and the negative of its image leaves N(g);
+    any other root outside N(g^-1) adds its image to N(g).  The runner
+    evaluates the same from a row per g (`verify._lemma22_from_row`); this
+    form is the reference the tests hold it to."""
+    removed = 0
+    added = 0
+    b = bh
+    while b:
+        low = b & -b
+        s = g_inv[low.bit_length() - 1]
+        if s < 0:
+            if not low & bginv:
+                return False  # image must stay positive here
+            removed |= 1 << (-s - 1)
+        elif not low & bginv:
+            added |= 1 << (s - 1)
+        b ^= low
+    if bgh != (bg & ~removed) | added:
+        return False
+    lg, lh, lgh = bg.bit_count(), bh.bit_count(), bgh.bit_count()
+    return lgh == lg + lh - 2 * (bginv & bh).bit_count()
+
+
+def lemma22_holds(g, h) -> bool:
+    """`lemma22_core` on two tables, every input computed from them."""
+    g_inv = invert_table(g)
+    return lemma22_core(g_inv, bits_of_table(g), bits_of_table(g_inv),
+                        bits_of_table(h), bits_of_table(compose_tables(g, h)))
+
+
+def keyed_product(gd):
+    """(gi, hi) -> the index of gh, found by g's key translated through h
+    (`elements.key_table`) in `gd.at_key`: the reference of
+    `verify._product`.  A translation table is built on first use only."""
+    perms, at_key = gd.perms, gd.at_key
+    keys = list(at_key)  # in index order
+    tables: list = [None] * len(perms)
+
+    def product(gi, hi):
+        if tables[hi] is None:
+            tables[hi] = key_table(perms[hi])
+        return at_key[keys[gi].translate(tables[hi])]
+    return product

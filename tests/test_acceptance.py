@@ -6,12 +6,11 @@ import time
 
 import pytest
 
-from conftest import data, descriptor, system
+from conftest import data, descriptor, lemma22_holds, system
 from coxex import GuardExceeded, inverting_involutions, make_config, run_suite
 from coxex.elements import bfs_tables
 from coxex.repro import run_d12, run_sym5, run_sym7
 from coxex.signedperm import parse, to_root_perm
-from coxex.verify import _lemma22_holds
 
 
 def _report(name: str, ok: bool, extra: str = ""):
@@ -103,7 +102,7 @@ def test_criterion_8_oracle_equivalences():
         perms = data(token).perms
         n = len(perms)
         for _ in range(10000):
-            if not _lemma22_holds(perms[rng.randrange(n)], perms[rng.randrange(n)]):
+            if not lemma22_holds(perms[rng.randrange(n)], perms[rng.randrange(n)]):
                 pair_failures += 1
     ok = ok and pair_failures == 0
     _report("oracle equivalences", ok, f"pair failures={pair_failures}")

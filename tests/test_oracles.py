@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import data, descriptor, system
 from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
 from coxex.elements import (_conjugation_orbits, compose_tables, conjugacy_classes,
@@ -236,7 +237,7 @@ def _two_pass_lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:
 def test_one_pass_lemma22_core_matches_two_passes_on_groups(token):
     # the true N(gh) and two wrong ones, for every pair
     gd = data(token)
-    product = verify._keyed_product(gd)
+    product = conftest.keyed_product(gd)
     npos = gd.rs.num_positive
     seen = set()
     for gi in range(len(gd)):
@@ -246,13 +247,13 @@ def test_one_pass_lemma22_core_matches_two_passes_on_groups(token):
             bgh = gd.bits[product(gi, hi)]
             for b in (bgh, bgh ^ 1, bgh ^ (1 << hi % npos)):
                 want = _two_pass_lemma22_core(*inputs, b)
-                assert verify._lemma22_core(*inputs, b) == want, (token, gi, hi, b)
+                assert conftest.lemma22_core(*inputs, b) == want, (token, gi, hi, b)
                 seen.add(want)
     assert seen == {True, False}
 
 
 def _from_row(g_inv, bg, bginv, bh, bgh) -> bool:
-    """The runner's kernel, fed the inputs of `_lemma22_core`."""
+    """The runner's kernel, fed the inputs of `conftest.lemma22_core`."""
     roots = [i for i in range(len(g_inv)) if bh >> i & 1]
     return verify._lemma22_from_row(verify._lemma22_row(g_inv, bginv), bg, bginv, bh, bgh,
                                     roots)
@@ -262,7 +263,7 @@ def _from_row(g_inv, bg, bginv, bh, bgh) -> bool:
 def test_row_kernel_matches_lemma22_core_on_groups(token):
     # the true N(gh) and two wrong ones, for every pair
     gd = data(token)
-    product = verify._keyed_product(gd)
+    product = conftest.keyed_product(gd)
     npos = gd.rs.num_positive
     seen = set()
     for gi in range(len(gd)):
@@ -271,7 +272,7 @@ def test_row_kernel_matches_lemma22_core_on_groups(token):
             inputs = (gd.perms[gii], gd.bits[gi], gd.bits[gii], gd.bits[hi])
             bgh = gd.bits[product(gi, hi)]
             for b in (bgh, bgh ^ 1, bgh ^ (1 << hi % npos)):
-                want = verify._lemma22_core(*inputs, b)
+                want = conftest.lemma22_core(*inputs, b)
                 assert _from_row(*inputs, b) == want, (token, gi, hi, b)
                 seen.add(want)
     assert seen == {True, False}
@@ -281,7 +282,7 @@ def test_row_kernel_refuses_a_negative_image_outside_n_ginv():
     # g^-1 sends root 1 negative though it lies outside N(g^-1): its entry
     # is the sentinel, and both kernels refuse the pair
     g_inv, bg, bginv, bh, bgh = (-1, 2), 0b01, 0b00, 0b01, 0b01
-    assert not verify._lemma22_core(g_inv, bg, bginv, bh, bgh)
+    assert not conftest.lemma22_core(g_inv, bg, bginv, bh, bgh)
     assert not _from_row(g_inv, bg, bginv, bh, bgh)
     assert verify._lemma22_row(g_inv, bginv)[0] == 1 << 4
 
@@ -298,7 +299,7 @@ def test_one_pass_lemma22_core_matches_two_passes_on_any_bitsets(drawn):
     bitsets = [drawn.draw(st.integers(min_value=0, max_value=2 ** n - 1))
                for _ in range(4)]
     want = _two_pass_lemma22_core(g_inv, *bitsets)
-    assert verify._lemma22_core(g_inv, *bitsets) == want
+    assert conftest.lemma22_core(g_inv, *bitsets) == want
     # the runner's row kernel too, whose sentinel these bitsets reach
     assert _from_row(g_inv, *bitsets) == want
 
@@ -308,14 +309,14 @@ def _per_sample_identity(gd, config):
     rng = random.Random(f"{config.seed}:{gd.rs.name}")
     perms, bits, inverse = gd.perms, gd.bits, gd.inverse
     n = len(gd)
-    product = verify._keyed_product(gd)
+    product = conftest.keyed_product(gd)
     t = verify._Tally()
     for _ in range(config.sample_pairs):
         gi = rng.randrange(n)
         hi = rng.randrange(n)
         gii = inverse[gi]
-        ok = verify._lemma22_core(perms[gii], bits[gi], bits[gii], bits[hi],
-                                  bits[product(gi, hi)])
+        ok = conftest.lemma22_core(perms[gii], bits[gi], bits[gii], bits[hi],
+                                   bits[product(gi, hi)])
         t.check(ok, lambda: (f"({gd.display(gi)}, {gd.display(hi)})", "-",
                              "set identity violated", "N(gh) decomposition"))
     for xi in gd.involutions:
@@ -377,15 +378,15 @@ def test_repeated_failing_pairs_each_count_in_draw_order(monkeypatch):
     failing = {(gi, hi) for gi in (1, 5, 9) for hi in (0, 2, 7, 11)}
     failing_bits = {(gd.bits[gi], gd.bits[hi]) for gi, hi in failing}
     kernel = verify._lemma22_every_pair
-    core = verify._lemma22_core
+    core = conftest.lemma22_core
     calls = []
 
-    def patched(perms, inverse, bits, keys):
+    def patched(perms, inverse, bits, words, right):
         calls.append(len(perms))
-        return kernel(perms, inverse, bits, keys) | {gi * n + hi for gi, hi in failing}
+        return kernel(perms, inverse, bits, words, right) | {gi * n + hi for gi, hi in failing}
     monkeypatch.setattr(verify, "_lemma22_every_pair", patched)
     # the per-sample reference below evaluates with the core: it fails the same pairs
-    monkeypatch.setattr(verify, "_lemma22_core", lambda g_inv, bg, bginv, bh, bgh: (
+    monkeypatch.setattr(conftest, "lemma22_core", lambda g_inv, bg, bginv, bh, bgh: (
         (bg, bh) not in failing_bits and core(g_inv, bg, bginv, bh, bgh)))
     config = make_config([])
     t = verify._run_inversion_identity(gd, config, {})
@@ -467,11 +468,10 @@ def test_packed_kernel_fails_exactly_the_pairs_the_row_kernel_fails(token):
     gd = data(token)
     perms, inverse, bits = gd.perms, gd.inverse, gd.bits
     n, npos = len(gd), gd.rs.num_positive
-    keys = list(gd.at_key)  # by index
-    product = verify._keyed_product(gd)
+    product = conftest.keyed_product(gd)
 
     def both(bits):
-        packed = verify._lemma22_every_pair(perms, inverse, bits, keys)
+        packed = verify._lemma22_every_pair(perms, inverse, bits, gd.words, gd.right)
         assert packed == _row_failures(perms, inverse, bits, product), token
         return packed
     assert both(bits) == set()

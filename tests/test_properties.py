@@ -5,11 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import data
+from conftest import data, lemma22_core, lemma22_holds
 from coxex.elements import (apply_table, bits_of_table, compose_tables,
                             invert_table)
-from coxex.verify import (_involution_reversal_holds, _keyed_product,
-                          _lemma22_core, _lemma22_holds)
+from coxex.verify import _involution_reversal_holds, _product
 
 
 def element_indices(token, count=2):
@@ -21,30 +20,29 @@ def element_indices(token, count=2):
 @given(element_indices("B3"))
 def test_inversion_identity_b3(idx):
     gd = data("B3")
-    assert _lemma22_holds(gd.perms[idx[0]], gd.perms[idx[1]])
+    assert lemma22_holds(gd.perms[idx[0]], gd.perms[idx[1]])
 
 
 @settings(max_examples=200)
 @given(element_indices("H3"))
 def test_inversion_identity_h3(idx):
     gd = data("H3")
-    assert _lemma22_holds(gd.perms[idx[0]], gd.perms[idx[1]])
+    assert lemma22_holds(gd.perms[idx[0]], gd.perms[idx[1]])
 
 
 def test_lemma22_cached_inputs_match_tables_exhaustive():
-    # the runner's inputs, gd's bitsets with gh found by key, against the
-    # table of gh composed in full
+    # the runner's inputs, gd's bitsets with gh found by the right
+    # multiplication tables, against the table of gh composed in full
     for token in ["A1", "A3", "B3", "I2(5)", "H3", "A2xA1"]:
         gd = data(token)
-        product = _keyed_product(gd)
         for gi, g in enumerate(gd.perms):
             gii = gd.inverse[gi]
             for hi, h in enumerate(gd.perms):
-                bgh = gd.bits[product(gi, hi)]
+                bgh = gd.bits[_product(gd, gi, hi)]
                 assert bgh == bits_of_table(compose_tables(g, h)), (token, gi, hi)
-                assert _lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii],
-                                     gd.bits[hi], bgh) \
-                    == _lemma22_holds(g, h), (token, gi, hi)
+                assert lemma22_core(gd.perms[gii], gd.bits[gi], gd.bits[gii],
+                                    gd.bits[hi], bgh) \
+                    == lemma22_holds(g, h), (token, gi, hi)
 
 
 @settings(max_examples=300)
@@ -57,12 +55,12 @@ def test_lemma22_cached_inputs_match_tables_perturbed(idx, pos):
     h[pos % len(h)] *= -1  # h is no longer a group element
     # negating an entry leaves a signed permutation of the roots, for which
     # the identity is a statement about signs and still holds
-    assert _lemma22_holds(gd.perms[gi], tuple(h))
+    assert lemma22_holds(gd.perms[gi], tuple(h))
     # the keyed N(gh) passes the core, and a wrong N(gh) must make it fail
-    bgh = gd.bits[_keyed_product(gd)(gi, hi)]
+    bgh = gd.bits[_product(gd, gi, hi)]
     inputs = (gd.perms[gii], gd.bits[gi], gd.bits[gii], gd.bits[hi])
-    assert _lemma22_core(*inputs, bgh)
-    assert not _lemma22_core(*inputs, bgh ^ (1 << pos % len(h)))
+    assert lemma22_core(*inputs, bgh)
+    assert not lemma22_core(*inputs, bgh ^ (1 << pos % len(h)))
 
 
 @settings(max_examples=200)
@@ -102,7 +100,7 @@ def test_lemma22_bulk_seeded():
         gd = data(token)
         n = len(gd.perms)
         for _ in range(2000):
-            assert _lemma22_holds(gd.perms[rng.randrange(n)],
+            assert lemma22_holds(gd.perms[rng.randrange(n)],
                                   gd.perms[rng.randrange(n)])
 
 
