@@ -1,9 +1,9 @@
 """coxex: excess statistics and inverting involutions in finite Coxeter groups."""
 
 from .descriptors import CoxeterDescriptor, parse_descriptor
-from .elements import (GroupElement, GuardExceeded, conjugacy_classes,
-                       enumerate_group, group_elements, identity_element,
-                       inversion_set, inversion_set_of_set, reduced_words)
+from .elements import (GroupElement, GuardExceeded, enumerate_group,
+                       group_elements, identity_element, inversion_set,
+                       inversion_set_of_set, reduced_words)
 from .excess import (DnCondition, ExcessReport, GroupData, InvolutionSet,
                      SpartanPair, dn_condition_check, excess, excess_report,
                      inverting_involutions, inverting_involutions_structured,
@@ -29,7 +29,7 @@ __all__ = [
     "GroupElement", "GuardExceeded", "RootSystem", "build_root_system",
     "save_root_system", "load_root_system", "root_label",
     "identity_element", "enumerate_group", "group_elements", "reduced_words",
-    "conjugacy_classes", "inversion_set", "inversion_set_of_set",
+    "inversion_set", "inversion_set_of_set",
     "ParabolicContext", "parabolic_context", "split_context",
     "SignedPermutation", "SignedCycle", "CycleDecomposition", "parse",
     "format_cycles", "to_root_perm", "from_root_perm",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from math import comb, factorial
-from operator import getitem
 
 from .rootsystem import RootSystem
 
@@ -405,58 +404,3 @@ def group_elements(rs: RootSystem, guard: int | None = None) -> list[GroupElemen
 def reduced_words(rs: RootSystem, guard: int | None = None) -> dict:
     perms, words, _ = bfs_tables(rs, guard)
     return {p: w for p, w in zip(perms, words)}
-
-
-def conjugacy_classes(rs: RootSystem, guard: int | None = None) -> list[list[GroupElement]]:
-    """Orbits under conjugation, each sorted by table for determinism, in
-    the order of their first element in BFS order."""
-    perms, _, at_key = bfs_tables(rs, guard)
-    orbits, _ = _conjugation_orbits(perms, at_key, rs)
-    return [[GroupElement(rs, t) for t in sorted(perms[i] for i in orbit)]
-            for orbit in orbits]
-
-
-def _conjugation_orbits(perms, at_key, rs):
-    """The conjugacy classes of an enumerated group, by breadth-first search
-    under w -> s w s over the generators s.
-
-    `at_key` maps an element's key (`simple_key`) to its index in `perms`,
-    as `GroupData.at_key` does.  Returns (orbits, parent): each orbit lists
-    indices in BFS order from the first of its elements in `perms`, and the
-    orbits come in that order; parent[i] is (j, r) with i = s_r j s_r and j
-    before i in its orbit, None for the first.  The image of simple root k
-    under s w s is s's image of w(s(alpha_k)): w's table read at the roots
-    +-s(alpha_k), then one signed lookup in s, negated where s(alpha_k) is
-    negative, written as a key's code point.  Conjugation by s is an
-    involution, so once i = s j s is found, s i s = j is not computed again.
-    """
-    gens = []
-    for r, g in enumerate(rs.gen_tables):
-        images = [g[i] for i in rs.simple_indices]
-        codes = [chr(v + rs.num_positive) for v in signed_lookup(g)]
-        neg = [codes[-v] for v in range(len(codes))]  # neg[v] = codes[-v]
-        gens.append((r, 1 << r, [abs(v) - 1 for v in images],
-                     [codes if v > 0 else neg for v in images]))
-    parent: list = [None] * len(perms)
-    seen = [False] * len(perms)
-    known = [0] * len(perms)  # bit r: the conjugate by s_r is already seen
-    orbits = []
-    for start in range(len(perms)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for wi in orbit:  # grows while it is read
-            p = perms[wi]
-            skip = known[wi]
-            for r, bit, at, lookups in gens:
-                if skip & bit:
-                    continue
-                ci = at_key["".join(map(getitem, lookups, map(p.__getitem__, at)))]
-                known[ci] |= bit
-                if not seen[ci]:
-                    seen[ci] = True
-                    parent[ci] = (wi, r)
-                    orbit.append(ci)
-        orbits.append(orbit)
-    return orbits, parent

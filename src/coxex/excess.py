@@ -61,9 +61,8 @@ from math import factorial
 from operator import is_not, itemgetter
 from typing import NamedTuple
 
-from .elements import (GroupElement, GuardExceeded, _conjugation_orbits,
-                       bfs_tables, bits_of_table, check_pair_pass,
-                       compose_tables, effective_guard,
+from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
+                       check_pair_pass, compose_tables, effective_guard,
                        involution_reflection_length, involution_tables,
                        is_involution_table, key_sep, key_table, reduced_word,
                        signed_lookup, word_text)
@@ -634,9 +633,11 @@ class GroupData:
 
     What several runners read is built once, on first use: `right[r]`, the
     index of each w s_r, so the BFS parent of w_i is right[s][i] for the
-    last s of words[i]; every element's signed permutation, each its
-    parent's read through one generator's; an element's `SignedFields` and
-    spartan pairs; and the context and members of each parabolic subgroup.
+    last s of words[i]; `conjugation[r]`, the index of each s_r w s_r, read
+    off `right` and `inverse`, and the conjugacy classes searched on it;
+    every element's signed permutation, each its parent's read through one
+    generator's; an element's `SignedFields` and spartan pairs; and the
+    context and members of each parabolic subgroup.
     """
 
     def __init__(self, rs: RootSystem, guard: int | None = None):
@@ -680,6 +681,7 @@ class GroupData:
         self._rexc: dict[int, int] = {}
         self._niw: dict[int, int] = {}
         self._right: list[array] | None = None
+        self._conj: list[array] | None = None
         self._sps: list | None = None
         self._fields: list = [None] * len(perms)
         self._spartans: list = [None] * len(perms)
@@ -690,11 +692,42 @@ class GroupData:
         return len(self.perms)
 
     def conjugation_orbits(self):
-        """(orbits, parent) of `elements._conjugation_orbits`, searched on
-        the first call only: two theorems read the classes."""
+        """The conjugacy classes, searched on the first call only: two
+        theorems read them.  Returns (orbits, parent): each orbit lists
+        indices in breadth-first order under w -> s w s (`conjugation`)
+        from the first of its elements in index order, and the orbits come
+        in that order; parent[i] is (j, r) with i = s_r j s_r and j before i
+        in its orbit, None for the first."""
         if self._orbits is None:
-            self._orbits = _conjugation_orbits(self.perms, self.at_key, self.rs)
+            maps = list(enumerate(self.conjugation))
+            parent: list = [None] * len(self)
+            seen = bytearray(len(self))
+            orbits = []
+            for start in range(len(self)):
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                orbit = [start]
+                for wi in orbit:  # grows while it is read
+                    for r, conj in maps:
+                        ci = conj[wi]
+                        if not seen[ci]:
+                            seen[ci] = 1
+                            parent[ci] = (wi, r)
+                            orbit.append(ci)
+                orbits.append(orbit)
+            self._orbits = orbits, parent
         return self._orbits
+
+    @property
+    def conjugation(self) -> list[array]:
+        """conjugation[r][i] is the index of s_r w_i s_r: w_i s_r from
+        `right`, inverted to s_r w_i^-1, times s_r, inverted again."""
+        if self._conj is None:
+            inv = self.inverse.__getitem__
+            self._conj = [array("i", map(inv, map(row.__getitem__, map(inv, row))))
+                          for row in self.right]
+        return self._conj
 
     @property
     def right(self) -> list[array]:

@@ -23,7 +23,7 @@ from .elements import (bits_of_table, check_pair_pass, effective_guard,
 from .excess import (DnCondition, GroupData, _cycles, _dn_condition,
                      _inverting_signed_images, _support_holds,
                      _swap_candidates, _swaps_interleave)
-from .linalg import (action_matrix, columns, fixed_vector_basis, packed_basis,
+from .linalg import (action_matrix, fixed_vector_basis, packed_basis,
                      packed_difference)
 from .parabolic import (generator_subsets, maximal_generator_subsets,
                         split_subset, split_values)
@@ -413,36 +413,32 @@ def _run_excess_additivity(gd, config, notes):
     return t
 
 
-def _moved_columns(mat):
-    """(j, column j) for each column of mat that differs from the identity's:
-    v @ mat is v with those entries replaced.  A generator's action matrix
-    moves one block of d columns, that of its simple root."""
-    return [(j, col) for j, col in enumerate(columns(mat))
-            if any(x != (r == j) for r, x in enumerate(col))]
-
-
 def _fixed_space_filters(gd):
     """Yield (w, {x in I_w : x fixes Fix(w) pointwise}) for every element,
     class by class, from one nullspace per conjugacy class.
 
-    Fix(s w s) is Fix(w) s in row vectors, so the basis at a class's first
-    element is carried down the class's BFS tree, one generator's action
-    matrix a step.  A carried basis spans the element's fixed space, so a
-    test of every basis vector gives the verdict of its own nullspace.  The
-    test is `fixes_all` on packed forms (`linalg.packed_basis`), one product
-    sum per pair.  For H and I2 only the constant columns k d of x are
-    compared: Fix(w) is closed under c and x is Q(c)-linear, so v x - v is 0
-    for every v once its constant coordinates are 0 for every v.
+    At a class's first element each x of I_w is tested against the basis
+    of Fix(w) as `fixes_all` would, on packed forms (`linalg.packed_basis`),
+    one product sum per pair.  For H and I2 only the constant columns k d of
+    x are compared: Fix(w) is closed under c and x is Q(c)-linear, so v x - v
+    is 0 for every v once its constant coordinates are 0 for every v.  An
+    empty basis packs to zeros, which every x passes.
 
-    A carried vector is u @ M_g for a first basis vector u, and every entry
-    of an action matrix is a coefficient of c^j times a root, at most `big`
-    in size; so each entry of v @ M_x - v is at most n |u|_1 big (big + 1),
-    and the packing width is chosen above that.
+    Fix(s w s) is Fix(w) s in row vectors, and x inverts w exactly when
+    s x s inverts s w s, so x fixes Fix(w) exactly when s x s fixes
+    Fix(s w s): every other element's set is its conjugation parent's,
+    mapped through `GroupData.conjugation`.
+
+    Every entry of an action matrix is a coefficient of c^j times a root,
+    at most `big` in size, so each entry of u @ M_x - u is at most
+    |u|_1 (big + 1); the packing width is chosen above n |u|_1 big (big + 1),
+    which bounds that.
     """
-    rs, perms = gd.rs, gd.perms
+    rs, perms, pairs = gd.rs, gd.perms, gd.pairs
     d = rs.field_degree
     n = rs.rank * d
     orbits, parent = gd.conjugation_orbits()
+    conj = gd.conjugation
     first = [fixed_vector_basis(action_matrix(rs, perms[orbit[0]])) for orbit in orbits]
     big = max(abs(x) for rows in rs.c_multiples for row in rows for x in row)
     u1 = max((sum(map(abs, v)) for basis in first for v in basis), default=0)
@@ -450,23 +446,13 @@ def _fixed_space_filters(gd):
     diff: list = [None] * len(perms)
     for xi in gd.involutions:
         diff[xi] = packed_difference(action_matrix(rs, perms[xi]), width, d)
-    moves = [_moved_columns(action_matrix(rs, g)) for g in rs.gen_tables]
     for orbit, basis in zip(orbits, first):
-        if not basis:  # Fix(w) = 0 on the whole class: every x fixes it
-            for wi in orbit:
-                yield wi, {x for x, _ in gd.pairs[wi]}
-            continue
-        packed = {orbit[0]: packed_basis(basis, n, width, d)}
+        p = packed_basis(basis, n, width, d)
+        via = {orbit[0]: {x for x, _ in pairs[orbit[0]] if not sum(map(mul, p, diff[x]))}}
         for wi in orbit[1:]:
             pi, r = parent[wi]
-            p = packed[pi]
-            q = list(p)
-            for j, col in moves[r]:
-                q[j] = sum(map(mul, p, col))
-            packed[wi] = q
-        for wi in orbit:
-            p = packed[wi]
-            yield wi, {x for x, _ in gd.pairs[wi] if not sum(map(mul, p, diff[x]))}
+            via[wi] = set(map(conj[r].__getitem__, via[pi]))
+        yield from via.items()
 
 
 def _run_jset_equivalence(gd, config, notes):

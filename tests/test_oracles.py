@@ -3,11 +3,11 @@ replaced: rational elimination for fixed spaces, row-by-row products for
 `fixes_all`, the numpy SVD basis and numpy `fixes_all` on the real matrices
 of H and I2, full tables for the reflection BFS, the per-sample loop of the
 inversion-set identity, randrange for its bulk draws, its one-pass core for
-the row kernel and the two-pass core for that, full-table conjugation for
-the class orbits, one nullspace per element and `fixes_all` on every column
-for the J-set oracle's class-wise fixed spaces and packed test, and the
-signed-permutation loops that the table algebra replaced.  Each replaced
-path lives here as the reference."""
+the row kernel and the two-pass core for that, full-table conjugation and
+the search on keys for the class orbits, one nullspace per element and
+`fixes_all` on every column for the J-set oracle's class-wise fixed spaces
+and packed test, and the signed-permutation loops that the table algebra
+replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
 import json
@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd
+from operator import getitem
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,10 +25,10 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import data, descriptor, system
-from coxex import SignedPermutation, constructive_inverter, make_config, run_suite
-from coxex.elements import (_conjugation_orbits, compose_tables, conjugacy_classes,
-                            element_from_word, identity_table, invert_table,
-                            simple_key)
+from coxex import (GroupData, SignedPermutation, constructive_inverter, make_config,
+                   run_suite)
+from coxex.elements import (compose_tables, element_from_word, identity_table,
+                            invert_table, signed_lookup, simple_key)
 from coxex import verify
 from coxex.linalg import (action_matrix, columns, exact_nullspace, fixed_vector_basis,
                           fixes_all, packed_basis, packed_difference)
@@ -586,11 +587,54 @@ def _table_conjugation_orbits(perms, index, gens):
 CLASS_GROUPS = ("A1", *SWEEP_GROUPS, "H4", "E6")
 
 
+def _keyed_conjugation_orbits(perms, at_key, rs):
+    """The conjugacy classes of an enumerated group, by breadth-first search
+    under w -> s w s over the generators s, on keys (`simple_key`).
+
+    Returns (orbits, parent) as `GroupData.conjugation_orbits` does.  The
+    image of simple root k under s w s is s's image of w(s(alpha_k)): w's
+    table read at the roots +-s(alpha_k), then one signed lookup in s,
+    negated where s(alpha_k) is negative, written as a key's code point.
+    Conjugation by s is an involution, so once i = s j s is found, s i s = j
+    is not computed again.
+    """
+    gens = []
+    for r, g in enumerate(rs.gen_tables):
+        images = [g[i] for i in rs.simple_indices]
+        codes = [chr(v + rs.num_positive) for v in signed_lookup(g)]
+        neg = [codes[-v] for v in range(len(codes))]  # neg[v] = codes[-v]
+        gens.append((r, 1 << r, [abs(v) - 1 for v in images],
+                     [codes if v > 0 else neg for v in images]))
+    parent: list = [None] * len(perms)
+    seen = [False] * len(perms)
+    known = [0] * len(perms)  # bit r: the conjugate by s_r is already seen
+    orbits = []
+    for start in range(len(perms)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for wi in orbit:  # grows while it is read
+            p = perms[wi]
+            skip = known[wi]
+            for r, bit, at, lookups in gens:
+                if skip & bit:
+                    continue
+                ci = at_key["".join(map(getitem, lookups, map(p.__getitem__, at)))]
+                known[ci] |= bit
+                if not seen[ci]:
+                    seen[ci] = True
+                    parent[ci] = (wi, r)
+                    orbit.append(ci)
+        orbits.append(orbit)
+    return orbits, parent
+
+
 @pytest.mark.parametrize("token", CLASS_GROUPS)
 def test_keyed_orbits_match_table_orbits(token):
     gd = data(token)
     gens = gd.rs.gen_tables
-    orbits, parent = _conjugation_orbits(gd.perms, gd.at_key, gd.rs)
+    orbits, parent = _keyed_conjugation_orbits(gd.perms, gd.at_key, gd.rs)
     index = {p: i for i, p in enumerate(gd.perms)}
     ref = _table_conjugation_orbits(gd.perms, index, gens)
     assert [sorted(gd.perms[i] for i in orbit) for orbit in orbits] == ref
@@ -604,12 +648,36 @@ def test_keyed_orbits_match_table_orbits(token):
             assert compose_tables(compose_tables(gens[r], gd.perms[pi]), gens[r]) == gd.perms[wi]
 
 
+@pytest.mark.parametrize("token", (*CLASS_GROUPS, "B6"))
+def test_map_orbits_match_keyed_orbits(token):
+    # the same orbits, in the same order, with the same parents; B6 is built
+    # here and released, not kept in the shared cache
+    gd = GroupData(system(token)) if token == "B6" else data(token)
+    orbits, parent = gd.conjugation_orbits()
+    assert gd.conjugation_orbits()[0] is orbits  # searched once
+    assert (orbits, parent) == _keyed_conjugation_orbits(gd.perms, gd.at_key, gd.rs)
+
+
+@pytest.mark.parametrize("token", ("A1", *SWEEP_GROUPS))
+def test_conjugation_maps_match_composed_tables(token):
+    gd = data(token)
+    conj = gd.conjugation
+    assert conj is gd.conjugation  # built once
+    for r, g in enumerate(gd.rs.gen_tables):
+        assert len(conj[r]) == len(gd)
+        for wi, p in enumerate(gd.perms):
+            assert gd.perms[conj[r][wi]] == compose_tables(g, compose_tables(p, g)), (token, r, wi)
+
+
 @pytest.mark.parametrize("token", ["A1", "A3", "B3", "H3", "I2(7)", "A2xA1"])
 def test_conjugacy_classes_keep_their_output(token):
+    # the classes as sorted lists of tables, in the order of their first
+    # elements
     gd = data(token)
     index = {p: i for i, p in enumerate(gd.perms)}
     ref = _table_conjugation_orbits(gd.perms, index, gd.rs.gen_tables)
-    assert [[w.perm for w in cls] for cls in conjugacy_classes(gd.rs)] == ref
+    orbits, _ = gd.conjugation_orbits()
+    assert [sorted(gd.perms[i] for i in orbit) for orbit in orbits] == ref
 
 
 def _per_element_fixed_space_filters(gd):

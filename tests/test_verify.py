@@ -1,11 +1,10 @@
 import hashlib
 import json
 import random
-import sys
 
 import pytest
 
-from conftest import descriptor, system
+from conftest import data, descriptor, system
 from coxex import GroupData, GuardExceeded, make_config, run_suite, theorem_names
 from coxex.descriptors import CoxeterDescriptor
 from coxex import verify
@@ -252,20 +251,48 @@ def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
 
 
 def test_one_conjugation_search_serves_both_class_theorems(monkeypatch):
-    # the package exports the function excess, which shadows the module
-    excess_module = sys.modules["coxex.excess"]
+    # a call searches only while no classes are kept
     calls = []
-    search = excess_module._conjugation_orbits
+    search = GroupData.conjugation_orbits
 
-    def counted(*args):
-        calls.append(args[2].name)
-        return search(*args)
+    def counted(self):
+        if self._orbits is None:
+            calls.append(self.rs.name)
+        return search(self)
 
-    monkeypatch.setattr(excess_module, "_conjugation_orbits", counted)
+    monkeypatch.setattr(GroupData, "conjugation_orbits", counted)
     res = _suite(["B3", "H3"], theorems=("jset-equivalence", "zero-excess-classes"))
     assert res.failures_total == 0
     assert [c.status for c in res.checks] == ["pass"] * 4
     assert calls == ["B3", "H3"]
+
+
+# (group, (w at a class's first element, w whose verdicts are carried from
+# its conjugation parent), the two counterexample records)
+DROPPED = {
+    "B3": ((4, 35), (("(+1 +3 +2)", "-", "|fixed-space filter|=3", "|length-additive filter|=2"),
+                     ("(-1 +2 -3)", "-", "|fixed-space filter|=3", "|length-additive filter|=2"))),
+    "H3": ((4, 39), (("r1.r2", "-", "|fixed-space filter|=5", "|length-additive filter|=4"),
+                     ("r1.r2.r3.r2.r1.r2", "-", "|fixed-space filter|=5",
+                      "|length-additive filter|=4"))),
+}
+
+
+@pytest.mark.parametrize("token", DROPPED)
+def test_a_dropped_jset_pair_fails_where_it_is_dropped(monkeypatch, token):
+    # one length-additive pair dropped at a class's first element and one at
+    # the last element of that class, where the oracle's set is carried
+    (first, carried), records = DROPPED[token]
+    orbits, parent = data(token).conjugation_orbits()
+    orbit = next(o for o in orbits if o[0] == first)
+    assert orbit[-1] == carried and parent[carried] is not None
+    jset_of = GroupData.jset_of
+    monkeypatch.setattr(GroupData, "jset_of", lambda self, wi: (
+        jset_of(self, wi)[1:] if wi in (first, carried) else jset_of(self, wi)))
+    check, = _suite([token], theorems=("jset-equivalence",)).checks
+    assert check.status == "fail"
+    assert check.failures == 2 and check.passes == len(parent) - 2
+    assert check.counterexamples == tuple(verify.Counterexample(*r) for r in records)
 
 
 def test_identical_runs_share_one_record():
