@@ -18,8 +18,7 @@ from .rootsystem import (RootSystem, build_root_system, load_root_system,
                          root_label, save_root_system)
 from .signedperm import (CycleDecomposition, SignedCycle, SignedPermutation,
                          centralizer_elements, centralizer_generators,
-                         constructive_inverter, format_cycles, from_root_perm,
-                         parse, to_root_perm)
+                         format_cycles, from_root_perm, parse, to_root_perm)
 from .verify import SuiteConfig, SuiteResult, make_config, run_suite, theorem_names
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ __all__ = [
     "ParabolicContext", "parabolic_context", "split_context",
     "SignedPermutation", "SignedCycle", "CycleDecomposition", "parse",
     "format_cycles", "to_root_perm", "from_root_perm",
-    "centralizer_generators", "centralizer_elements", "constructive_inverter",
+    "centralizer_generators", "centralizer_elements",
     "InvolutionSet", "SpartanPair", "DnCondition", "ExcessReport", "GroupData",
     "inverting_involutions", "inverting_involutions_structured",
     "inverting_signed_involutions", "involutions_inverting", "j_set",

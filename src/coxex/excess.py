@@ -623,8 +623,11 @@ class GroupData:
     registers every inverting involution of every element at once.
 
     `pairs[w]` lists the (x, y) with x, y involutions and xy = w, sorted, so
-    x runs over I_w.  Every statistic reads them through the kernels that
-    serve `InvolutionSet`, with `bits` and `lr` indexed by element.
+    x runs over I_w.  e(w), l_R(w), E(w) and N(I_w) are `columns`, four
+    lists filled by one scan of every element's pairs on first use; the
+    restrictions to a W_J and the J-sets are read from the pairs on each
+    call, by the kernels that serve `InvolutionSet`, with `bits` and `lr`
+    indexed by element.
     `at_key` maps an element's key (`elements.simple_key`) to its index.
     Every element is yx for some involutions x, y (Carter 1972), and xy is
     its inverse, so `inverse` is read off the pairs' products.  A group whose
@@ -676,10 +679,7 @@ class GroupData:
         self.lr: list = [None] * len(perms)
         for xi in self.involutions:
             self.lr[xi] = involution_reflection_length(rs, perms[xi])
-        self._jsets: dict[int, list[tuple[int, int]]] = {}
-        self._exc: dict[int, int] = {}
-        self._rexc: dict[int, int] = {}
-        self._niw: dict[int, int] = {}
+        self._columns: tuple[list[int], ...] | None = None
         self._right: list[array] | None = None
         self._conj: list[array] | None = None
         self._sps: list | None = None
@@ -781,36 +781,57 @@ class GroupData:
             return self.signed_perm(i).format()
         return word_text(self.words[i])
 
-    def reflection_length(self, i: int) -> int:
-        """l_R(w), the l_R(x) + l_R(y) of any pair of the J-set."""
-        x, y = self.jset_of(i)[0]
-        return self.lr[x] + self.lr[y]
+    @property
+    def columns(self) -> tuple[list[int], ...]:
+        """(e, l_R, E, N(I_w)), four lists indexed by element, from one scan
+        of every element's pairs on first use: e(w) is the least defect
+        2|N(x) & N(y)|; the least (l_R(x) + l_R(y), |N(x) & N(y)|) gives
+        l_R(w) (Carter 1972) and E(w)/2; N(I_w) is the union of the N(x)."""
+        if self._columns is None:
+            bits, lr = self.bits, self.lr
+            e, lrw, E, niw = columns = [], [], [], []
+            for pairs in self.pairs:
+                least = lw = best = sys.maxsize
+                union = 0
+                for x, y in pairs:
+                    bx = bits[x]
+                    union |= bx
+                    d = (bx & bits[y]).bit_count()
+                    if d < least:
+                        least = d
+                    s = lr[x] + lr[y]
+                    if s < lw:
+                        lw, best = s, d
+                    elif s == lw and d < best:
+                        best = d
+                e.append(2 * least)
+                lrw.append(lw)
+                E.append(2 * best)
+                niw.append(union)
+            self._columns = columns
+        return self._columns
 
-    def defect(self, xi: int, yi: int) -> int:
-        return 2 * (self.bits[xi] & self.bits[yi]).bit_count()
+    def reflection_length(self, i: int) -> int:
+        return self.columns[1][i]
 
     def excess_of(self, wi: int) -> int:
-        if wi not in self._exc:
-            self._exc[wi] = _least_defect(self.pairs[wi], self.bits)
-        return self._exc[wi]
+        return self.columns[0][wi]
 
     def excess_in(self, wi: int, mask: int) -> int:
         return _least_defect(self.pairs[wi], self.bits, mask)
 
     def jset_of(self, wi: int) -> list[tuple[int, int]]:
-        """The pairs (x, y) of I_w with l_R(x) + l_R(y) = l_R(w).
+        """The pairs (x, y) of I_w with l_R(x) + l_R(y) = l_R(w), the
+        element's own pair tuples, filtered anew on each call.
 
         For w in a parabolic W_J, those with x in W_J form the J-set of w
         taken inside W_J (see the module docstring).
         """
-        if wi not in self._jsets:
-            self._jsets[wi] = _lr_reaching(self.pairs[wi], self.lr)
-        return self._jsets[wi]
+        lr, lw = self.lr, self.reflection_length(wi)
+        return [xy for xy in self.pairs[wi] if lr[xy[0]] + lr[xy[1]] == lw]
 
     def refl_excess_of(self, wi: int) -> int:
-        if wi not in self._rexc:
-            self._rexc[wi] = _least_defect(self.jset_of(wi), self.bits)
-        return self._rexc[wi]
+        return self.columns[2][wi]
 
     def refl_excess_in(self, wi: int, mask: int) -> int:
         return _least_defect(self.jset_of(wi), self.bits, mask)
@@ -823,9 +844,7 @@ class GroupData:
         return self._spartans[wi]
 
     def niw_bits(self, wi: int) -> int:
-        if wi not in self._niw:
-            self._niw[wi] = _niw(self.pairs[wi], self.bits)
-        return self._niw[wi]
+        return self.columns[3][wi]
 
 
 # ---------------------------------------------------------------------------

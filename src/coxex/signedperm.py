@@ -409,22 +409,3 @@ def centralizer_elements(sp: SignedPermutation, ambient: str = "B",
     trusted = SignedPermutation._trusted
     return [trusted(images) for images in sorted(seen)]
 
-
-def constructive_inverter(sp: SignedPermutation) -> SignedPermutation:
-    """An involution x with sp^x = sp^-1, built cycle by cycle.
-
-    Within each cycle the point at position i (in cycle order) is sent to
-    the point at position -i, with signs propagated so that the result both
-    squares to the identity and reverses the cycle.  The sign recurrence is
-    always consistent, so every cycle is inverted inside its own support.
-    """
-    images = list(range(1, sp.degree + 1))
-    for c in sp.cycles().cycles:
-        pts, sgn = c.points, c.signs
-        m = c.length
-        t = [1] * m
-        for i in range(m - 1):
-            t[i + 1] = t[i] * sgn[i] * sgn[(m - 1 - i) % m]
-        for i in range(m):
-            images[pts[i] - 1] = t[i] * pts[(-i) % m]
-    return SignedPermutation._trusted(tuple(images))

@@ -48,6 +48,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         effective_guard(self.guard)  # refuses a guard below 1
+        if type(self.sample_pairs) is not int or self.sample_pairs < 0:
+            raise ValueError(f"sample_pairs must be an int of at least 0, "
+                             f"not {self.sample_pairs!r}")
         if self.strategy not in ("direct", "maximal-reduction"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         for name in self.theorems:

@@ -6,6 +6,7 @@ from coxex import GroupData, build_root_system, parse_descriptor
 from coxex.descriptors import CoxeterDescriptor
 from coxex.elements import bits_of_table, compose_tables, invert_table, key_table
 from coxex.linalg import action_matrix, fixed_vector_basis
+from coxex.signedperm import SignedPermutation
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +36,27 @@ def fixed_dim(w) -> int:
     """Dimension of w's fixed space over Q(c): its Q-basis has d vectors
     for each dimension."""
     return len(fixed_basis(w)) // w.system.field_degree
+
+
+def constructive_inverter(sp: SignedPermutation) -> SignedPermutation:
+    """An involution x with sp^x = sp^-1, built cycle by cycle; the tests'
+    plain-product reference for the structured I_w starts from it.
+
+    Within each cycle the point at position i (in cycle order) is sent to
+    the point at position -i, with signs propagated so that the result both
+    squares to the identity and reverses the cycle.  The sign recurrence is
+    always consistent, so every cycle is inverted inside its own support.
+    """
+    images = list(range(1, sp.degree + 1))
+    for c in sp.cycles().cycles:
+        pts, sgn = c.points, c.signs
+        m = c.length
+        t = [1] * m
+        for i in range(m - 1):
+            t[i + 1] = t[i] * sgn[i] * sgn[(m - 1 - i) % m]
+        for i in range(m):
+            images[pts[i] - 1] = t[i] * pts[(-i) % m]
+    return SignedPermutation._trusted(tuple(images))
 
 
 def lemma22_core(g_inv, bg, bginv, bh, bgh) -> bool:

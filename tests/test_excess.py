@@ -13,12 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import data, fixed_basis, fixed_dim, system
+from conftest import constructive_inverter, data, fixed_basis, fixed_dim, system
 import coxex
 from coxex import (DnCondition, GroupData, GuardExceeded, build_root_system,
-                   centralizer_elements, constructive_inverter,
-                   dn_condition_check, excess, excess_report, group_elements,
-                   identity_element, inverting_involutions,
+                   centralizer_elements, dn_condition_check, excess,
+                   excess_report, group_elements, identity_element, inverting_involutions,
                    inverting_involutions_structured,
                    inverting_signed_involutions, involutions_inverting,
                    j_set, n_of_inverting_set, overlap_check, parabolic_context,
@@ -32,7 +31,7 @@ from coxex.elements import (GroupElement, bfs_tables, bits_of_table,
                             signed_lookup, simple_key, word_text)
 from coxex.linalg import action_matrix, columns, fixed_vector_basis, fixes_all, restrict
 from coxex.parabolic import all_generator_subsets, maximal_generator_subsets
-from coxex.excess import inverting_involution_count
+from coxex.excess import _least_defect, _lr_reaching, _niw, inverting_involution_count
 from coxex.signedperm import SignedPermutation, from_root_perm, parse, to_root_perm
 
 
@@ -193,7 +192,7 @@ def test_group_data_reflection_data_matches_fixed_spaces(token):
                    if fixes_all(columns(action_matrix(rs, gd.perms[x])), basis)]
         assert gd.reflection_length(wi) == rs.rank - len(basis) // rs.field_degree
         assert gd.jset_of(wi) == via_fix
-        assert gd.refl_excess_of(wi) == min(gd.defect(x, y) for x, y in via_fix)
+        assert gd.refl_excess_of(wi) == _least_defect(via_fix, gd.bits)
 
 
 def test_j_set_golden_sym5():
@@ -489,11 +488,24 @@ def test_dn_condition_check():
     assert dn_condition_check(d12, 1) is DnCondition.NONE
 
 
-def test_group_data_matches_function_level():
-    token = "B3"
+# the groups of scripts/run_theorem_sweeps.py, B5, D5 and E6
+@pytest.mark.parametrize("token", [
+    "A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4", *(f"I2({m})" for m in range(5, 9)),
+    "A2xA1", "A1xA1xA1", "B5", "E6"])
+def test_group_data_matches_function_level(token):
+    # every element's columns against the kernels run on its own pairs, and
+    # about 60 elements' against the function-level I_w
     gd = data(token)
-    rs = gd.rs
-    for wi in range(0, len(gd), 5):
+    rs, bits, lr = gd.rs, gd.bits, gd.lr
+    for wi, pairs in enumerate(gd.pairs):
+        jpairs = _lr_reaching(pairs, lr)
+        x, y = jpairs[0]
+        assert gd.excess_of(wi) == _least_defect(pairs, bits)
+        assert gd.reflection_length(wi) == lr[x] + lr[y]
+        assert gd.refl_excess_of(wi) == _least_defect(jpairs, bits)
+        assert gd.niw_bits(wi) == _niw(pairs, bits)
+        assert gd.jset_of(wi) == jpairs
+    for wi in range(0, len(gd), -(-len(gd) // 60)):
         w = gd.element(wi)
         iw = inverting_involutions(rs, w)
         assert gd.excess_of(wi) == excess(w, iw)

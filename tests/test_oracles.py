@@ -24,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import data, descriptor, system
-from coxex import (GroupData, SignedPermutation, constructive_inverter, make_config,
-                   run_suite)
+from conftest import constructive_inverter, data, descriptor, system
+from coxex import GroupData, SignedPermutation, make_config, run_suite
 from coxex.elements import (compose_tables, element_from_word, identity_table,
                             invert_table, signed_lookup, simple_key)
 from coxex import verify

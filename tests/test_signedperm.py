@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import system
+from conftest import constructive_inverter, system
 from coxex import (GuardExceeded, centralizer_elements, centralizer_generators,
-                   constructive_inverter, group_elements)
+                   group_elements)
 from coxex.signedperm import (SignedPermutation, from_root_perm, parse,
                               to_root_perm)
 

@@ -225,6 +225,19 @@ def test_config_refuses_a_guard_below_one(monkeypatch):
         make_config([descriptor("A2")])
 
 
+@pytest.mark.parametrize("sample_pairs", [-5, -1, 2.0, "10", True, None])
+def test_config_refuses_a_sample_count_below_zero_or_not_an_int(sample_pairs):
+    # a negative count once gave a passing check a negative pass count
+    with pytest.raises(ValueError, match="sample_pairs must be an int of at least 0"):
+        make_config([descriptor("A2")], theorems=("inversion-set-identity",),
+                    sample_pairs=sample_pairs)
+
+
+def test_no_samples_leave_only_the_involution_checks():
+    check, = _suite(["A2"], theorems=("inversion-set-identity",), sample_pairs=0).checks
+    assert check.status == "pass" and check.passes == len(data("A2").involutions) == 4
+
+
 def test_result_keeps_its_config_and_the_checks_that_ran(monkeypatch):
     # the guard of the run, read from the environment, is kept with it
     monkeypatch.setenv("COXEX_GUARD", "5000")
