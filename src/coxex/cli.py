@@ -78,8 +78,8 @@ def _guard(args) -> int:
 
 def _cmd_group_info(args) -> int:
     desc = _descriptor_from_args(args)
-    rs = build_root_system(desc)
     guard = _guard(args)
+    rs = build_root_system(desc, guard)
     info = {
         "descriptor": desc.name,
         "rank": rs.rank,
@@ -120,7 +120,8 @@ def _cmd_excess(args) -> int:
         raise SystemExit("error: --element or --word is required")
     if args.element is not None and desc.family not in ("A", "B", "D"):
         raise SystemExit("error: cycle-notation elements need family A, B or D")
-    rs = build_root_system(desc)
+    guard = _guard(args)
+    rs = build_root_system(desc, guard)
     if args.word is not None:
         w = element_from_word(rs, _parse_word(args.word, rs.rank))
     else:
@@ -129,7 +130,6 @@ def _cmd_excess(args) -> int:
             w = to_root_perm(sp, rs)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-    guard = _guard(args)
     contexts = []
     if args.parabolic is not None:
         subsets = generator_subsets(rs, _parse_parabolic(args.parabolic))
@@ -139,11 +139,7 @@ def _cmd_excess(args) -> int:
             raise SystemExit(f"error: {exc}")
         if len(contexts) == 1 and not contexts[0].contains(w):
             raise SystemExit("error: element is not in the requested parabolic subgroup")
-    try:
-        iw = involutions_inverting(rs, w, guard)
-        report = excess_report(rs, w, tuple(contexts), iw)
-    except GuardExceeded as exc:
-        raise SystemExit(f"error: {exc}")
+    report = excess_report(rs, w, tuple(contexts), involutions_inverting(rs, w, guard))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -167,7 +163,7 @@ def _cmd_verify(args) -> int:
             strategy=args.strategy,
         )
         result = run_suite(config)
-    except (GuardExceeded, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     if args.format == "csv":
         buf = io.StringIO()
@@ -217,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, help="rank for families A/B/D")
         p.add_argument("--m", type=int, help="m for dihedral I2(m)")
         p.add_argument("--guard", type=int, default=None,
-                       help="enumeration guard (default 10^7 or $COXEX_GUARD)")
+                       help="cost guard of root-system builds and enumerations "
+                            "(default 10^7 or $COXEX_GUARD)")
         p.add_argument("--out", help="write the report to this path")
 
     group = sub.add_parser("group", help="root system and group information")
@@ -259,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GuardExceeded as exc:  # one line, from any command
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ def effective_guard(guard: int | None) -> int:
             guard = int(env) if env else DEFAULT_GUARD
         except ValueError:
             raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
+    if type(guard) is not int:
+        raise ValueError(f"guard must be an int, not {guard!r}")
     if guard < 1:
         raise ValueError("guard must be at least 1")
     return guard

@@ -85,31 +85,6 @@ def fixes_all(cols, basis) -> bool:
     return True
 
 
-# `fixes_all` for many (basis, M) pairs at one product sum each, by
-# Kronecker substitution: entry j of v_a @ M - v_a, for the a-th basis
-# vector, is the coefficient of 2**(width * (a * cols + j)) in
-#     sum_i packed_basis(...)[i] * packed_difference(M, ...)[i],
-# cols the number of columns compared.  An integer sum_m c_m 2**(width m)
-# with every |c_m| < 2**width is 0 only when every c_m is: its lowest
-# nonzero c_m would leave a nonzero residue mod 2**(width (m + 1)).
-
-def packed_difference(mat, width: int, d: int = 1) -> list[int]:
-    """Row i of M - I as one integer, column k d (every column when d = 1)
-    at bit width * k."""
-    n = len(mat)
-    return [sum((mat[i][j] - (i == j)) << width * k for k, j in enumerate(range(0, n, d)))
-            for i in range(n)]
-
-
-def packed_basis(basis, n: int, width: int, d: int = 1) -> list[int]:
-    """Coordinate i of every vector of a basis of Q^n as one integer, the
-    a-th vector's at bit width * (n // d) * a: clear of the columns of
-    `packed_difference`.  Linear in the basis, so v -> v @ M acts on it
-    coordinate-wise as on each vector."""
-    shift = width * (n // d)
-    return [sum(v[i] << shift * a for a, v in enumerate(basis)) for i in range(n)]
-
-
 def action_matrix(rs, perm):
     """Action of a root-permutation table on the span of the simple roots,
     over Q: row k * d + j is c^j times the image of simple root k, in the

@@ -430,17 +430,35 @@ def _reflection_tables(gen_tables, simple_indices):
     return tables
 
 
-def build_root_system(descriptor) -> RootSystem:
+def build_cost(components) -> int:
+    """The closure's cost, about a microsecond a unit: npos - rank new roots,
+    each reflected by rank generators across rank d coordinates in blocks
+    of d.  For I2(m), d = phi(2m)/2 is bounded by m/2 without Psi_m."""
+    npos = sum(c.num_positive_roots() for c in components)
+    rank = sum(c.rank for c in components)
+    d = max(c.m // 2 if c.family == "I2" else 1 if c.is_crystallographic() else 2
+            for c in components)
+    return (npos - rank) * (rank * d) ** 2 // 6
+
+
+def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
     """Close the simple roots under the simple reflections and index the result.
 
     Accepts a single descriptor or a sequence of them (a direct product).
+    Refuses before the closure when `build_cost` exceeds the guard.
     """
+    from .elements import GuardExceeded, effective_guard  # elements imports this module
+
     if isinstance(descriptor, CoxeterDescriptor):
         components = (descriptor,)
     else:
         components = tuple(descriptor)
         if not components:
             raise ValueError("empty descriptor list")
+    limit, cost = effective_guard(guard), build_cost(components)
+    if cost > limit:
+        raise GuardExceeded(f"building the roots of {'x'.join(c.name for c in components)} "
+                            f"costs about {cost}, which exceeds guard {limit}")
     m, psi, d = _ring(components)
     rank = sum(c.rank for c in components)
     expected = sum(c.num_positive_roots() for c in components)

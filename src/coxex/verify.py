@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import groupby
-from operator import itemgetter, mul
+from operator import itemgetter
 from types import MappingProxyType
 
 from .descriptors import CoxeterDescriptor
@@ -23,8 +23,7 @@ from .elements import (bits_of_table, check_pair_pass, effective_guard,
 from .excess import (DnCondition, GroupData, _cycles, _dn_condition,
                      _inverting_signed_images, _support_holds,
                      _swap_candidates, _swaps_interleave)
-from .linalg import (action_matrix, fixed_vector_basis, packed_basis,
-                     packed_difference)
+from .linalg import action_matrix, columns, fixed_vector_basis, fixes_all
 from .parabolic import (generator_subsets, maximal_generator_subsets,
                         split_subset, split_values)
 from .rootsystem import RootSystem, build_root_system
@@ -47,10 +46,17 @@ class SuiteConfig:
     seed: int = 20260809
 
     def __post_init__(self):
-        effective_guard(self.guard)  # refuses a guard below 1
+        effective_guard(self.guard)  # refuses a guard that is no int of at least 1
         if type(self.sample_pairs) is not int or self.sample_pairs < 0:
             raise ValueError(f"sample_pairs must be an int of at least 0, "
                              f"not {self.sample_pairs!r}")
+        p = self.parabolic
+        if p not in ("all", "maximal") and not (
+                isinstance(p, (tuple, list)) and all(type(j) is int for j in p)):
+            raise ValueError(f'parabolic must be "all", "maximal" or a tuple of '
+                             f"0-based generator indices, not {p!r}")
+        if isinstance(self.theorems, str):
+            raise ValueError(f"theorems must be a tuple, not the string {self.theorems!r}")
         if self.strategy not in ("direct", "maximal-reduction"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         for name in self.theorems:
@@ -420,38 +426,30 @@ def _fixed_space_filters(gd):
     """Yield (w, {x in I_w : x fixes Fix(w) pointwise}) for every element,
     class by class, from one nullspace per conjugacy class.
 
-    At a class's first element each x of I_w is tested against the basis
-    of Fix(w) as `fixes_all` would, on packed forms (`linalg.packed_basis`),
-    one product sum per pair.  For H and I2 only the constant columns k d of
-    x are compared: Fix(w) is closed under c and x is Q(c)-linear, so v x - v
-    is 0 for every v once its constant coordinates are 0 for every v.  An
-    empty basis packs to zeros, which every x passes.
+    An involution x is a product of reflections in mutually orthogonal
+    roots that x negates (Carter 1972; Richardson 1982 for H and I2), so the
+    roots x negates span its -1 eigenspace, and x fixes v exactly when every
+    s_b with x(b) = -b fixes v, over Q(c) as well.  At a class's first
+    element `fixes_all` tests each reflection against the basis of Fix(w),
+    and x passes when the reflection through every root it negates passes.
 
     Fix(s w s) is Fix(w) s in row vectors, and x inverts w exactly when
     s x s inverts s w s, so x fixes Fix(w) exactly when s x s fixes
     Fix(s w s): every other element's set is its conjugation parent's,
     mapped through `GroupData.conjugation`.
-
-    Every entry of an action matrix is a coefficient of c^j times a root,
-    at most `big` in size, so each entry of u @ M_x - u is at most
-    |u|_1 (big + 1); the packing width is chosen above n |u|_1 big (big + 1),
-    which bounds that.
     """
     rs, perms, pairs = gd.rs, gd.perms, gd.pairs
-    d = rs.field_degree
-    n = rs.rank * d
     orbits, parent = gd.conjugation_orbits()
     conj = gd.conjugation
-    first = [fixed_vector_basis(action_matrix(rs, perms[orbit[0]])) for orbit in orbits]
-    big = max(abs(x) for rows in rs.c_multiples for row in rows for x in row)
-    u1 = max((sum(map(abs, v)) for basis in first for v in basis), default=0)
-    width = (n * u1 * big * (big + 1)).bit_length() + 1
-    diff: list = [None] * len(perms)
+    reflections = [columns(action_matrix(rs, rs.reflection_table(i)))
+                   for i in range(rs.num_positive)]
+    negated = [0] * len(perms)  # bit i: x sends root i to its negative
     for xi in gd.involutions:
-        diff[xi] = packed_difference(action_matrix(rs, perms[xi]), width, d)
-    for orbit, basis in zip(orbits, first):
-        p = packed_basis(basis, n, width, d)
-        via = {orbit[0]: {x for x, _ in pairs[orbit[0]] if not sum(map(mul, p, diff[x]))}}
+        negated[xi] = sum(1 << i for i, v in enumerate(perms[xi]) if v == -i - 1)
+    for orbit in orbits:
+        basis = fixed_vector_basis(action_matrix(rs, perms[orbit[0]]))
+        moved = sum(1 << i for i, cols in enumerate(reflections) if not fixes_all(cols, basis))
+        via = {orbit[0]: {x for x, _ in pairs[orbit[0]] if not negated[x] & moved}}
         for wi in orbit[1:]:
             pi, r = parent[wi]
             via[wi] = set(map(conj[r].__getitem__, via[pi]))
@@ -898,7 +896,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     limit = effective_guard(config.guard)
     systems: list[RootSystem] = []
     for comps in config.descriptors:
-        rs = build_root_system(comps)
+        rs = build_root_system(comps, limit)
         check_pair_pass(rs, limit)
         systems.append(rs)
     lines: list[str] = []  # SuiteResult.record

@@ -246,3 +246,20 @@ def test_repro_text_report_honours_out(capsys, tmp_path):
     text = path.read_text()
     assert text.startswith("example: sym7-gap\n")
     assert "ok: recomputed values match the golden data" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "info", "--type", "A300"),
+    ("group", "info", "--type", "I2(100000)"),
+    ("group", "info", "--type", "A999999999999"),
+    ("excess", "--type", "A300", "--word", "1 2"),
+    ("excess", "--type", "B100", "--element", "(+1 -2)"),
+    ("verify", "--type", "A2,A300")])
+def test_builds_past_the_guard_are_one_error_line(argv):
+    # A300 and I2(100000) once ran past 20 s, and A999999999999 ended in a
+    # MemoryError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code.startswith("error: building the roots of ")
+    assert exc.value.code.endswith("which exceeds guard 10000000")
+    assert "\n" not in exc.value.code

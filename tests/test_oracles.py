@@ -6,8 +6,8 @@ inversion-set identity, randrange for its bulk draws, its one-pass core for
 the row kernel and the two-pass core for that, full-table conjugation and
 the search on keys for the class orbits, one nullspace per element and
 `fixes_all` on every column for the J-set oracle's class-wise fixed spaces
-and packed test, and the signed-permutation loops that the table algebra
-replaced.  Each replaced path lives here as the reference."""
+and its test on negated roots, and the signed-permutation loops that the
+table algebra replaced.  Each replaced path lives here as the reference."""
 
 import hashlib
 import json
@@ -27,10 +27,10 @@ import conftest
 from conftest import constructive_inverter, data, descriptor, system
 from coxex import GroupData, SignedPermutation, make_config, run_suite
 from coxex.elements import (compose_tables, element_from_word, identity_table,
-                            invert_table, signed_lookup, simple_key)
+                            invert_table, involution_reflection_length, involution_tables,
+                            signed_lookup, simple_key)
 from coxex import verify
-from coxex.linalg import (action_matrix, columns, exact_nullspace, fixed_vector_basis,
-                          fixes_all, packed_basis, packed_difference)
+from coxex.linalg import action_matrix, columns, exact_nullspace, fixed_vector_basis, fixes_all
 from coxex.verify import MAX_COUNTEREXAMPLES, TRUNCATED, _reflection_distances
 
 
@@ -705,37 +705,19 @@ def test_class_wise_fixed_spaces_match_per_element_nullspaces(token):
     assert kept and rejected
 
 
-@st.composite
-def _fixing_case(draw):
-    """(mat, basis, d): a basis of integer vectors of length n = k d, and
-    M = I + E with E's rows zero where some basis vector is not, so that M
-    fixes the basis, or with E anything."""
-    d = draw(st.sampled_from((1, 2, 3)))
-    n = d * draw(st.integers(min_value=1, max_value=4))
-    entry = st.integers(min_value=-40, max_value=40)
-    support = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    basis = [tuple(draw(entry) if i in support else 0 for i in range(n))
-             for _ in range(draw(st.integers(min_value=0, max_value=n)))]
-    fixing = draw(st.booleans())
-    mat = [[(r == c) + (0 if fixing and r in support else draw(entry)) for c in range(n)]
-           for r in range(n)]
-    return mat, basis, d
+# the 15 groups of scripts/run_theorem_sweeps.py, then E6 and B6
+NEGATED_ROOT_GROUPS = ("A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4", "I2(5)",
+                       "I2(6)", "I2(7)", "I2(8)", "A2xA1", "A1xA1xA1", "E6", "B6")
 
 
-@settings(max_examples=300, deadline=None)
-@given(_fixing_case())
-def test_packed_test_matches_fixes_all(case):
-    # the oracle's one product sum per pair, at the width its bound gives
-    mat, basis, d = case
-    n = len(mat)
-    u1 = max((sum(map(abs, v)) for v in basis), default=0)
-    big = max(abs(x - (r == c)) for r, row in enumerate(mat) for c, x in enumerate(row))
-    width = (u1 * big).bit_length() + 1
-    packed = sum(map(lambda p, q: p * q, packed_basis(basis, n, width, d),
-                     packed_difference(mat, width, d)))
-    # fixes_all on the columns k d only
-    tested = list(enumerate(columns(mat)))[::d]
-    assert (packed == 0) == all(sum(map(lambda a, b: a * b, v, col)) == v[j]
-                                for v in basis for j, col in tested)
-    if d == 1:
-        assert (packed == 0) == fixes_all(columns(mat), basis)
+@pytest.mark.parametrize("token", NEGATED_ROOT_GROUPS)
+def test_negated_roots_span_the_minus_one_eigenspace(token):
+    # what the J-set oracle rests on: an involution x is a product of l_R(x)
+    # reflections in orthogonal roots that it negates, so those roots span
+    # its -1 eigenspace, of dimension l_R(x) over Q(c) and d l_R(x) over Q
+    rs = system(token)
+    d, n = rs.field_degree, rs.rank * rs.field_degree
+    for x in involution_tables(rs).tables:
+        rows = [row for i, v in enumerate(x) if v == -i - 1 for row in rs.c_multiples[i]]
+        rank = n - len(exact_nullspace(rows)) if rows else 0
+        assert rank == d * involution_reflection_length(rs, x), (token, x)

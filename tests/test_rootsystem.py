@@ -2,13 +2,16 @@ import copy
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import system
-from coxex import build_root_system, load_root_system, parse_descriptor, save_root_system
+from coxex import (GuardExceeded, build_root_system, load_root_system, parse_descriptor,
+                   save_root_system)
 from coxex import rootsystem
+from coxex.elements import DEFAULT_GUARD
 from coxex.rootsystem import minimal_polynomial, root_label, root_system_from_json
 
 # sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The
@@ -446,3 +449,40 @@ def test_load_refuses_tampered_legacy_float_file(token, tamper, message):
     tamper(doc)
     with pytest.raises(ValueError, match=message):
         root_system_from_json(doc)
+
+
+@pytest.mark.parametrize("token", ["A105", "B89", "D89", "I2(393)", "A300", "I2(100000)",
+                                   "A999999999999"])
+def test_builds_past_the_default_guard_refuse_before_the_closure(monkeypatch, token):
+    # a refused build never reaches Z[c] or the closure
+    monkeypatch.setattr(rootsystem, "_ring", None)
+    with pytest.raises(GuardExceeded, match=rf"^building the roots of {re.escape(token)} "
+                                            r"costs about \d+, which exceeds guard 10000000$"):
+        build_root_system(parse_descriptor(token))
+
+
+@pytest.mark.parametrize("token", ["A80", "A104", "B60", "B88", "D88", "E8", "D12",
+                                   "I2(128)", "I2(257)", "I2(392)"])
+def test_desk_builds_pass_the_default_guard(token):
+    # A104, B88, D88 and I2(392) are the last of their families to pass
+    assert rootsystem.build_cost((parse_descriptor(token),)) <= DEFAULT_GUARD
+
+
+def test_build_guard_comes_from_the_argument_or_the_environment(monkeypatch):
+    a3 = parse_descriptor("A3")
+    assert rootsystem.build_cost((a3,)) == 4
+    assert build_root_system(a3, guard=4).num_positive == 6
+    with pytest.raises(GuardExceeded, match=r"^building the roots of A3 costs about 4, "
+                                            r"which exceeds guard 3$"):
+        build_root_system(a3, guard=3)
+    monkeypatch.setenv("COXEX_GUARD", "3")
+    with pytest.raises(GuardExceeded, match=r"exceeds guard 3$"):
+        build_root_system(a3)
+    with pytest.raises(GuardExceeded, match=r"^building the roots of A2xA3 costs"):
+        build_root_system([parse_descriptor("A2"), a3])
+
+
+@pytest.mark.parametrize("m", range(5, 41))
+def test_build_cost_bounds_the_field_degree_of_i2(m):
+    # the estimate takes d <= m/2 without building Psi_m
+    assert system(f"I2({m})").field_degree <= m // 2

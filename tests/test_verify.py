@@ -233,6 +233,27 @@ def test_config_refuses_a_sample_count_below_zero_or_not_an_int(sample_pairs):
                     sample_pairs=sample_pairs)
 
 
+@pytest.mark.parametrize("guard", [True, 2.5])
+def test_config_refuses_a_guard_that_is_not_an_int(guard):
+    # True once passed as the guard 1, and 2.5 as a guard between 2 and 3
+    with pytest.raises(ValueError, match=r"^guard must be an int, not "):
+        make_config([descriptor("A2")], guard=guard)
+
+
+@pytest.mark.parametrize("parabolic", ["some", ("1",), 2, (0.0,)])
+def test_config_refuses_an_unknown_parabolic_selection(parabolic):
+    # "some" once failed inside parabolic_context with a TypeError
+    with pytest.raises(ValueError, match=r'^parabolic must be "all", "maximal" or '):
+        make_config([descriptor("A2")], parabolic=parabolic)
+
+
+def test_config_refuses_theorems_given_as_one_string():
+    # read letter by letter, "all" once failed as the unknown theorem 'a'
+    with pytest.raises(ValueError, match=r"^theorems must be a tuple, not the string 'all'$"):
+        make_config([descriptor("A2")], theorems="all")
+    assert make_config([descriptor("A2")], theorems=("all",)).theorems == ("all",)
+
+
 def test_no_samples_leave_only_the_involution_checks():
     check, = _suite(["A2"], theorems=("inversion-set-identity",), sample_pairs=0).checks
     assert check.status == "pass" and check.passes == len(data("A2").involutions) == 4
