@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, help="rank for families A/B/D")
         p.add_argument("--m", type=int, help="m for dihedral I2(m)")
         p.add_argument("--guard", type=int, default=None,
-                       help="cost guard of root-system builds and enumerations "
-                            "(default 10^7 or $COXEX_GUARD)")
+                       help="cost guard of enumerations, and of root-system builds "
+                            "above the default (default 10^7 or $COXEX_GUARD)")
         p.add_argument("--out", help="write the report to this path")
 
     group = sub.add_parser("group", help="root system and group information")

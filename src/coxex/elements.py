@@ -8,31 +8,10 @@ from the simple-root coefficients in every family.
 
 from __future__ import annotations
 
-import os
 from math import comb, factorial
 
-from .rootsystem import RootSystem
-
-DEFAULT_GUARD = 10_000_000
-GUARD_ENV = "COXEX_GUARD"
-
-
-class GuardExceeded(RuntimeError):
-    """An exhaustive computation was refused because the group is too large."""
-
-
-def effective_guard(guard: int | None) -> int:
-    if guard is None:
-        env = os.environ.get(GUARD_ENV)
-        try:
-            guard = int(env) if env else DEFAULT_GUARD
-        except ValueError:
-            raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
-    if type(guard) is not int:
-        raise ValueError(f"guard must be an int, not {guard!r}")
-    if guard < 1:
-        raise ValueError("guard must be at least 1")
-    return guard
+# the guard policy lives with the root-system build, the first step it bounds
+from .rootsystem import DEFAULT_GUARD, GUARD_ENV, GuardExceeded, RootSystem, effective_guard
 
 
 def apply_table(table, signed_index: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
@@ -29,8 +30,28 @@ from operator import mul
 from .descriptors import CoxeterDescriptor, from_spec
 
 SCHEMA = "coxex.rootsystem/1"
+DEFAULT_GUARD = 10_000_000
+GUARD_ENV = "COXEX_GUARD"
 # crystallographic systems store 2v: every coordinate of a standard model is in (1/2)Z
 _SCALE = 2
+
+
+class GuardExceeded(RuntimeError):
+    """An exhaustive computation was refused because the group is too large."""
+
+
+def effective_guard(guard: int | None) -> int:
+    if guard is None:
+        env = os.environ.get(GUARD_ENV)
+        try:
+            guard = int(env) if env else DEFAULT_GUARD
+        except ValueError:
+            raise ValueError(f"{GUARD_ENV}={env!r} is not an integer") from None
+    if type(guard) is not int:
+        raise ValueError(f"guard must be an int, not {guard!r}")
+    if guard < 1:
+        raise ValueError("guard must be at least 1")
+    return guard
 
 
 def _doubled(vec, scale):
@@ -445,17 +466,17 @@ def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
     """Close the simple roots under the simple reflections and index the result.
 
     Accepts a single descriptor or a sequence of them (a direct product).
-    Refuses before the closure when `build_cost` exceeds the guard.
+    Refuses before the closure when `build_cost` exceeds the guard.  The
+    guard is floored at the default, so a guard lowered to bound |W| or |I_w|
+    never refuses a build that the default admits.
     """
-    from .elements import GuardExceeded, effective_guard  # elements imports this module
-
     if isinstance(descriptor, CoxeterDescriptor):
         components = (descriptor,)
     else:
         components = tuple(descriptor)
         if not components:
             raise ValueError("empty descriptor list")
-    limit, cost = effective_guard(guard), build_cost(components)
+    limit, cost = max(effective_guard(guard), DEFAULT_GUARD), build_cost(components)
     if cost > limit:
         raise GuardExceeded(f"building the roots of {'x'.join(c.name for c in components)} "
                             f"costs about {cost}, which exceeds guard {limit}")

@@ -263,3 +263,10 @@ def test_builds_past_the_guard_are_one_error_line(argv):
     assert exc.value.code.startswith("error: building the roots of ")
     assert exc.value.code.endswith("which exceeds guard 10000000")
     assert "\n" not in exc.value.code
+
+
+def test_a_low_guard_keeps_the_structured_path_of_d10(capsys):
+    # --guard 1000 bounds |I_w| here; the D10 build, cost 1333, is not refused
+    assert main(["excess", "--type", "D10", "--element", "(+1 +2 +3)(-4 -5)(+6 -7 +8 -9)",
+                 "--guard", "1000", "--parabolic", "maximal"]) == 0
+    assert "error" not in capsys.readouterr().out

@@ -11,7 +11,6 @@ from conftest import system
 from coxex import (GuardExceeded, build_root_system, load_root_system, parse_descriptor,
                    save_root_system)
 from coxex import rootsystem
-from coxex.elements import DEFAULT_GUARD
 from coxex.rootsystem import minimal_polynomial, root_label, root_system_from_json
 
 # sha256 of json.dumps(rs.to_json_dict(), sort_keys=True).  The
@@ -375,6 +374,8 @@ def test_minimal_polynomial_of_2cos_pi_over_m(m, degree):
     c = 2 * math.cos(math.pi / m)
     assert abs(sum(a * c ** i for i, a in enumerate(psi))) < 1e-9
     assert sum(math.gcd(k, 2 * m) == 1 for k in range(1, 2 * m)) == 2 * degree
+    # build_cost takes the bound m/2 without building Psi_m
+    assert degree <= m // 2
 
 
 def test_psi_is_computed_once_per_build_and_load(monkeypatch, tmp_path):
@@ -465,24 +466,32 @@ def test_builds_past_the_default_guard_refuse_before_the_closure(monkeypatch, to
                                    "I2(128)", "I2(257)", "I2(392)"])
 def test_desk_builds_pass_the_default_guard(token):
     # A104, B88, D88 and I2(392) are the last of their families to pass
-    assert rootsystem.build_cost((parse_descriptor(token),)) <= DEFAULT_GUARD
+    assert rootsystem.build_cost((parse_descriptor(token),)) <= rootsystem.DEFAULT_GUARD
 
 
 def test_build_guard_comes_from_the_argument_or_the_environment(monkeypatch):
-    a3 = parse_descriptor("A3")
-    assert rootsystem.build_cost((a3,)) == 4
-    assert build_root_system(a3, guard=4).num_positive == 6
-    with pytest.raises(GuardExceeded, match=r"^building the roots of A3 costs about 4, "
-                                            r"which exceeds guard 3$"):
-        build_root_system(a3, guard=3)
-    monkeypatch.setenv("COXEX_GUARD", "3")
-    with pytest.raises(GuardExceeded, match=r"exceeds guard 3$"):
-        build_root_system(a3)
-    with pytest.raises(GuardExceeded, match=r"^building the roots of A2xA3 costs"):
-        build_root_system([parse_descriptor("A2"), a3])
+    class PastTheGuard(Exception):
+        pass
+
+    def ring(components):
+        raise PastTheGuard
+
+    a105 = parse_descriptor("A105")
+    assert rootsystem.build_cost((a105,)) == 10_032_750
+    monkeypatch.setattr(rootsystem, "_ring", ring)
+    with pytest.raises(PastTheGuard):
+        build_root_system(a105, guard=10_032_750)
+    monkeypatch.setenv("COXEX_GUARD", "10032750")
+    with pytest.raises(PastTheGuard):
+        build_root_system(a105)
+    with pytest.raises(GuardExceeded, match=r"^building the roots of A2xA300 costs"):
+        build_root_system([parse_descriptor("A2"), parse_descriptor("A300")])
 
 
-@pytest.mark.parametrize("m", range(5, 41))
-def test_build_cost_bounds_the_field_degree_of_i2(m):
-    # the estimate takes d <= m/2 without building Psi_m
-    assert system(f"I2({m})").field_degree <= m // 2
+def test_a_lowered_guard_never_refuses_a_build(monkeypatch):
+    # a low guard bounds |W| or |I_w|; the build keeps the default's floor
+    assert build_root_system(parse_descriptor("A3"), guard=1).num_positive == 6
+    monkeypatch.setenv("COXEX_GUARD", "1")
+    assert build_root_system(parse_descriptor("D10")).num_positive == 90
+    with pytest.raises(GuardExceeded, match=r"which exceeds guard 10000000$"):
+        build_root_system(parse_descriptor("A105"), guard=1)
