@@ -76,10 +76,17 @@ def _guard(args) -> int:
         raise SystemExit(f"error: {exc}")
 
 
+def _system(desc: CoxeterDescriptor, guard: int):
+    try:
+        return build_root_system(desc, guard)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _cmd_group_info(args) -> int:
     desc = _descriptor_from_args(args)
     guard = _guard(args)
-    rs = build_root_system(desc, guard)
+    rs = _system(desc, guard)
     info = {
         "descriptor": desc.name,
         "rank": rs.rank,
@@ -121,7 +128,7 @@ def _cmd_excess(args) -> int:
     if args.element is not None and desc.family not in ("A", "B", "D"):
         raise SystemExit("error: cycle-notation elements need family A, B or D")
     guard = _guard(args)
-    rs = build_root_system(desc, guard)
+    rs = _system(desc, guard)
     if args.word is not None:
         w = element_from_word(rs, _parse_word(args.word, rs.rank))
     else:

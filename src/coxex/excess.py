@@ -68,7 +68,7 @@ from .elements import (GroupElement, GuardExceeded, bfs_tables, bits_of_table,
                        signed_lookup, word_text)
 from .parabolic import ParabolicContext, parabolic_context
 from .rootsystem import RootSystem
-from .signedperm import (SignedCycle, SignedPermutation, _check_model,
+from .signedperm import (SignedCycle, SignedPermutation, _check_model, _cycles,
                          cycle_as_permutation, from_root_perm, point_tables)
 
 
@@ -142,25 +142,16 @@ def inverting_involutions(rs: RootSystem, w: GroupElement,
 
 
 def _cycle_types(images) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """The cycles of a signed permutation w, fixed points included, grouped
-    by (length k, sign type), each as its orbit (p0, w(p0), ...,
-    w^(k-1)(p0)) of signed points from its least point p0; w^k(p0) is p0
-    times the sign type."""
+    """The cycles of a signed permutation w (`_cycles`), fixed points
+    included, grouped by (length k, sign type), each as its orbit (p0,
+    w(p0), ..., w^(k-1)(p0)) of signed points from its least point p0;
+    w^k(p0) is p0 times the sign type."""
     types: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    seen = [False] * (len(images) + 1)
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        p, sign = start, 1  # w^j(p0) = sign p
-        while not seen[p]:
-            seen[p] = True
+    for points, signs in _cycles(images):
+        orbit, sign = [], 1  # w^j(p0) = sign points[j]
+        for p, s in zip(points, signs):
             orbit.append(sign * p)
-            v = images[p - 1]
-            if v < 0:
-                p, sign = -v, -sign
-            else:
-                p = v
+            sign *= s
         types.setdefault((len(orbit), sign), []).append(tuple(orbit))
     return types
 
@@ -197,6 +188,15 @@ def inverting_involution_count(sp: SignedPermutation, ambient: str = "B") -> int
     negate an even number of points number (count(1) + count(-1)) / 2.
     """
     return _count(_cycle_types(sp.images), ambient)
+
+
+def centralizer_order(sp: SignedPermutation) -> int:
+    """|C(w)| in W(B_n) in closed form: the m cycles of one length k and sign
+    type give a wreath product of order m! (2k)^m (see `signedperm`)."""
+    out = 1
+    for (k, _), cycles in _cycle_types(sp.images).items():
+        out *= factorial(len(cycles)) * (2 * k) ** len(cycles)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -474,38 +474,6 @@ def overlap_check(x: SignedPermutation, y: SignedPermutation, m: int) -> bool:
     return True
 
 
-def _all_cycles(sp: SignedPermutation) -> list[SignedCycle]:
-    cycles = list(sp.cycles().cycles)
-    moved = {p for c in cycles for p in c.points}
-    cycles.extend(SignedCycle((p,), (1,))
-                  for p in range(1, sp.degree + 1) if p not in moved)
-    return cycles
-
-
-def _cycles(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The (points, signs) of the cycles `_all_cycles` lists, in one pass
-    over the images: those of `SignedPermutation.cycles`, then the fixed
-    points."""
-    seen = [False] * (len(images) + 1)
-    cycles, fixed = [], []
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        if images[start - 1] == start:
-            fixed.append(((start,), (1,)))
-            continue
-        points, signs = [], []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            v = images[p - 1]
-            points.append(p)
-            signs.append(1 if v > 0 else -1)
-            p = abs(v)
-        cycles.append((tuple(points), tuple(signs)))
-    return (*cycles, *fixed)
-
-
 def _fields_of(images) -> SignedFields:
     """`SignedFields` from an element's images: p is moved or negated when
     w(p) != p, and (p, q), p < q, is a 2-cycle when q = |w(p)|, p = |w(q)|."""
@@ -526,7 +494,7 @@ def swapcycle_check(x: SignedPermutation, y: SignedPermutation,
     """Whenever y carries an all-positive w-cycle onto the inverse of another
     w-cycle, the first cycle must reach past the start of the second."""
     n = w.degree
-    cycles = _all_cycles(w)
+    cycles = [SignedCycle(*c) for c in _cycles(w.images)]
     for c1 in cycles:
         if any(s < 0 for s in c1.signs):
             continue
@@ -583,12 +551,12 @@ def dn_condition_check(w: SignedPermutation, m: int) -> DnCondition:
     if m == n:
         return DnCondition.M_EQUALS_N
     block_cycles = []
-    for c in _all_cycles(w):
-        inside = [p > m for p in c.points]
+    for points, signs in _cycles(w.images):
+        inside = [p > m for p in points]
         if any(inside) and not all(inside):
             raise ValueError(f"element does not respect the split at m={m}")
         if all(inside):
-            block_cycles.append(c)
+            block_cycles.append(SignedCycle(points, signs))
     if any(c.length == 1 for c in block_cycles):
         return DnCondition.HAS_ONE_CYCLE
     if all(c.length % 2 == 0 and c.sign_type > 0 for c in block_cycles):

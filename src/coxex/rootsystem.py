@@ -509,7 +509,8 @@ def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
         order = [tuple(sum(x * c ** j for j, x in enumerate(v[k:k + d]))
                        for k in range(0, rank * d, d)) for v in coeffs]
         if len(set(order)) != expected:
-            raise RuntimeError("two roots share a numbering key")
+            raise ValueError(f"two roots of {'x'.join(c.name for c in components)} share a "
+                             "numbering key: the H and I2 roots are still numbered by a float key")
     _, keys, coeffs = zip(*sorted(zip(order, keys, coeffs)))
     simple_indices = [coeffs.index(u) for u in units]
     return RootSystem(components, keys, coeffs, simple_indices,

@@ -22,7 +22,9 @@ involution of S_m, reverses each cycle it fixes in one of 2k ways and swaps
 each pair it moves in one of 2k ways.  `excess.inverting_signed_involutions`
 writes I_w down as that product, without the centralizer.
 `centralizer_elements` closes the centralizer from `centralizer_generators`;
-it is the reference the tests check that product against.
+it is the reference the tests check that product, and the closed-form order
+`excess.centralizer_order`, against.  Every cycle form, here and in
+`excess`, reads one walk of the images, `_cycles`.
 
 Only the public constructor checks that its images form a signed
 permutation; it takes parsed and user input.  Products, inverses and the
@@ -91,6 +93,31 @@ class CycleDecomposition:
         return tuple(c.length for c in self.cycles)
 
 
+def _cycles(images) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every cycle of a signed permutation as (points, signs), points[k]
+    mapping to signs[k] * points[k+1]: the moved and negated cycles, each
+    from its least point and sorted by it, then the fixed points as
+    ((p,), (1,)).  The one walk of the cycles; the other forms read it."""
+    seen = [False] * (len(images) + 1)
+    cycles, fixed = [], []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        if images[start - 1] == start:
+            fixed.append(((start,), (1,)))
+            continue
+        points, signs = [], []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            v = images[p - 1]
+            points.append(p)
+            signs.append(1 if v > 0 else -1)
+            p = abs(v)
+        cycles.append((tuple(points), tuple(signs)))
+    return (*cycles, *fixed)
+
+
 class SignedPermutation:
     """images[i-1] = signed image of point i."""
 
@@ -147,23 +174,11 @@ class SignedPermutation:
         return frozenset(i + 1 for i, v in enumerate(self.images) if v != i + 1)
 
     def cycles(self) -> CycleDecomposition:
-        """Canonical form: each cycle starts at its least point, sorted by it."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1] or self.images[start - 1] == start:
-                continue
-            pts = []
-            sgn = []
-            p = start
-            while not seen[p - 1]:
-                seen[p - 1] = True
-                v = self.images[p - 1]
-                pts.append(p)
-                sgn.append(1 if v > 0 else -1)
-                p = abs(v)
-            out.append(SignedCycle(tuple(pts), tuple(sgn)))
-        return CycleDecomposition(tuple(out))
+        """Canonical form: the cycles of `_cycles` but the fixed points, whose
+        signs alone are (1,); each starts at its least point, sorted by it."""
+        return CycleDecomposition(tuple(SignedCycle(points, signs)
+                                        for points, signs in _cycles(self.images)
+                                        if signs != (1,)))
 
     def format(self) -> str:
         dec = self.cycles()
@@ -342,10 +357,7 @@ def centralizer_generators(sp: SignedPermutation, ambient: str = "B") -> list[Si
     if ambient not in ("B", "D"):
         raise ValueError("ambient must be 'B' or 'D'")
     n = sp.degree
-    cycles = list(sp.cycles().cycles)
-    fixed = sorted(set(range(1, n + 1)) - {p for c in cycles for p in c.points})
-    cycles.extend(SignedCycle((p,), (1,)) for p in fixed)
-    cycles.sort(key=lambda c: c.min_point())
+    cycles = sorted((SignedCycle(*c) for c in _cycles(sp.images)), key=SignedCycle.min_point)
     gens = []
     for c in cycles:
         if c.length > 1 or c.sign_type < 0:

@@ -20,13 +20,14 @@ from types import MappingProxyType
 from .descriptors import CoxeterDescriptor
 from .elements import (bits_of_table, check_pair_pass, effective_guard,
                        identity_table, key_sep, key_table, simple_key)
-from .excess import (DnCondition, GroupData, _cycles, _dn_condition,
+from .excess import (DnCondition, GroupData, _dn_condition,
                      _inverting_signed_images, _support_holds,
                      _swap_candidates, _swaps_interleave)
 from .linalg import action_matrix, columns, fixed_vector_basis, fixes_all
 from .parabolic import (generator_subsets, maximal_generator_subsets,
                         split_subset, split_values)
 from .rootsystem import RootSystem, build_root_system
+from .signedperm import _cycles
 
 MAX_COUNTEREXAMPLES = 100
 # what a check without notes holds: shared, so read-only

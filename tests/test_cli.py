@@ -265,6 +265,19 @@ def test_builds_past_the_guard_are_one_error_line(argv):
     assert "\n" not in exc.value.code
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "info", "--type", "I2(112)"),
+    ("excess", "--type", "I2(112)", "--word", "1 2"),
+    ("verify", "--type", "I2(112)")])
+def test_a_numbering_key_collision_is_one_error_line(argv):
+    # from I2(112) on, two roots share a float numbering key; this once
+    # ended in a RuntimeError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == ("error: two roots of I2(112) share a numbering key: "
+                              "the H and I2 roots are still numbered by a float key")
+
+
 def test_a_low_guard_keeps_the_structured_path_of_d10(capsys):
     # --guard 1000 bounds |I_w| here; the D10 build, cost 1333, is not refused
     assert main(["excess", "--type", "D10", "--element", "(+1 +2 +3)(-4 -5)(+6 -7 +8 -9)",

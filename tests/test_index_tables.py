@@ -13,9 +13,9 @@ import pytest
 from conftest import data, keyed_product
 from coxex import make_config, verify
 from coxex.elements import compose_tables, identity_table, key_sep, key_table, simple_key
-from coxex.excess import SignedFields, _cycles, _fields_of
+from coxex.excess import SignedFields, _fields_of
 from coxex.parabolic import generator_subsets
-from coxex.signedperm import from_root_perm
+from coxex.signedperm import _cycles, from_root_perm
 
 # the package exports the function excess, which shadows the module
 excess_module = sys.modules["coxex.excess"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import constructive_inverter, system
 from coxex import (GuardExceeded, centralizer_elements, centralizer_generators,
                    group_elements)
+from coxex.excess import centralizer_order
 from coxex.signedperm import (SignedPermutation, from_root_perm, parse,
                               to_root_perm)
 
@@ -290,6 +291,13 @@ def test_centralizer_of_identity_is_everything():
 def test_centralizer_d12_order_44():
     w = parse(D12_W, 12)
     assert len(centralizer_elements(w, "B")) == 44
+
+
+@pytest.mark.parametrize("token", ["B3", "B4", "B5"])
+def test_centralizer_order_matches_the_closure(token):
+    for w in group_elements(system(token)):
+        sp = from_root_perm(w)
+        assert centralizer_order(sp) == len(centralizer_elements(sp, "B"))
 
 
 def test_centralizer_guard():

@@ -17,11 +17,11 @@ from coxex import (GroupData, GuardExceeded, dn_condition_check,
                    run_suite, spartan_pairs, spartan_support_check,
                    split_context, swapcycle_check)
 from coxex.elements import involution_count, involution_tables
-from coxex.excess import (_all_cycles, _cycles, _dn_condition, _inverting_signed_images,
+from coxex.excess import (_cycle_types, _dn_condition, _inverting_signed_images,
                           _support_holds, _swap_candidates, _swaps_interleave,
                           inverting_signed_involutions)
 from coxex.parabolic import generator_subsets, parabolic_context, split_values
-from coxex.signedperm import SignedPermutation
+from coxex.signedperm import SignedCycle, SignedPermutation, _cycles
 from coxex import verify
 
 # the package exports the function excess, which shadows the module
@@ -42,6 +42,68 @@ def _outcome(f, *args):
         return str(exc)
 
 
+def _reference_cycles(sp):
+    """The non-trivial cycles by their own walk, each from its least point."""
+    seen = [False] * sp.degree
+    out = []
+    for start in range(1, sp.degree + 1):
+        if seen[start - 1] or sp.images[start - 1] == start:
+            continue
+        pts, sgn = [], []
+        p = start
+        while not seen[p - 1]:
+            seen[p - 1] = True
+            v = sp.images[p - 1]
+            pts.append(p)
+            sgn.append(1 if v > 0 else -1)
+            p = abs(v)
+        out.append(SignedCycle(tuple(pts), tuple(sgn)))
+    return tuple(out)
+
+
+def _reference_all_cycles(sp):
+    """`_reference_cycles`, then the fixed points as positive 1-cycles."""
+    cycles = list(_reference_cycles(sp))
+    moved = {p for c in cycles for p in c.points}
+    cycles.extend(SignedCycle((p,), (1,))
+                  for p in range(1, sp.degree + 1) if p not in moved)
+    return cycles
+
+
+def _reference_cycle_types(images):
+    """The orbits of every cycle from its least point, by a walk that tracks
+    the sign of w^j(p0), grouped by (length, sign type)."""
+    types = {}
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        orbit = []
+        p, sign = start, 1  # w^j(p0) = sign p
+        while not seen[p]:
+            seen[p] = True
+            orbit.append(sign * p)
+            v = images[p - 1]
+            if v < 0:
+                p, sign = -v, -sign
+            else:
+                p = v
+        types.setdefault((len(orbit), sign), []).append(tuple(orbit))
+    return types
+
+
+@pytest.mark.parametrize("token", SIGNED_GROUPS)
+def test_the_cycle_walk_matches_the_reference_walks(token):
+    gd = data(token)
+    for i in range(len(gd)):
+        sp = gd.signed_perm(i)
+        assert sp.cycles().cycles == _reference_cycles(sp)
+        assert _cycles(sp.images) == tuple((c.points, c.signs)
+                                           for c in _reference_all_cycles(sp))
+        # the same keys, and the same list per key; only the key order differs
+        assert _cycle_types(sp.images) == _reference_cycle_types(sp.images)
+
+
 @pytest.mark.parametrize("token", SIGNED_GROUPS)
 def test_signed_fields_match_the_signed_permutation(token):
     gd = data(token)
@@ -49,7 +111,6 @@ def test_signed_fields_match_the_signed_permutation(token):
     for i in range(len(gd)):
         sp = gd.signed_perm(i)
         f = gd.signed_fields(i)
-        assert _cycles(sp.images) == tuple((c.points, c.signs) for c in _all_cycles(sp))
         assert _points(f.support) == sp.positive_support()
         assert _points(f.negated) == {p for p in range(1, n + 1) if sp.images[p - 1] == -p}
         identity = SignedPermutation.identity(n)
