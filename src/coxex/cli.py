@@ -105,7 +105,7 @@ def _cmd_group_info(args) -> int:
             print(f"{k}: {info[k]}")
     if args.out:
         save_root_system(rs, args.out)
-        print(f"root system cached to {args.out}", file=sys.stderr)
+        print(f"root system written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -551,9 +551,11 @@ def _fits(v, shape) -> bool:
 
 
 def root_system_from_json(doc: dict) -> RootSystem:
-    """Load a saved root system, refusing with ValueError a document of the
-    wrong shape, or one whose roots or generator tables do not describe the
-    group its descriptor names."""
+    """Load a saved root system: a fresh build of the group the descriptor
+    names, refused with ValueError when the document has the wrong shape or
+    differs from the build's `to_json_dict` in a field `save_root_system`
+    writes.  A file marked "exact": false, as H and I2 were once saved in
+    floats, is compared by its tables and the row counts of its float fields."""
     if not isinstance(doc, dict):
         raise ValueError(f"a root-system file holds a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
@@ -564,93 +566,31 @@ def root_system_from_json(doc: dict) -> RootSystem:
     for name, (shape, text) in _FIELDS.items():
         if not _fits(doc[name], shape):
             raise ValueError(f'"{name}" must be {text}')
-    components = [from_spec((d["family"], d["rank"], d["m"])) for d in doc["descriptor"]]
-    m, psi, d = _ring(components)
-    simple_indices = doc["simple_indices"]
-    tables = [tuple(t) for t in doc["generator_tables"]]
-    n = len(doc["roots"])
-    rank = sum(c.rank for c in components)
-    expected = sum(c.num_positive_roots() for c in components)
-    if n != expected or len(doc["coeffs"]) != n:
-        raise ValueError(f"expected {expected} positive roots and coefficient rows, "
-                         f"found {n} and {len(doc['coeffs'])}")
-    if len(simple_indices) != rank or len(tables) != rank:
-        raise ValueError(f"expected {rank} simple roots and generator tables")
-    if len(set(simple_indices)) != rank or not all(0 <= i < n for i in simple_indices):
-        raise ValueError(f"bad simple root indices {simple_indices}")
-    for r, t in enumerate(tables):
-        if sorted(abs(v) for v in t) != list(range(1, n + 1)):
-            raise ValueError(f"generator table {r} is not a signed permutation of the roots")
-    for r, (t, si) in enumerate(zip(tables, simple_indices)):
-        _check_generator(r, t, si)
-    if not doc["exact"]:
-        return _from_float_file(components, tables, simple_indices)
-
-    scale = _SCALE if m is None else 1
-    keys = []
-    for v in doc["roots"]:
-        key = _doubled((Fraction(x) for x in v), scale)
-        if key is None:
-            raise ValueError(f"root {v} has a coordinate outside (1/{scale})Z")
-        keys.append(key)
-    coeffs = [tuple(int(x) for x in c) for c in doc["coeffs"]]
-    signed = set(keys)
-    signed.update(tuple(-x for x in v) for v in keys)
-    if len(signed) != 2 * n:
-        raise ValueError("roots repeat up to sign")
-    simple_keys = [keys[i] for i in simple_indices] if m is None else None
-    for i, (key, c, want) in enumerate(zip(keys, coeffs, _coordinates(coeffs, simple_keys))):
-        if len(c) != rank * d or key != want:
-            raise ValueError(f"coefficients {list(c)} do not express root {i} "
-                             "in the simple roots")
-    # generator r reflects in its simple root, whose coefficients are 1 in
-    # some block b: its table must be that of s_b
-    try:
-        by_block = _generator_tables(coeffs, _reflection_rules(
-            _cartan_rows(components, simple_keys, m, d), psi))
-        units = _unit_vectors(rank, d)
-        derived = [by_block[units.index(coeffs[si])] for si in simple_indices]
-    except (KeyError, RuntimeError, ValueError) as exc:
-        raise ValueError(f"the simple roots do not reflect the roots onto roots: {exc}") from None
-    for r, (t, want) in enumerate(zip(tables, derived)):
-        if t != want:
-            raise ValueError(f"generator table {r} differs from the reflection "
-                             "in its simple root")
-    return RootSystem(components, keys, coeffs, simple_indices, tables, (m, psi, d))
-
-
-def _from_float_file(components, tables, simple_indices) -> RootSystem:
-    """A file marked "exact": false, as H and I2 were once saved in floats,
-    whose float fields are not read: its generator tables and simple roots
-    must equal a fresh build's, which is returned."""
-    _check_tables(components, tables, simple_indices)
-    fresh = build_root_system(components)
-    if tuple(tables) != fresh.gen_tables or tuple(simple_indices) != fresh.simple_indices:
-        raise ValueError("the tables of a float file differ from a fresh build")
+    fresh = build_root_system([from_spec((d["family"], d["rank"], d["m"]))
+                               for d in doc["descriptor"]])
+    want = fresh.to_json_dict()
+    for name in ("roots", "coeffs", "simple_indices", "generator_tables"):
+        got, ref = doc[name], want[name]
+        if not doc["exact"] and name in ("roots", "coeffs"):
+            got, ref = len(got), len(ref)
+        if got != ref:
+            raise ValueError(f'"{name}" differs from a fresh build of {fresh.name}')
     return fresh
 
 
-def _check_generator(r: int, table, si: int) -> None:
-    """Generator table r must be an involution negating exactly its simple
-    root, positive root si."""
-    # imported here because elements imports this module
-    from .elements import is_involution_table
-
-    if not is_involution_table(table):
-        raise ValueError(f"generator table {r} is not an involution")
-    negated = [i for i, v in enumerate(table) if v < 0]
-    if negated != [si]:
-        raise ValueError(f"generator table {r} negates roots {negated}, "
-                         f"not exactly its simple root {si}")
-
-
 def _check_tables(components, tables, simple_indices) -> None:
-    """Each generator table must pass `_check_generator`, and the tables
-    must satisfy the Coxeter relations."""
-    from .elements import compose_tables, identity_table
+    """Each generator table must be an involution negating exactly its
+    simple root, and the tables must satisfy the Coxeter relations."""
+    # imported here because elements imports this module
+    from .elements import compose_tables, identity_table, is_involution_table
 
     for r, (t, si) in enumerate(zip(tables, simple_indices)):
-        _check_generator(r, t, si)
+        if not is_involution_table(t):
+            raise ValueError(f"generator table {r} is not an involution")
+        negated = [i for i, v in enumerate(t) if v < 0]
+        if negated != [si]:
+            raise ValueError(f"generator table {r} negates roots {negated}, "
+                             f"not exactly its simple root {si}")
     ident = identity_table(len(tables[0]))
     m = _coxeter_matrix(components)
     for i in range(len(tables)):

@@ -482,7 +482,8 @@ def _run_structured_iw(gd, config, notes):
     there are more than MAX_BLOCKS of them."""
     fam = gd.rs.family
     images = {xi: gd.signed_perm(xi).images for xi in gd.involutions}
-    limit = effective_guard(None)  # the guard of the public enumeration
+    # the run's guard: past check_pair_pass, |I_w| <= k <= k^2 <= guard for k involutions
+    limit = effective_guard(config.guard)
     blocks: dict = {}
     t = _Tally()
     for wi in range(len(gd)):

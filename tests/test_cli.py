@@ -34,8 +34,9 @@ def test_group_info_json_and_cache(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 48 and doc["positive_roots"] == 9
-    cached = json.loads(path.read_text())
-    assert cached["schema"] == "coxex.rootsystem/1"
+    assert err == f"root system written to {path}\n"
+    saved = json.loads(path.read_text())
+    assert saved["schema"] == "coxex.rootsystem/1"
 
 
 def test_group_info_h3(capsys):

@@ -221,6 +221,11 @@ def _saved(token, tmp_path):
     return json.loads(path.read_text())
 
 
+def _differs(field, token):
+    """The refusal of a file whose `field` differs from a fresh build."""
+    return rf'^"{field}" differs from a fresh build of {re.escape(token)}$'
+
+
 def _two_cycle(table):
     """Indices a < b with table[a] = b+1 and table[b] = a+1."""
     for a, v in enumerate(table):
@@ -268,20 +273,25 @@ def _tamper_swapped_generators(doc):
         c[0], c[2] = c[2], c[0]
 
 
+# each id names what its tamper breaks; the refusal names the first field,
+# in the order roots, coeffs, simple_indices, generator_tables, that differs
 @pytest.mark.parametrize("token", ["B3", "F4"])
-@pytest.mark.parametrize("tamper,message", [
-    (_tamper_half_integer, "outside"),
-    (_tamper_not_involution, "not an involution"),
-    (_tamper_wrong_simple_root, "not exactly its simple root"),
-    (_tamper_not_the_reflection, "differs from the reflection"),
-    (_tamper_coefficients, "do not express"),
-    (_tamper_swapped_generators, "is not the identity"),
-])
-def test_load_refuses_tampered_file(token, tamper, message, tmp_path):
+@pytest.mark.parametrize("tamper,field", [
+    (_tamper_half_integer, "roots"),
+    (_tamper_not_involution, "generator_tables"),
+    (_tamper_wrong_simple_root, "generator_tables"),
+    (_tamper_not_the_reflection, "generator_tables"),
+    (_tamper_coefficients, "coeffs"),
+    (_tamper_swapped_generators, "coeffs"),
+], ids=["_tamper_half_integer-outside", "_tamper_not_involution-not an involution",
+        "_tamper_wrong_simple_root-not exactly its simple root",
+        "_tamper_not_the_reflection-differs from the reflection",
+        "_tamper_coefficients-do not express", "_tamper_swapped_generators-is not the identity"])
+def test_load_refuses_tampered_file(token, tamper, field, tmp_path):
     doc = _saved(token, tmp_path)
     assert root_system_from_json(copy.deepcopy(doc)).gen_tables == system(token).gen_tables
     tamper(doc)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_differs(field, token)):
         root_system_from_json(doc)
 
 
@@ -293,12 +303,12 @@ def test_load_refuses_malformed_structure(tmp_path):
             root_system_from_json(doc)
 
     refused(lambda d: d.pop("coeffs"), "lacks")
-    refused(lambda d: d["descriptor"][0].update(family="A"), "positive roots")
-    refused(lambda d: d["generator_tables"][1].pop(), "signed permutation")
-    refused(lambda d: d["simple_indices"].pop(), "simple roots and generator tables")
-    refused(lambda d: d["simple_indices"].__setitem__(0, 99), "simple root indices")
+    refused(lambda d: d["descriptor"][0].update(family="A"), _differs("roots", "A3"))
+    refused(lambda d: d["generator_tables"][1].pop(), _differs("generator_tables", "B3"))
+    refused(lambda d: d["simple_indices"].pop(), _differs("simple_indices", "B3"))
+    refused(lambda d: d["simple_indices"].__setitem__(0, 99), _differs("simple_indices", "B3"))
     refused(lambda d: d["roots"].__setitem__(1, [str(-Fraction(x)) for x in d["roots"][0]]),
-            "repeat up to sign")
+            _differs("roots", "B3"))
 
 
 # each of these once escaped as AttributeError, TypeError or KeyError, or
@@ -322,22 +332,75 @@ def test_load_refuses_wrong_json_types(edit, message, tmp_path):
 @pytest.mark.parametrize("token", ["H3", "I2(7)"])
 def test_load_refuses_float_table_that_is_not_the_reflection(token, tmp_path):
     # H and I2 files, once float and now integer coefficients over
-    # Z[2cos(pi/m)], are recomputed from their roots too
+    # Z[2cos(pi/m)], are compared with a fresh build too
     doc = _saved(token, tmp_path)
     _tamper_not_the_reflection(doc)
-    with pytest.raises(ValueError, match="differs from the reflection"):
+    with pytest.raises(ValueError, match=_differs("generator_tables", token)):
         root_system_from_json(doc)
 
 
 def test_load_refuses_broken_relation_in_float_file(tmp_path):
     # relabelling H3's generators 1 and 2 together with their simple roots
-    # keeps every table the reflection in its simple root, recomputed from
-    # the roots' coefficients, but breaks (s2 s3)^3 = 1
+    # keeps every table the reflection in its simple root but breaks
+    # (s2 s3)^3 = 1; the simple roots are the first field that differs
     doc = _saved("H3", tmp_path)
     t, si = doc["generator_tables"], doc["simple_indices"]
     t[0], t[1] = t[1], t[0]
     si[0], si[1] = si[1], si[0]
-    with pytest.raises(ValueError, match="is not the identity"):
+    with pytest.raises(ValueError, match=_differs("simple_indices", "H3")):
+        root_system_from_json(doc)
+
+
+def _renumber(doc, a, b):
+    """Swap the numbers of roots a and b in every field of a saved file."""
+    p = list(range(len(doc["roots"])))
+    p[a], p[b] = b, a
+    for rows in (doc["roots"], doc["coeffs"], *doc["generator_tables"]):
+        rows[a], rows[b] = rows[b], rows[a]
+    doc["simple_indices"] = [p[i] for i in doc["simple_indices"]]
+    for t in doc["generator_tables"]:
+        t[:] = [(p[v - 1] + 1) if v > 0 else -(p[-v - 1] + 1) for v in t]
+
+
+def test_load_refuses_a_consistently_renumbered_file(tmp_path):
+    # every table is still an involution negating its simple root, the
+    # reflection recomputed from the coefficients and within the Coxeter
+    # relations: such a file once loaded, with its keys[a] the build's keys[b]
+    doc = _saved("B3", tmp_path)
+    a, b = [i for i in range(len(doc["roots"])) if i not in doc["simple_indices"]][:2]
+    _renumber(doc, a, b)
+    with pytest.raises(ValueError, match=_differs("roots", "B3")):
+        root_system_from_json(doc)
+    _renumber(doc, a, b)
+    assert root_system_from_json(doc).keys == system("B3").keys
+
+
+@pytest.mark.parametrize("token,old,new", [("F4", "1/2", "2/4"), ("B3", "1", 1)])
+def test_load_refuses_a_coordinate_spelled_otherwise(token, old, new, tmp_path):
+    # the same number, but not as save_root_system writes it
+    doc = _saved(token, tmp_path)
+    row = next(v for v in doc["roots"] if old in v)
+    row[row.index(old)] = new
+    with pytest.raises(ValueError, match=_differs("roots", token)):
+        root_system_from_json(doc)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_load_refuses_an_empty_descriptor(exact):
+    # a file of no roots and no tables once ended in an IndexError
+    doc = {"schema": "coxex.rootsystem/1", "descriptor": [], "exact": exact, "roots": [],
+           "coeffs": [], "simple_indices": [], "generator_tables": []}
+    with pytest.raises(ValueError, match="^empty descriptor list$"):
+        root_system_from_json(doc)
+
+
+def test_load_of_a_group_past_the_guard_refuses_before_the_closure(monkeypatch, tmp_path):
+    # a B3 file that names A300 is refused by the build guard, before Z[c],
+    # the closure or a comparison with the file's fields
+    doc = _saved("B3", tmp_path)
+    doc["descriptor"] = [{"family": "A", "rank": 300, "m": None}]
+    monkeypatch.setattr(rootsystem, "_ring", None)
+    with pytest.raises(GuardExceeded, match=r"^building the roots of A300 costs about "):
         root_system_from_json(doc)
 
 
@@ -438,17 +501,22 @@ def _relabel_generators(doc):
     si[0], si[1] = si[1], si[0]
 
 
-@pytest.mark.parametrize("token,tamper,message", [
-    ("I2(7)", _tamper_not_involution, "not an involution"),
-    ("I2(7)", _tamper_wrong_simple_root, "not exactly its simple root"),
-    ("H3", _relabel_generators, "is not the identity"),
-    ("I2(7)", _relabel_generators, "differ from a fresh build"),
-    ("H3", lambda doc: doc["roots"].pop(), "positive roots"),
-])
-def test_load_refuses_tampered_legacy_float_file(token, tamper, message):
+# each id names what its tamper breaks; a float file's roots and
+# coefficients are compared by their row counts only
+@pytest.mark.parametrize("token,tamper,field", [
+    ("I2(7)", _tamper_not_involution, "generator_tables"),
+    ("I2(7)", _tamper_wrong_simple_root, "generator_tables"),
+    ("H3", _relabel_generators, "simple_indices"),
+    ("I2(7)", _relabel_generators, "simple_indices"),
+    ("H3", lambda doc: doc["roots"].pop(), "roots"),
+], ids=["I2(7)-_tamper_not_involution-not an involution",
+        "I2(7)-_tamper_wrong_simple_root-not exactly its simple root",
+        "H3-_relabel_generators-is not the identity",
+        "I2(7)-_relabel_generators-differ from a fresh build", "H3-<lambda>-positive roots"])
+def test_load_refuses_tampered_legacy_float_file(token, tamper, field):
     doc = _legacy_float_doc(token)
     tamper(doc)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_differs(field, token)):
         root_system_from_json(doc)
 
 

@@ -225,6 +225,15 @@ def test_config_refuses_a_guard_below_one(monkeypatch):
         make_config([descriptor("A2")])
 
 
+def test_structured_iw_oracle_reads_the_run_guard(monkeypatch):
+    # the oracle once read COXEX_GUARD, and refused |I_w| = 312 after the BFS
+    # and the pair pass had run under the run's guard
+    monkeypatch.setenv("COXEX_GUARD", "100")
+    res = _suite(["B5"], theorems=("structured-iw-oracle",), guard=1_000_000)
+    assert res.failures_total == 0
+    assert [c.passes for c in res.checks] == [3840]
+
+
 @pytest.mark.parametrize("sample_pairs", [-5, -1, 2.0, "10", True, None])
 def test_config_refuses_a_sample_count_below_zero_or_not_an_int(sample_pairs):
     # a negative count once gave a passing check a negative pass count
