@@ -215,19 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="excess statistics and inverting involutions in finite Coxeter groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, element=False):
+    def common(p, out="write the report to this path"):
         p.add_argument("--type", help="family letter or compact name (B, B3, I2(6))")
         p.add_argument("--rank", type=int, help="rank for families A/B/D")
         p.add_argument("--m", type=int, help="m for dihedral I2(m)")
         p.add_argument("--guard", type=int, default=None,
                        help="cost guard of enumerations, and of root-system builds "
                             "above the default (default 10^7 or $COXEX_GUARD)")
-        p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--out", help=out)
 
     group = sub.add_parser("group", help="root system and group information")
     gsub = group.add_subparsers(dest="group_command", required=True)
     ginfo = gsub.add_parser("info", help="sizes, rank, longest element")
-    common(ginfo)
+    common(ginfo, out="write the root system as JSON to this path "
+                      "(coxex.load_root_system reads it)")
     ginfo.add_argument("--format", choices=["text", "json"], default="text")
     ginfo.set_defaults(func=_cmd_group_info)
 

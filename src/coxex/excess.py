@@ -40,7 +40,8 @@ result and looks each piece up, so the filter runs no Python code per
 involution and composes no table.  An involution's bits and l_R are cached
 on its first use.  The sweep engine `GroupData` keys the same way: for each
 involution x, one translate of every involution's key through x gives the
-index of each y x, and of its inverse x y, by the group's key -> index dict.
+index of each y x, by the group's key -> index dict.  Read by columns, that
+table places each pair (x, y) at xy, and the first pair of w gives w^-1 = yx.
 
 Parabolic variants need no second pass.  Reflection length in W_J is that
 in W (both are the codimension of the fixed space, and W_J fixes V_J^perp
@@ -356,13 +357,17 @@ def involutions_inverting(rs: RootSystem, w: GroupElement,
 # the kernels: every statistic of InvolutionSet, excess_report and GroupData
 # reads pairs (x, y) through these, with bits and lr indexed by handle
 
-def _least_defect(pairs, bits, mask: int | None = None) -> int:
+def _least_defect(pairs, bits, mask: int | None = None) -> int | None:
     """Least defect 2|N(x) & N(y)|, over the x inside Phi_J (N(x) within the
-    mask) when a parabolic mask is given."""
+    mask) when a parabolic mask is given.  None when no pair qualifies, which
+    only a corrupted table gives: every w in W_J is xy for involutions x, y
+    of W_J with l_R additive (Carter 1972).  A theorem's check fails on None."""
     if mask is None:
-        return 2 * min((bits[x] & bits[y]).bit_count() for x, y in pairs)
-    return 2 * min((bits[x] & bits[y]).bit_count() for x, y in pairs
-                   if bits[x] & ~mask == 0)
+        least = min(((bits[x] & bits[y]).bit_count() for x, y in pairs), default=None)
+    else:
+        least = min(((bits[x] & bits[y]).bit_count() for x, y in pairs
+                     if bits[x] & ~mask == 0), default=None)
+    return None if least is None else 2 * least
 
 
 def _lr_reaching(pairs, lr) -> list[tuple[int, int]]:
@@ -597,10 +602,12 @@ class GroupData:
     call, by the kernels that serve `InvolutionSet`, with `bits` and `lr`
     indexed by element.
     `at_key` maps an element's key (`elements.simple_key`) to its index.
-    Every element is yx for some involutions x, y (Carter 1972), and xy is
-    its inverse, so `inverse` is read off the pairs' products.  A group whose
-    pair pass exceeds the guard is refused before anything is enumerated
-    (`elements.check_pair_pass`).
+    The products of involutions form one table, a row and a column per
+    involution; its columns place each pair at xy, and every element is
+    such a product (Carter 1972), so `inverse` reads yx for its first pair
+    off the same table.  Every row stays alive until the last column is
+    read.  A group whose pair pass exceeds the guard is refused before
+    anything is enumerated (`elements.check_pair_pass`).
 
     What several runners read is built once, on first use: `right[r]`, the
     index of each w s_r, so the BFS parent of w_i is right[s][i] for the
@@ -621,28 +628,20 @@ class GroupData:
         self.bits = [bits_of_table(p) for p in perms]
         self.lengths = [b.bit_count() for b in self.bits]
         self.involutions = invs = [i for i, p in enumerate(perms) if is_involution_table(p)]
-        # one translate of every involution's key through x gives row x: entry
-        # j indexes y_j x, whose inverse x y_j is entry i of row j.  The first
-        # rows meet every element (E6: 409 of 892); ints are at_key's objects.
+        # row t translates every involution's key through x_t: rows[t][s] indexes x_s x_t
         sep = key_sep(rs.num_positive)
         packed = sep.join(map(list(at_key).__getitem__, invs))
         rows = [array("i", map(at_key.__getitem__, packed.translate(key_table(perms[xi])).split(sep)))
                 for xi in invs]
-        ints = list(at_key.values())
-        inverse_of: dict[int, int] = {}
-        for i, row in enumerate(rows):
-            inverse_of.update(zip(map(ints.__getitem__, row),
-                                  map(ints.__getitem__, map(itemgetter(i), rows))))
-            if len(inverse_of) == len(ints):
-                break
-        self.inverse = inverse = list(map(inverse_of.__getitem__, ints))
-        del inverse_of, ints
         pairs: list[list[tuple[int, int]]] = [[] for _ in perms]
-        for i, xi in enumerate(invs):  # x, then y, ascending: no sort needed
-            for yi, wi in zip(invs, rows[i]):
-                pairs[inverse[wi]].append((xi, yi))
-            rows[i] = None  # placed: release the row
+        for xi, column in zip(invs, zip(*rows)):  # x_s y for each y; x, then y, ascending
+            for yi, wi in zip(invs, column):
+                pairs[wi].append((xi, yi))
         self.pairs = pairs
+        # w = xy for its first pair, so w^-1 = yx is rows[pos[x]][pos[y]]; ints are at_key's
+        pos = dict(zip(invs, count()))
+        ints = list(at_key.values())
+        self.inverse = [ints[rows[pos[xi]][pos[yi]]] for xi, yi in map(itemgetter(0), pairs)]
         # l_R of each involution from its trace; None elsewhere
         self.lr: list = [None] * len(perms)
         for xi in self.involutions:
@@ -785,7 +784,7 @@ class GroupData:
     def excess_of(self, wi: int) -> int:
         return self.columns[0][wi]
 
-    def excess_in(self, wi: int, mask: int) -> int:
+    def excess_in(self, wi: int, mask: int) -> int | None:
         return _least_defect(self.pairs[wi], self.bits, mask)
 
     def jset_of(self, wi: int) -> list[tuple[int, int]]:
@@ -801,7 +800,7 @@ class GroupData:
     def refl_excess_of(self, wi: int) -> int:
         return self.columns[2][wi]
 
-    def refl_excess_in(self, wi: int, mask: int) -> int:
+    def refl_excess_in(self, wi: int, mask: int) -> int | None:
         return _least_defect(self.jset_of(wi), self.bits, mask)
 
     def spartan_of(self, wi: int) -> tuple[tuple[int, int], ...]:

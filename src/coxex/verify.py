@@ -408,13 +408,17 @@ def _factor_projections(gd):
         yield wi, [(at_key[ident[:a] + key[a:b] + ident[b:]], mask) for a, b, mask in blocks]
 
 
+def _sum_of_parts(parts):
+    """The sum over the factors, or None when a factor's value is None (it
+    has no pair, `_least_defect`), so that the check fails."""
+    return None if None in parts else sum(parts)
+
+
 def _run_excess_additivity(gd, config, notes):
     t = _Tally()
     for wi, projections in _factor_projections(gd):
-        e_sum = E_sum = 0
-        for pi, mask in projections:
-            e_sum += gd.excess_in(pi, mask)
-            E_sum += gd.refl_excess_in(pi, mask)
+        e_sum = _sum_of_parts([gd.excess_in(pi, mask) for pi, mask in projections])
+        E_sum = _sum_of_parts([gd.refl_excess_in(pi, mask) for pi, mask in projections])
         ok = gd.excess_of(wi) == e_sum and gd.refl_excess_of(wi) == E_sum
         t.check(ok, lambda: (
             gd.display(wi), "-",

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fixed_dim
 from coxex import build_root_system, parse_descriptor
-from coxex.cli import main
+from coxex.cli import build_parser, main
 from coxex.elements import element_from_word
 from coxex.signedperm import from_root_perm
 
@@ -25,6 +25,21 @@ def test_group_info_text(capsys):
     assert code == 0
     assert "positive_roots: 3" in out
     assert "order: 6" in out
+
+
+def _help_text(capsys, *argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*argv, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_group_info_out_help_says_it_writes_the_root_system(capsys):
+    # the report goes to stdout; --out of group info writes the root system
+    info = _help_text(capsys, "group", "info")
+    assert "--out OUT write the root system as JSON to this path" in info
+    assert "write the report" not in info
+    for argv in (("excess",), ("verify",), ("repro",)):
+        assert "--out OUT write the report to this path" in _help_text(capsys, *argv)
 
 
 def test_group_info_json_and_cache(capsys, tmp_path):

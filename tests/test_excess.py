@@ -596,20 +596,20 @@ def test_subgroup_data_reflection_excess_matches_ambient(token):
             assert gd.refl_excess_in(wi, mask) == min(d for s, d in defects if s == lw)
 
 
-# every group the suite builds GroupData for, rank 1 and E6
+# every group the suite builds GroupData for, rank 1, E6 and B5 (k = 312)
 @pytest.mark.parametrize("token", [
     "A1", "A2", "A3", "A4", "B3", "B4", "D4", "D5", "F4", "H3",
-    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6"])
+    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6", "B5"])
 def test_keyed_pair_pass_matches_full_table_loop(token):
     gd = data(token)
     index = {p: i for i, p in enumerate(gd.perms)}
     assert gd.pairs == _full_table_pairs(gd.perms, index)
 
 
-# the groups of scripts/run_theorem_sweeps.py, and E6
+# the groups of scripts/run_theorem_sweeps.py, E6 and B5
 @pytest.mark.parametrize("token", [
     "A3", "A4", "B3", "B4", "D4", "D5", "H3", "H4", "F4",
-    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6"])
+    *(f"I2({m})" for m in range(5, 9)), "A2xA1", "A1xA1xA1", "E6", "B5"])
 def test_inverse_read_off_the_pair_products_matches_table_inversion(token):
     gd = data(token)
     index = {p: i for i, p in enumerate(gd.perms)}

@@ -363,3 +363,63 @@ def test_failing_checks_keep_their_counterexamples_by_position(monkeypatch):
     assert len(checks[1].counterexamples) == checks[1].failures == 73
     assert checks[2].notes == {"classes": 10}
     assert res.failures_total == checks[1].failures > 0
+
+
+def _run_every_theorem(gd):
+    """{theorem: tally} for every theorem that applies to gd's group."""
+    comps = gd.rs.components
+    config = make_config([comps])
+    return {name: thm.runner(gd, config, {}) for name, thm in THEOREMS.items()
+            if not (thm.applicable and thm.applicable(comps))}
+
+
+@pytest.mark.parametrize("token", ["B4", "H3", "A2xA1"])
+def test_an_empty_jset_filter_is_a_failing_check_of_its_element(token):
+    # l_R of element 5 raised by one leaves its J-set filter empty, which
+    # once ended the run in min() of nothing
+    gd = GroupData(system(token))
+    gd.columns[1][5] += 1
+    assert gd.jset_of(5) == []
+    tally = _run_every_theorem(gd)["parabolic-reflection-excess"]
+    assert tally.failures > 0
+    assert tally.bad[0].element == gd.display(5)
+    assert tally.bad[0].observed == "E_J=None"
+
+
+def test_excess_additivity_fails_on_a_factor_without_a_jset_pair():
+    # l_R of r1 raised by one empties the J-set filter of r1, the projection
+    # onto A2 of r1 and of r1.r3
+    gd = GroupData(system("A2xA1"))
+    assert gd.words[1] == (0,)
+    gd.columns[1][1] += 1
+    tally = _run_every_theorem(gd)["excess-additivity"]
+    assert tally.failures == 2
+    assert {c.element for c in tally.bad} == {"r1", "r1.r3"}
+    assert all("E=0 sum=None" in c.observed for c in tally.bad)
+
+
+def _drop_first_pair(gd):
+    del gd.pairs[7][0]
+
+
+def _wrong_inverse(gd):
+    gd.inverse[7] = gd.inverse[8]
+
+
+# a fault in one of the two fields the pair pass fills, and the theorems
+# that must catch it
+PAIR_PASS_FAULTS = [
+    ("B4", _drop_first_pair, {"jset-equivalence", "structured-iw-oracle"}),
+    ("H3", _drop_first_pair, {"jset-equivalence"}),
+    ("B4", _wrong_inverse, {"jset-equivalence", "inversion-set-identity"}),
+    ("H3", _wrong_inverse, {"jset-equivalence", "inversion-set-identity"}),
+]
+
+
+@pytest.mark.parametrize("token, fault, catching", PAIR_PASS_FAULTS,
+                         ids=[f"{t}-{f.__name__}" for t, f, _ in PAIR_PASS_FAULTS])
+def test_a_fault_in_the_pair_pass_fails_its_theorems_and_raises_nothing(token, fault, catching):
+    gd = GroupData(system(token))
+    fault(gd)
+    failed = {name for name, tally in _run_every_theorem(gd).items() if tally.failures}
+    assert catching <= failed
