@@ -6,12 +6,13 @@ group's m for I2(m).  A coefficient is written as d integers in 1, c, ...,
 c^(d-1), d = deg Psi_m, the minimal polynomial of c; the crystallographic
 families (A, B, D, F4, E6-E8) have Cartan integers and d = 1.  The simple
 reflection s_r changes only block r, to beta_r - sum_j A_rj beta_j, and c
-acts on a block as the companion matrix of Psi_m.  The closure applies s_r
-to the positive roots other than alpha_r, which it permutes.  Crystallographic
-roots are keyed by the doubled coordinates 2v of their standard models (A_n
-in n+1 dimensions, B_n/D_n in n), held in `positive_roots` as `Fraction`s;
-H and I2 roots by their coefficients.  Roots are numbered in key order, for
-H and I2 that of the coefficients' real values, a float used only there.
+acts on a block as the companion matrix of Psi_m.  The closure applies each
+s_r to each root once; the closure indices of the images, renumbered in key
+order, are the generator tables.  Crystallographic roots are keyed by the
+doubled coordinates 2v of their standard models (A_n in n+1 dimensions,
+B_n/D_n in n), held in `positive_roots` as `Fraction`s; H and I2 roots by
+their coefficients.  Roots are numbered in key order, for H and I2 that of
+the coefficients' real values, a float used only there.
 Reflection tables are generator tables conjugated, t_(s_r beta) = s_r t_beta s_r.
 
 A group element is stored as a signed permutation of positive-root indices:
@@ -407,15 +408,6 @@ def _reflect(beta, r, rule):
     return beta[:at] + new + beta[at + len(rule):]
 
 
-def _generator_tables(coeffs, rules):
-    """The table of each s_r on the roots with the given coefficients;
-    KeyError when an image is not a root up to sign."""
-    index = {c: i + 1 for i, c in enumerate(coeffs)}
-    index.update((tuple([-x for x in c]), -(i + 1)) for i, c in enumerate(coeffs))
-    return [tuple([index[_reflect(c, r, rule)] for c in coeffs])
-            for r, rule in enumerate(rules)]
-
-
 def _coordinates(coeffs, simple_keys):
     """The keys of roots given by their simple-root coefficients: sum_j c_j
     times the doubled simple root j for a crystallographic system, the
@@ -453,8 +445,9 @@ def _reflection_tables(gen_tables, simple_indices):
 
 def build_cost(components) -> int:
     """The closure's cost, about a microsecond a unit: npos - rank new roots,
-    each reflected by rank generators across rank d coordinates in blocks
-    of d.  For I2(m), d = phi(2m)/2 is bounded by m/2 without Psi_m."""
+    each reflected once by rank generators across rank d coordinates in blocks
+    of d, which fills the generator tables too.  For I2(m), d = phi(2m)/2 is
+    bounded by m/2 without Psi_m."""
     npos = sum(c.num_positive_roots() for c in components)
     rank = sum(c.rank for c in components)
     d = max(c.m // 2 if c.family == "I2" else 1 if c.is_crystallographic() else 2
@@ -465,10 +458,11 @@ def build_cost(components) -> int:
 def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
     """Close the simple roots under the simple reflections and index the result.
 
-    Accepts a single descriptor or a sequence of them (a direct product).
-    Refuses before the closure when `build_cost` exceeds the guard.  The
-    guard is floored at the default, so a guard lowered to bound |W| or |I_w|
-    never refuses a build that the default admits.
+    Accepts a single descriptor or a sequence of them (a direct product); the
+    generator tables and simple indices come off the closure pass, renumbered
+    in key order.  Refuses before the closure when `build_cost` exceeds the
+    guard, floored at the default so that a guard lowered to bound |W| or
+    |I_w| never refuses a build that the default admits.
     """
     if isinstance(descriptor, CoxeterDescriptor):
         components = (descriptor,)
@@ -486,16 +480,19 @@ def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
     simple_keys = _simple_vectors_exact(components) if m is None else None
     rules = _reflection_rules(_cartan_rows(components, simple_keys, m, d), psi)
 
-    units = _unit_vectors(rank, d)
-    coeffs = list(units)
-    found = set(units)
-    for beta in coeffs:  # the list grows while it is read
+    coeffs = _unit_vectors(rank, d)
+    number = {u: i for i, u in enumerate(coeffs)}  # closure index of each root
+    # images[r][b]: the closure index of s_r(root b), or ~b for s_r(alpha_r) = -alpha_r
+    images = [[] for _ in rules]
+    for b, beta in enumerate(coeffs):  # the list grows while it is read
         for r, rule in enumerate(rules):
-            if beta != units[r]:
-                gamma = _reflect(beta, r, rule)
-                if gamma not in found:
-                    found.add(gamma)
-                    coeffs.append(gamma)
+            gamma = _reflect(beta, r, rule)
+            if b == r and gamma != tuple([-x for x in beta]):  # beta is alpha_r
+                raise RuntimeError(f"s{r + 1} does not negate its simple root")
+            k = ~b if b == r else number.setdefault(gamma, len(coeffs))
+            if k == len(coeffs):
+                coeffs.append(gamma)
+            images[r].append(k)
         if len(coeffs) > expected:
             raise RuntimeError(f"closure passed {expected} positive roots")
     if len(coeffs) != expected:
@@ -511,10 +508,13 @@ def build_root_system(descriptor, guard: int | None = None) -> RootSystem:
         if len(set(order)) != expected:
             raise ValueError(f"two roots of {'x'.join(c.name for c in components)} share a "
                              "numbering key: the H and I2 roots are still numbered by a float key")
-    _, keys, coeffs = zip(*sorted(zip(order, keys, coeffs)))
-    simple_indices = [coeffs.index(u) for u in units]
-    return RootSystem(components, keys, coeffs, simple_indices,
-                      _generator_tables(coeffs, rules), (m, psi, d))
+    # perm[i] is the closure index of root i, and place[b] the number of closure root b
+    _, keys, coeffs, perm = zip(*sorted(zip(order, keys, coeffs, range(expected))))
+    place = sorted(range(expected), key=perm.__getitem__)
+    signed = (*[i + 1 for i in place], *[-i - 1 for i in reversed(place)])  # at b and ~b
+    return RootSystem(components, keys, coeffs, place[:rank],
+                      [[signed[row[b]] for b in perm] for row in images],
+                      (m, psi, d))
 
 
 def save_root_system(rs: RootSystem, path) -> None:

@@ -25,8 +25,8 @@ from .excess import (DnCondition, GroupData, _dn_condition,
                      _swap_candidates, _swaps_interleave)
 from .linalg import action_matrix, columns, fixed_vector_basis, fixes_all
 from .parabolic import (generator_subsets, maximal_generator_subsets,
-                        split_subset, split_values)
-from .rootsystem import RootSystem, build_root_system
+                        parabolic_context, split_subset, split_values)
+from .rootsystem import GuardExceeded, RootSystem, build_root_system
 from .signedperm import _cycles
 
 MAX_COUNTEREXAMPLES = 100
@@ -898,12 +898,17 @@ def _plan(config: SuiteConfig):
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
+    """Run the config's theorems on its groups.  A runner that raises
+    anything but GuardExceeded fails its theorem as one check, whose
+    counterexample names the exception, and the next theorem runs."""
     t0 = time.monotonic()
     limit = effective_guard(config.guard)
     systems: list[RootSystem] = []
     for comps in config.descriptors:
         rs = build_root_system(comps, limit)
         check_pair_pass(rs, limit)
+        if not isinstance(config.parabolic, str):  # refused before a runner would fail on it
+            parabolic_context(rs, config.parabolic)
         systems.append(rs)
     lines: list[str] = []  # SuiteResult.record
     bad: list = []  # SuiteResult.bad
@@ -915,7 +920,14 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
             gd = None  # the last group's tables go before the next are built
             current, gd = i, GroupData(systems[i], guard=limit)
         notes: dict = {}
-        tally = THEOREMS[name].runner(gd, config, notes)
+        try:
+            tally = THEOREMS[name].runner(gd, config, notes)
+        except GuardExceeded:
+            raise
+        except Exception as exc:  # one failing check, and the run goes on
+            notes, tally = {}, _Tally()
+            tally.check(False, lambda: ("-", "-", f"{type(exc).__name__}: {exc}",
+                                        "no exception"))
         if tally.bad:
             bad.append((len(lines), tally.bad))
         text = json.dumps(notes, sort_keys=True) if notes else ""

@@ -9,6 +9,7 @@ the search on keys for the class orbits, one nullspace per element and
 and its test on negated roots, and the signed-permutation loops that the
 table algebra replaced.  Each replaced path lives here as the reference."""
 
+import copy
 import hashlib
 import json
 import math
@@ -721,3 +722,45 @@ def test_negated_roots_span_the_minus_one_eigenspace(token):
         rows = [row for i, v in enumerate(x) if v == -i - 1 for row in rs.c_multiples[i]]
         rank = n - len(exact_nullspace(rows)) if rows else 0
         assert rank == d * involution_reflection_length(rs, x), (token, x)
+
+
+class _Sealed(GroupData):
+    """A GroupData whose l_R, J-sets and columns raise when read."""
+
+    @property
+    def lr(self):
+        raise AssertionError("an oracle read lr")
+
+    @property
+    def columns(self):
+        raise AssertionError("an oracle read the columns")
+
+    def jset_of(self, wi):
+        raise AssertionError("an oracle read a J-set")
+
+
+def _sealed(gd):
+    out = copy.copy(gd)
+    out.__class__ = _Sealed
+    return out
+
+
+@pytest.mark.parametrize("token", ["B4", "H3", "A2xA1"])
+def test_oracles_compute_their_side_without_lr_jsets_or_columns(token):
+    # each oracle's side gives on a sealed copy what it gives on the
+    # untouched GroupData, so it never reads what it checks
+    gd = data(token)
+    sealed = _sealed(gd)
+    for read in (lambda: sealed.lr, lambda: sealed.columns, lambda: sealed.jset_of(0)):
+        with pytest.raises(AssertionError, match="^an oracle read"):
+            read()
+    assert list(verify._fixed_space_filters(sealed)) == list(verify._fixed_space_filters(gd))
+    assert _reflection_distances(sealed.rs) == _reflection_distances(gd.rs)
+    assert (verify._lemma22_every_pair(sealed.perms, sealed.inverse, sealed.bits, sealed.words,
+                                       sealed.right)
+            == verify._lemma22_every_pair(gd.perms, gd.inverse, gd.bits, gd.words, gd.right))
+    if token == "B4":  # the exhaustive side of structured-iw-oracle
+        def exhaustive(g):
+            images = {xi: g.signed_perm(xi).images for xi in g.involutions}
+            return [{images[x] for x, _ in g.pairs[wi]} for wi in range(len(g))]
+        assert exhaustive(sealed) == exhaustive(gd)

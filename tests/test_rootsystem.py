@@ -215,6 +215,45 @@ def test_closure_reproduces_fraction_digests(token):
     assert all(type(x) is kind for v in rs.positive_roots for x in v)
 
 
+def _two_pass_tables(rs):
+    """The generator tables and simple indices as a second pass over the
+    built roots once made them: every root and its negative indexed by its
+    coefficients, then each root reflected through each rule."""
+    comps = rs.components
+    m, psi, d = rootsystem._ring(comps)
+    simple_keys = rootsystem._simple_vectors_exact(comps) if m is None else None
+    rules = rootsystem._reflection_rules(
+        rootsystem._cartan_rows(comps, simple_keys, m, d), psi)
+    index = {c: i + 1 for i, c in enumerate(rs.coeffs)}
+    index.update((tuple(-x for x in c), -(i + 1)) for i, c in enumerate(rs.coeffs))
+    tables = tuple(tuple(index[rootsystem._reflect(c, r, rule)] for c in rs.coeffs)
+                   for r, rule in enumerate(rules))
+    return tables, tuple(index[u] - 1 for u in rootsystem._unit_vectors(rs.rank, d))
+
+
+ONE_PASS_GROUPS = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 11)]
+                   + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
+                   + [f"I2({m})" for m in range(5, 41)]
+                   + ["A2xA1", "A1xA1xA1", "B3xA1", "A2xB2"])
+
+
+@pytest.mark.parametrize("token", ONE_PASS_GROUPS)
+def test_closure_tables_match_a_second_reflection_pass(token):
+    rs = system(token)
+    assert (rs.gen_tables, rs.simple_indices) == _two_pass_tables(rs)
+
+
+def test_closure_refuses_a_rule_that_does_not_negate_its_simple_root(monkeypatch):
+    # s_2(alpha_2) comes back as alpha_2: the closure itself refuses it
+    reflect = rootsystem._reflect
+
+    def fixes_alpha_2(beta, r, rule):
+        return beta if r == 1 and beta == (0, 1, 0) else reflect(beta, r, rule)
+    monkeypatch.setattr(rootsystem, "_reflect", fixes_alpha_2)
+    with pytest.raises(RuntimeError, match="^s2 does not negate its simple root$"):
+        build_root_system(parse_descriptor("A3"))
+
+
 def _saved(token, tmp_path):
     path = tmp_path / f"{token}.json"
     save_root_system(system(token), path)

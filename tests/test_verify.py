@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -423,3 +424,66 @@ def test_a_fault_in_the_pair_pass_fails_its_theorems_and_raises_nothing(token, f
     fault(gd)
     failed = {name for name, tally in _run_every_theorem(gd).items() if tally.failures}
     assert catching <= failed
+
+
+def _raising_on_b3(monkeypatch, name):
+    """Make the runner of `name` fill its notes and then raise on B3."""
+    spec = THEOREMS[name]
+
+    def runner(gd, config, notes):
+        tally = spec.runner(gd, config, notes)
+        if gd.rs.name == "B3":
+            notes["partial"] = True
+            raise ValueError("no J-set for element 5")
+        return tally
+    monkeypatch.setitem(THEOREMS, name, dataclasses.replace(spec, runner=runner))
+
+
+def test_a_runner_that_raises_fails_its_own_check_and_the_run_goes_on(monkeypatch):
+    # such a run once ended in one error: line, with no report
+    passing = _suite(["A2", "B3"]).to_payload()
+    _raising_on_b3(monkeypatch, "zero-excess-classes")
+    res = _suite(["A2", "B3"])
+    broken = [c for c in res.checks if c.status == "fail"]
+    assert [(c.theorem, c.descriptor) for c in broken] == [("zero-excess-classes", "B3")]
+    check, = broken
+    assert (check.passes, check.failures, dict(check.notes)) == (0, 1, {})
+    assert check.counterexamples == (verify.Counterexample(
+        "-", "-", "ValueError: no J-set for element 5", "no exception"),)
+    assert res.failures_total == 1
+    # every other check, A2's zero-excess-classes among them, is as before
+    same = [c for c in res.to_payload()["checks"] if c["status"] != "fail"]
+    assert same == [c for c in passing["checks"]
+                    if (c["theorem"], c["descriptor"]) != ("zero-excess-classes", "B3")]
+
+
+def test_a_guard_refusal_inside_a_runner_still_ends_the_run(monkeypatch):
+    spec = THEOREMS["zero-excess-classes"]
+
+    def runner(gd, config, notes):
+        raise GuardExceeded("|I_w| = 9 exceeds guard 8")
+    monkeypatch.setitem(THEOREMS, spec.name, dataclasses.replace(spec, runner=runner))
+    with pytest.raises(GuardExceeded, match=r"^\|I_w\| = 9 exceeds guard 8$"):
+        _suite(["A2"])
+
+
+def test_verify_writes_the_report_of_a_raising_runner_and_exits_1(monkeypatch, tmp_path, capsys):
+    from coxex.cli import main
+    _raising_on_b3(monkeypatch, "jset-equivalence")
+    out = tmp_path / "b3.json"
+    assert main(["verify", "--type", "B3", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())["payload"]
+    failed = [c for c in payload["checks"] if c["status"] == "fail"]
+    assert [(c["theorem"], c["failures"]) for c in failed] == [("jset-equivalence", 1)]
+    assert failed[0]["counterexamples"][0]["observed"] == "ValueError: no J-set for element 5"
+    assert payload["failures_total"] == 1
+    assert all(c["status"] in ("pass", "skip") for c in payload["checks"] if c not in failed)
+    assert "[fail] jset-equivalence on B3 (1 failures)" in capsys.readouterr().err
+
+
+def test_a_subset_out_of_range_is_refused_before_any_runner(monkeypatch):
+    # a runner reading it would fail one check; the run refuses it before
+    # B3, where it is in range, builds a GroupData
+    monkeypatch.setattr(GroupData, "__init__", None)
+    with pytest.raises(ValueError, match=r"^generator subset \[3\] out of range for rank 2$"):
+        _suite(["B3", "A2"], theorems=("zero-excess-classes",), parabolic=(2,))
